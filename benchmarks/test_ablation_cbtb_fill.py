@@ -9,8 +9,9 @@ conditional through a Boomerang-style reactive fill, stalling the BPU.
 from repro.config import MicroarchParams
 from repro.core.frontend import simulate
 from repro.core.metrics import speedup
-from repro.core.sweep import run_scheme
+from repro.core.sweep import run_spec
 from repro.config.schemes import REFERENCE_SIZES
+from repro.experiments.spec import RunSpec
 from repro.prefetch.shotgun import ShotgunScheme
 from repro.uarch.predecoder import Predecoder
 from repro.workloads.profiles import build_program, build_trace, get_profile
@@ -36,9 +37,10 @@ def test_cbtb_fill_ablation(benchmark, bench_blocks):
     def run():
         rows = {}
         for workload in WORKLOADS:
-            base = run_scheme(workload, "baseline", n_blocks=bench_blocks)
-            proactive = run_scheme(workload, "shotgun",
-                                   n_blocks=bench_blocks)
+            base = run_spec(RunSpec(workload=workload, scheme="baseline",
+                                    n_blocks=bench_blocks))
+            proactive = run_spec(RunSpec(workload=workload, scheme="shotgun",
+                                         n_blocks=bench_blocks))
             reactive = _run_reactive_only(workload, bench_blocks)
             rows[workload] = (speedup(base, proactive),
                               speedup(base, reactive),

@@ -17,7 +17,8 @@ from repro.config.schemes import (
 )
 from repro.core.frontend import simulate
 from repro.core.metrics import speedup
-from repro.core.sweep import run_scheme
+from repro.core.sweep import run_spec
+from repro.experiments.spec import RunSpec
 from repro.prefetch.shotgun import ShotgunScheme
 from repro.uarch.predecoder import Predecoder
 from repro.workloads.profiles import build_program, build_trace, get_profile
@@ -53,9 +54,10 @@ def test_rib_ablation(benchmark, bench_blocks):
     def run():
         rows = {}
         for workload in WORKLOADS:
-            base = run_scheme(workload, "baseline", n_blocks=bench_blocks)
-            with_rib = run_scheme(workload, "shotgun",
-                                  n_blocks=bench_blocks)
+            base = run_spec(RunSpec(workload=workload, scheme="baseline",
+                                    n_blocks=bench_blocks))
+            with_rib = run_spec(RunSpec(workload=workload, scheme="shotgun",
+                                        n_blocks=bench_blocks))
             without = _run_no_rib(workload, bench_blocks)
             rows[workload] = (speedup(base, with_rib),
                               speedup(base, without))

@@ -18,7 +18,8 @@ from repro.config.schemes import (
 )
 from repro.core.frontend import simulate
 from repro.core.metrics import geometric_mean, speedup
-from repro.core.sweep import run_scheme
+from repro.core.sweep import run_spec
+from repro.experiments.spec import RunSpec
 from repro.prefetch.shotgun import ShotgunScheme
 from repro.uarch.predecoder import Predecoder
 from repro.workloads.profiles import build_program, build_trace, get_profile
@@ -65,8 +66,9 @@ def test_storage_split_ablation(benchmark, bench_blocks):
         for label, sizes in SPLITS.items():
             speedups = []
             for workload in WORKLOADS:
-                base = run_scheme(workload, "baseline",
-                                  n_blocks=bench_blocks)
+                base = run_spec(RunSpec(workload=workload,
+                                        scheme="baseline",
+                                        n_blocks=bench_blocks))
                 result = _run_split(workload, sizes, bench_blocks)
                 speedups.append(speedup(base, result))
             table[label] = geometric_mean(speedups)

@@ -3,19 +3,18 @@
 Three measurements, each asserted and recorded into a machine-readable
 ``BENCH_engine.json`` at the repo root:
 
-* **hot loop** — a 120k-block ``shotgun`` simulation against the
-  vendored seed engine (``benchmarks/_legacy``, the exact pre-PR hot
-  modules); the overhauled engine must be >= 2x faster.
-* **grid** — ``run_grid`` over the six workloads x three schemes, run
-  serially and in parallel; results must be bit-identical and the
-  parallel wall-clock is recorded.
+* **hot loop** — a 120k-block ``shotgun`` simulation, whose stats must
+  equal the seed engine's output on the same cell (pinned under
+  ``tests/golden/seed_engine/``); its wall-clock is recorded.
+* **grid** — ``run_specs`` over the six workloads x three schemes, run
+  on the serial and process backends; results must be bit-identical
+  and the parallel wall-clock is recorded.
 * **disk cache** — a cold simulation vs a cross-process-style hit
   (in-process memo cleared, persistent cache warm).
 
 Trace preprocessing (``Trace.hot``, the TAGE fold sequences) is warmed
 before timing: it is computed once per trace and shared by every scheme
-simulated on it, so it is experiment setup, not per-run cost — the
-legacy engine gets the identically warmed trace.
+simulated on it, so it is experiment setup, not per-run cost.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -31,17 +31,20 @@ from repro.config import MicroarchParams, SchemeConfig
 from repro.core import diskcache
 from repro.core.engine_columnar import simulate_columnar
 from repro.core.frontend import _trace_predictor, simulate
-from repro.core.sweep import clear_result_cache, run_grid, run_scheme
+from repro.core.sweep import clear_result_cache, run_spec, run_specs
+from repro.experiments.spec import RunSpec
+from repro.obs.metrics import counter
 from repro.prefetch.factory import build_scheme
 from repro.workloads.profiles import WORKLOAD_NAMES, build_program, \
     build_trace, get_profile
 
-from benchmarks._legacy.footprint import FootprintCodec as _LegacyCodec
-from benchmarks._legacy.frontend import simulate as legacy_simulate
-from benchmarks._legacy.predecoder import Predecoder as _LegacyPredecoder
-from benchmarks._legacy.shotgun import ShotgunScheme as _LegacyShotgun
+_ROOT = Path(__file__).resolve().parent.parent
+_BENCH_PATH = _ROOT / "BENCH_engine.json"
 
-_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+#: The seed engine's stats on the hot-loop cell, pinned from one run of
+#: the seed revision's engine.
+_SEED_ENGINE_GOLDEN = _ROOT / "tests" / "golden" / "seed_engine" \
+    / "shotgun_apache.json"
 
 HOT_LOOP_WORKLOAD = "apache"
 HOT_LOOP_BLOCKS = 120_000
@@ -61,22 +64,6 @@ def _record(section: str, payload: dict) -> None:
     _BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _legacy_shotgun(generated, params: MicroarchParams,
-                    config: SchemeConfig):
-    """Seed-revision Shotgun, mirroring the factory's wiring."""
-    codec = _LegacyCodec(mode=config.footprint_mode,
-                         bits=config.footprint_bits,
-                         fixed_blocks=config.fixed_blocks)
-    return _LegacyShotgun(
-        predecoder=_LegacyPredecoder(generated.program.image),
-        sizes=config.shotgun_sizes,
-        codec=codec,
-        btb_assoc=params.btb_assoc,
-        prefetch_buffer_entries=params.btb_prefetch_buffer,
-        predecode_latency=float(params.predecode_latency),
-    )
-
-
 @pytest.fixture
 def isolated_disk_cache(tmp_path, monkeypatch):
     """Point the persistent cache at a throwaway directory."""
@@ -88,57 +75,41 @@ def isolated_disk_cache(tmp_path, monkeypatch):
     clear_result_cache()
 
 
-def test_hot_loop_speedup_vs_seed_engine():
-    """The overhauled engine is >= 2x the seed engine on a shotgun run."""
+def test_hot_loop_matches_seed_engine():
+    """The engine reproduces the seed engine's shotgun run exactly.
+
+    The overhaul was a pure optimisation — same timing model, same
+    numbers — so every counter must equal the pinned seed output.
+    """
+    pinned = json.loads(_SEED_ENGINE_GOLDEN.read_text())
+    assert (pinned["workload"], pinned["scheme"], pinned["n_blocks"]) \
+        == (HOT_LOOP_WORKLOAD, "shotgun", HOT_LOOP_BLOCKS)
     profile = get_profile(HOT_LOOP_WORKLOAD)
     generated = build_program(HOT_LOOP_WORKLOAD)
     trace = build_trace(HOT_LOOP_WORKLOAD, HOT_LOOP_BLOCKS)
     params = MicroarchParams()
-    config = SchemeConfig(name="shotgun")
 
     # Warm per-trace preprocessing shared across schemes.
     _ = trace.hot
     _trace_predictor(trace)
 
-    new_seconds = float("inf")
-    for _attempt in range(2):
-        scheme = build_scheme("shotgun", params, generated, config)
-        start = time.perf_counter()
-        new_result = simulate(
-            trace, scheme, params=params,
-            l1d_misses_per_kinstr=profile.l1d_misses_per_kinstr,
-        )
-        new_seconds = min(new_seconds, time.perf_counter() - start)
-
-    scheme = _legacy_shotgun(generated, params, config)
+    scheme = build_scheme("shotgun", params, generated,
+                          SchemeConfig(name="shotgun"))
     start = time.perf_counter()
-    legacy_result = legacy_simulate(
-        trace, scheme, params=params,
-        l1d_misses_per_kinstr=profile.l1d_misses_per_kinstr,
-    )
-    legacy_seconds = time.perf_counter() - start
+    result = simulate(trace, scheme, params=params,
+                      l1d_misses_per_kinstr=profile.l1d_misses_per_kinstr)
+    seconds = time.perf_counter() - start
 
-    # The overhaul is a pure optimisation: same timing model, same
-    # numbers, just faster.  Guard the full stats, not only wall-clock.
-    assert new_result.stats == legacy_result.stats, (
+    assert asdict(result.stats) == pinned["stats"], (
         "engine output diverged from the seed engine"
     )
-
-    speedup = legacy_seconds / new_seconds
     _record("hot_loop", {
         "workload": HOT_LOOP_WORKLOAD,
         "scheme": "shotgun",
         "n_blocks": HOT_LOOP_BLOCKS,
-        "legacy_seconds": round(legacy_seconds, 4),
-        "new_seconds": round(new_seconds, 4),
-        "speedup": round(speedup, 3),
-        "new_ipc_metric": round(new_result.ipc, 6),
-        "legacy_ipc_metric": round(legacy_result.ipc, 6),
+        "new_seconds": round(seconds, 4),
+        "new_ipc_metric": round(result.ipc, 6),
     })
-    assert speedup >= 2.0, (
-        f"hot-loop speedup {speedup:.2f}x below the 2x target "
-        f"(new {new_seconds:.2f}s vs legacy {legacy_seconds:.2f}s)"
-    )
 
 
 def _numba_available() -> bool:
@@ -260,7 +231,7 @@ def test_grid_batched_columnar_sweep():
 
 def test_grid_parallel_bit_identical_and_timed(isolated_disk_cache,
                                                monkeypatch):
-    """Parallel run_grid == serial run_grid, bit for bit, on 6x3 cells.
+    """Process pool == serial backend, bit for bit, on 6x3 cells.
 
     Traces (and their derived preprocessing) are warmed first so both
     timings measure simulation, not trace generation — forked workers
@@ -275,8 +246,9 @@ def test_grid_parallel_bit_identical_and_timed(isolated_disk_cache,
     # Throwaway pass: the first grid after trace construction is
     # consistently slower (allocator/GC warm-up), whichever mode runs
     # first — discard it so the serial/parallel comparison is fair.
-    run_grid(WORKLOAD_NAMES, GRID_SCHEMES, n_blocks=GRID_BLOCKS,
-             parallel=False)
+    specs = [RunSpec(workload=workload, scheme=scheme, n_blocks=GRID_BLOCKS)
+             for workload in WORKLOAD_NAMES for scheme in GRID_SCHEMES]
+    run_specs(specs, backend="serial")
 
     # Stopping rule: wall-clock ratios on a shared box are noisy, so
     # measure up to eight times and keep the best ratio, stopping as
@@ -290,26 +262,22 @@ def test_grid_parallel_bit_identical_and_timed(isolated_disk_cache,
         clear_result_cache()
         diskcache.clear()
         start = time.perf_counter()
-        serial = run_grid(WORKLOAD_NAMES, GRID_SCHEMES,
-                          n_blocks=GRID_BLOCKS, parallel=False)
+        serial = run_specs(specs, backend="serial")
         serial_seconds = time.perf_counter() - start
 
         # Fresh result caches so the parallel path actually simulates.
         clear_result_cache()
         diskcache.clear()
         start = time.perf_counter()
-        parallel = run_grid(WORKLOAD_NAMES, GRID_SCHEMES,
-                            n_blocks=GRID_BLOCKS, parallel=True,
-                            max_workers=max_workers)
+        parallel = run_specs(specs, backend="process",
+                             max_workers=max_workers)
         parallel_seconds = time.perf_counter() - start
 
-        for workload in WORKLOAD_NAMES:
-            for scheme in GRID_SCHEMES:
-                assert serial[workload][scheme].stats \
-                    == parallel[workload][scheme].stats, (
-                        f"parallel result diverged for "
-                        f"({workload}, {scheme})"
-                    )
+        for spec, result in serial.items():
+            assert parallel[spec].stats == result.stats, (
+                f"parallel result diverged for "
+                f"({spec.workload}, {spec.scheme})"
+            )
         if best is None or serial_seconds / parallel_seconds \
                 > best[0] / best[1]:
             best = (serial_seconds, parallel_seconds)
@@ -336,7 +304,7 @@ def test_grid_parallel_bit_identical_and_timed(isolated_disk_cache,
     # noise; the stopping rule above records the >= 1.0 draw and the
     # gate here only has to exclude a real regression, not noise.
     assert speedup >= 0.95, (
-        f"parallel run_grid is {1 / speedup:.2f}x slower than serial "
+        f"parallel run_specs is {1 / speedup:.2f}x slower than serial "
         f"at {max_workers} worker(s) — the single-worker pool must "
         f"collapse to the serial backend"
     )
@@ -401,16 +369,17 @@ def test_telemetry_overhead_is_bounded(isolated_disk_cache, monkeypatch):
 def test_disk_cache_skips_simulation(isolated_disk_cache):
     """A warm persistent cache turns a simulation into a JSON read."""
     start = time.perf_counter()
-    cold = run_scheme("nutch", "shotgun", n_blocks=GRID_BLOCKS)
+    cell = RunSpec(workload="nutch", scheme="shotgun", n_blocks=GRID_BLOCKS)
+    cold = run_spec(cell)
     cold_seconds = time.perf_counter() - start
 
     clear_result_cache()  # drop the in-process memo; disk stays warm
     start = time.perf_counter()
-    warm = run_scheme("nutch", "shotgun", n_blocks=GRID_BLOCKS)
+    warm = run_spec(cell)
     warm_seconds = time.perf_counter() - start
 
     assert warm.stats == cold.stats
-    assert diskcache.hits >= 1
+    assert counter("cache.hits").value >= 1
     _record("disk_cache", {
         "workload": "nutch",
         "scheme": "shotgun",

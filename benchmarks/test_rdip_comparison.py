@@ -7,8 +7,9 @@ metadata vs none).  This bench quantifies each claim.
 """
 
 from repro.core.metrics import frontend_stall_coverage, speedup
-from repro.core.sweep import run_schemes
+from repro.core.sweep import run_spec
 from repro.experiments.common import DISPLAY_NAMES
+from repro.experiments.spec import RunSpec
 
 WORKLOADS = ("apache", "oracle")
 
@@ -17,10 +18,11 @@ def test_shotgun_vs_rdip(benchmark, bench_blocks):
     def run():
         table = {}
         for workload in WORKLOADS:
-            results = run_schemes(
-                workload, ("baseline", "rdip", "shotgun"),
-                n_blocks=bench_blocks,
-            )
+            results = {
+                scheme: run_spec(RunSpec(workload=workload, scheme=scheme,
+                                         n_blocks=bench_blocks))
+                for scheme in ("baseline", "rdip", "shotgun")
+            }
             base = results["baseline"]
             table[workload] = {
                 name: (speedup(base, results[name]),

@@ -16,8 +16,9 @@ Run with::
 import sys
 
 from repro.core.metrics import frontend_stall_coverage, speedup
-from repro.core.sweep import run_schemes
+from repro.core.sweep import run_specs
 from repro.experiments.reporting import format_table
+from repro.experiments.spec import RunSpec
 
 SCHEMES = ("baseline", "fdip", "boomerang", "confluence", "shotgun",
            "ideal")
@@ -26,7 +27,11 @@ SCHEMES = ("baseline", "fdip", "boomerang", "confluence", "shotgun",
 def main(workload: str = "oracle", n_blocks: int = 30_000) -> None:
     print(f"Front-end stall breakdown on {workload} "
           f"({n_blocks} basic blocks)\n")
-    results = run_schemes(workload, SCHEMES, n_blocks=n_blocks)
+    cells = {name: RunSpec(workload=workload, scheme=name,
+                           n_blocks=n_blocks).canonical()
+             for name in SCHEMES}
+    simulated = run_specs(cells.values())
+    results = {name: simulated[cell] for name, cell in cells.items()}
     base = results["baseline"]
 
     headers = ["scheme", "speedup", "coverage", "L1-I stall",

@@ -56,9 +56,8 @@ Subcommands:
 Shared flags: ``--blocks`` (trace length; in sampled mode, the per-cell
 budget split across windows), ``--backend {serial,thread,process}`` /
 ``--max-workers N`` (execution-backend selection — DESIGN.md Section
-10), ``--parallel``/``--serial`` (legacy shorthands for the process and
-serial backends), ``--no-cache`` (disable the persistent disk cache for
-this invocation), ``--progress`` (structured per-cell progress on
+10), ``--no-cache`` (disable the persistent disk cache for this
+invocation), ``--progress`` (structured per-cell progress on
 stderr, with a cost-weighted ETA), ``--resume`` (continue an
 interrupted invocation from the disk cache plus its run journal —
 completed cells are never re-simulated), and the fault-tolerance trio
@@ -94,17 +93,16 @@ from typing import List, Optional
 from repro.errors import ReproError
 
 
-_EXECUTION_ENV = ("REPRO_DISK_CACHE", "REPRO_PARALLEL", "REPRO_BACKEND",
-                  "REPRO_MAX_WORKERS", "REPRO_PROGRESS", "REPRO_JOURNAL",
-                  "REPRO_RETRIES", "REPRO_UNIT_TIMEOUT", "REPRO_ON_ERROR",
-                  "REPRO_TELEMETRY", "REPRO_ENGINE")
+#: The execution flags pool workers need per cell, so they travel
+#: through the (inherited) environment rather than the policy.
+_EXECUTION_ENV = ("REPRO_DISK_CACHE", "REPRO_TELEMETRY", "REPRO_ENGINE")
 
 #: Args that never change *which cells* an invocation runs — excluded
 #: from the journal identity, so an interrupted process-backend run can
 #: be resumed serially, to a different --out, with --progress, with a
 #: different retry policy, etc.
 _JOURNAL_IRRELEVANT = frozenset((
-    "func", "command", "backend", "max_workers", "parallel", "no_cache",
+    "func", "command", "backend", "max_workers", "no_cache",
     "progress", "resume", "out", "json", "chart",
     "retries", "unit_timeout", "on_error", "telemetry", "engine",
 ))
@@ -129,8 +127,8 @@ def _invocation_material(args) -> dict:
     return material
 
 
-def _setup_journal(args) -> None:
-    """Point ``REPRO_JOURNAL`` at this invocation's run journal.
+def _setup_journal(args) -> Optional[str]:
+    """The path of this invocation's run journal (None when uncached).
 
     A fresh invocation truncates any stale journal for the same work
     set; ``--resume`` keeps it and reports how much of the interrupted
@@ -145,7 +143,7 @@ def _setup_journal(args) -> None:
                 "--resume needs the disk result cache (completed cells "
                 "are served from it); drop --no-cache"
             )
-        return
+        return None
     journal = RunJournal.for_invocation(_invocation_material(args))
     if getattr(args, "resume", False):
         if journal.exists():
@@ -166,56 +164,47 @@ def _setup_journal(args) -> None:
                   "fresh]", file=sys.stderr)
     else:
         journal.reset()
-    os.environ["REPRO_JOURNAL"] = journal.path
+    return journal.path
 
 
 @contextlib.contextmanager
-def _execution_env(args):
+def _execution_scope(args):
     """Scope the CLI execution flags to one command invocation.
 
-    The flags are communicated to the sweep layer through process
-    environment switches (``REPRO_DISK_CACHE``, ``REPRO_PARALLEL``,
-    ``REPRO_BACKEND``, ``REPRO_MAX_WORKERS``, ``REPRO_PROGRESS``,
-    ``REPRO_JOURNAL``), so each one is saved before the command runs
-    and restored — including *unset* keys, which are removed again —
-    however the command exits.  Without this, an in-process caller
-    (tests, notebooks, examples) that invoked ``--no-cache`` once would
-    silently keep running uncached ever after.
+    The scheduling flags become one :class:`~repro.core.exec.
+    ExecutionPolicy`, validated before anything else happens and
+    current only inside the command.  The three flags pool workers need
+    per cell (:data:`_EXECUTION_ENV`) are environment switches, saved
+    before the command runs and restored — including *unset* keys,
+    which are removed again — however the command exits.  Without
+    this, an in-process caller (tests, notebooks, examples) that
+    invoked ``--no-cache`` once would silently keep running uncached
+    ever after.
     """
+    from dataclasses import replace
+    from repro.core.exec import ExecutionPolicy, scoped_policy, \
+        stderr_progress
+    policy = ExecutionPolicy(
+        backend=getattr(args, "backend", None),
+        max_workers=getattr(args, "max_workers", None),
+        progress=stderr_progress() if getattr(args, "progress", False)
+        else None,
+        retries=getattr(args, "retries", None) or 0,
+        unit_timeout=getattr(args, "unit_timeout", None),
+        on_error=getattr(args, "on_error", None) or "fail",
+    )
     saved = {name: os.environ.get(name) for name in _EXECUTION_ENV}
     try:
         if getattr(args, "no_cache", False):
             os.environ["REPRO_DISK_CACHE"] = "0"
-        if getattr(args, "parallel", None) is True:
-            os.environ["REPRO_PARALLEL"] = "1"
-        elif getattr(args, "parallel", None) is False:
-            os.environ["REPRO_PARALLEL"] = "0"
-        if getattr(args, "backend", None):
-            os.environ["REPRO_BACKEND"] = args.backend
-        if getattr(args, "max_workers", None) is not None:
-            if args.max_workers < 1:
-                raise ReproError("--max-workers needs at least one worker")
-            os.environ["REPRO_MAX_WORKERS"] = str(args.max_workers)
-        if getattr(args, "progress", False):
-            os.environ["REPRO_PROGRESS"] = "1"
-        if getattr(args, "retries", None) is not None:
-            if args.retries < 0:
-                raise ReproError("--retries must be >= 0")
-            os.environ["REPRO_RETRIES"] = str(args.retries)
-        if getattr(args, "unit_timeout", None) is not None:
-            if args.unit_timeout <= 0:
-                raise ReproError("--unit-timeout must be positive")
-            os.environ["REPRO_UNIT_TIMEOUT"] = str(args.unit_timeout)
-        if getattr(args, "on_error", None):
-            os.environ["REPRO_ON_ERROR"] = args.on_error
         if getattr(args, "telemetry", None):
             os.environ["REPRO_TELEMETRY"] = args.telemetry
         if getattr(args, "engine", None):
             os.environ["REPRO_ENGINE"] = args.engine
         if hasattr(args, "resume"):
-            os.environ.pop("REPRO_JOURNAL", None)
-            _setup_journal(args)
-        yield
+            policy = replace(policy, journal=_setup_journal(args))
+        with scoped_policy(policy):
+            yield
     finally:
         for name, value in saved.items():
             if value is None:
@@ -259,20 +248,11 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         help="worker cap for the thread/process backends "
              "(default: the machine's core count)",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
+    parser.add_argument(
         "--backend", choices=("serial", "thread", "process"), default=None,
         help="execution backend for simulation cells (default: process "
-             "when the grid and machine allow fan-out, else serial; all "
-             "backends produce bit-identical results)",
-    )
-    mode.add_argument(
-        "--parallel", dest="parallel", action="store_true", default=None,
-        help="force parallel grid execution (same as --backend process)",
-    )
-    mode.add_argument(
-        "--serial", dest="parallel", action="store_false",
-        help="force serial grid execution (same as --backend serial)",
+             "when more than one worker has work on a multi-core machine, "
+             "else serial; all backends produce bit-identical results)",
     )
     parser.add_argument(
         "--engine", choices=("interpreter", "columnar"), default=None,
@@ -339,6 +319,7 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     it); with ``--telemetry`` it is also appended to the JSONL stream.
     """
     from repro.core import sweep
+    from repro.core.exec import current_policy
     from repro.obs import export, metrics, profile, tracing
     tracing.drain()  # drop spans left over from earlier in-process work
     before = metrics.snapshot()
@@ -355,7 +336,7 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     if emit_line:
         print(export.render_accounting(label, delta), file=sys.stderr)
 
-    journal_path = os.environ.get("REPRO_JOURNAL")
+    journal_path = current_policy().journal
     telemetry_path = os.environ.get(tracing.TELEMETRY_ENV)
     if not journal_path and not telemetry_path:
         return
@@ -499,9 +480,7 @@ def _sampled_sweep_lines(workloads, schemes, args,
         for workload in workloads for scheme in schemes
     }
     results = run_specs(
-        [spec for specs in cell_windows.values() for spec in specs],
-        parallel=args.parallel,
-    )
+        [spec for specs in cell_windows.values() for spec in specs])
     lines = []
     for workload in workloads:
         base_specs = cell_windows.get((workload, "baseline"))
@@ -541,7 +520,8 @@ def _sampled_sweep_lines(workloads, schemes, args,
 
 def _cmd_sweep(args) -> int:
     from repro.core.metrics import speedup
-    from repro.core.sweep import run_grid
+    from repro.core.sweep import run_specs
+    from repro.experiments.spec import RunSpec
     workloads = [w.strip().lower()
                  for w in args.workloads.split(",") if w.strip()]
     schemes = [s.strip().lower()
@@ -559,14 +539,19 @@ def _cmd_sweep(args) -> int:
             lines = _sampled_sweep_lines(workloads, schemes, args,
                                          n_windows)
     else:
+        cells = {
+            (workload, scheme): RunSpec(workload=workload, scheme=scheme,
+                                        n_blocks=args.blocks,
+                                        seed=args.seed).canonical()
+            for workload in workloads for scheme in schemes
+        }
         with _cell_accounting("sweep", command="sweep"):
-            grid = run_grid(workloads, schemes, n_blocks=args.blocks,
-                            seed=args.seed, parallel=args.parallel)
+            results = run_specs(cells.values())
         lines = []
         for workload in workloads:
-            base = grid[workload].get("baseline")
+            base = results.get(cells.get((workload, "baseline")))
             for scheme in schemes:
-                result = grid[workload][scheme]
+                result = results.get(cells[workload, scheme])
                 record = {
                     "workload": workload,
                     "scheme": scheme,
@@ -637,9 +622,6 @@ def _cmd_explore(args) -> int:
             budget=args.budget,
             n_blocks=args.blocks,
             seed=args.seed,
-            parallel=args.parallel,
-            max_workers=args.max_workers,
-            backend=args.backend,
         )
     payload = result.to_jsonl() if args.json else result.render()
     if args.out:
@@ -1009,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _execution_env(args):
+        with _execution_scope(args):
             return args.func(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

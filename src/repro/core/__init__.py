@@ -10,13 +10,7 @@ documents the timing model in full.
 from repro.core.metrics import EngineStats, SimulationResult, \
     frontend_stall_coverage, speedup
 from repro.core.frontend import FrontEnd, simulate
-from repro.core.sweep import (
-    run_grid,
-    run_scheme,
-    run_schemes,
-    run_spec,
-    run_specs,
-)
+from repro.core.sweep import run_spec, run_specs
 
 __all__ = [
     "EngineStats",
@@ -25,9 +19,6 @@ __all__ = [
     "speedup",
     "FrontEnd",
     "simulate",
-    "run_grid",
-    "run_scheme",
-    "run_schemes",
     "run_spec",
     "run_specs",
 ]

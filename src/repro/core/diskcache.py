@@ -118,32 +118,13 @@ _ENV_DIR = "REPRO_CACHE_DIR"
 #: now instruments in the :mod:`repro.obs.metrics` registry (``cache.*``).
 #: ``cache.corrupt`` counts entries evicted because their bytes failed
 #: the checksum (or could not be parsed at all) — every one is also a
-#: miss.  The historical module globals ``hits``/``misses``/``stores``/
-#: ``corrupt`` remain readable through the module ``__getattr__`` shim.
+#: miss.
 _HITS = _obs_counter("cache.hits")
 _MISSES = _obs_counter("cache.misses")
 _STORES = _obs_counter("cache.stores")
 _CORRUPT = _obs_counter("cache.corrupt")
 
-_COUNTER_SHIMS = {
-    "hits": _HITS,
-    "misses": _MISSES,
-    "stores": _STORES,
-    "corrupt": _CORRUPT,
-}
-
-
-def __getattr__(name: str):
-    """Compatibility shim: the pre-obs counter globals, read-only.
-
-    ``diskcache.hits`` and friends are read all over the tests, the
-    benchmarks and the explore budget report; they now resolve to the
-    registry counters' live values.
-    """
-    instrument = _COUNTER_SHIMS.get(name)
-    if instrument is not None:
-        return instrument.value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_COUNTERS = (_HITS, _MISSES, _STORES, _CORRUPT)
 
 
 def enabled() -> bool:
@@ -582,5 +563,5 @@ def clear() -> int:
 
 def reset_counters() -> None:
     """Zero the process-local hit/miss/store/corrupt counters (tests)."""
-    for instrument in _COUNTER_SHIMS.values():
+    for instrument in _COUNTERS:
         instrument.reset()

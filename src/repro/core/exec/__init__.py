@@ -18,6 +18,9 @@ simulate stays in the sweep layer, *how and where* lives here.
   DESIGN.md Section 11).
 * :mod:`~repro.core.exec.faults` — deterministic, seeded fault
   injection: the test harness that proves the supervisor works.
+* :mod:`~repro.core.exec.policy` — the frozen :class:`ExecutionPolicy`
+  (backend, workers, progress, journal, retries, timeout, on-error)
+  the CLI scopes per invocation and ``run_specs`` resolves per call.
 
 None of it affects simulation output, so the package is excluded from
 the disk cache's engine fingerprint: scheduler changes never invalidate
@@ -54,6 +57,8 @@ from repro.core.exec.supervisor import (
     SupervisedBackend,
     SupervisorEvent,
 )
+from repro.core.exec.policy import ExecutionPolicy, auto_backend, \
+    current_policy, scoped_policy
 
 __all__ = [
     "Backend",
@@ -82,4 +87,8 @@ __all__ = [
     "CellFailure",
     "SupervisorEvent",
     "ON_ERROR_POLICIES",
+    "ExecutionPolicy",
+    "auto_backend",
+    "current_policy",
+    "scoped_policy",
 ]

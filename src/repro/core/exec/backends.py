@@ -98,8 +98,9 @@ def _process_worker_init(profiles) -> None:
     register at import time — user registrations and ``replace=True``
     overrides made in the parent would be missing or stale.  The parent
     ships its full registry and the worker re-registers every entry.
-    Under ``fork`` the worker inherits the registry anyway and this is
-    a harmless no-op re-registration.
+    Under ``fork`` the worker inherits the registry together with the
+    parent's memoised programs and traces, and re-registering evicts
+    them: the worker regenerates every program it touches.
     """
     from repro.core.exec import faults
     from repro.workloads.profiles import register_profile

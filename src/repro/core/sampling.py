@@ -100,7 +100,6 @@ def sampled_comparison(
     window_blocks: int = 15_000,
     config: Optional[SchemeConfig] = None,
     params: Optional[MicroarchParams] = None,
-    parallel: Optional[bool] = None,
     use_cache: bool = True,
 ) -> SampledComparison:
     """Speedup/coverage of *scheme_name* across independent windows.
@@ -131,8 +130,7 @@ def sampled_comparison(
     base_windows = sample.window_specs(RunSpec(
         workload=workload, scheme="baseline", params=params,
     ))
-    results = run_specs([*cell_windows, *base_windows], parallel=parallel,
-                        use_cache=use_cache)
+    results = run_specs([*cell_windows, *base_windows], use_cache=use_cache)
 
     speedups: List[float] = []
     coverages: List[float] = []

@@ -23,70 +23,45 @@ the :class:`~repro.experiments.spec.RunSpec`:
   (``progress=``) and every resolved cell can be journalled
   (``journal=``) so interrupted invocations resume with zero
   recomputation.
-* :func:`run_scheme` / :func:`run_schemes` / :func:`run_grid` — the
-  label-oriented conveniences built on top (one cell, one workload row,
-  a full workload × scheme grid).
 
-Grid cells are labelled: a label that names a scheme builds that scheme
-(with ``configs[label]`` as its configuration, exactly like
-``run_schemes``), while any other hashable label resolves through
-``configs[label].name`` — which is how the figure experiments sweep
-configuration variants ("8_bit_vector", C-BTB sizes, storage budgets)
-through one grid call.
+Figure grids reach it as :class:`~repro.experiments.spec.GridSpec`
+collections (:func:`repro.experiments.spec.run_grid_spec`), the CLI's
+raw sweeps as plain RunSpec lists.  How cells are scheduled comes from
+one :class:`~repro.core.exec.ExecutionPolicy` (DESIGN.md Section 10).
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, \
-    Optional, Sequence, Union
+from dataclasses import replace
+from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.config import MicroarchParams, SchemeConfig
 from repro.core import diskcache
 # repro: allow[RPR002] -- scheduler boundary; backends bit-identical (DESIGN 10)
-from repro.core.exec import Backend, ProgressTracker, RunJournal, \
-    chunk_specs, get_backend, spec_cost, stderr_progress
+from repro.core.exec import ProgressTracker, RunJournal, chunk_specs, \
+    current_policy, spec_cost
 # repro: allow[RPR002] -- fault hooks are no-ops unless a plan is injected
 from repro.core.exec import faults as faultlib
 # repro: allow[RPR002] -- event vocabulary only; carries no engine state
 from repro.core.exec import progress as progress_events
 # repro: allow[RPR002] -- supervision retries bit-identical cells (DESIGN 11)
-from repro.core.exec.supervisor import CellFailure, FailureReport, \
-    SupervisedBackend, SupervisorEvent
+from repro.core.exec.supervisor import DEFAULT_BACKOFF_BASE, CellFailure, \
+    FailureReport, SupervisedBackend, SupervisorEvent
 from repro.core.engine_select import selected_engine, simulate
 from repro.core.metrics import SimulationResult
 from repro.errors import ReproError
 # repro: allow[RPR002] -- RunSpec is a frozen value type; keys live in diskcache
-from repro.experiments.spec import DEFAULT_TRACE_BLOCKS, RunSpec
+from repro.experiments.spec import RunSpec
 # repro: allow[RPR002] -- observability registry; reads engine events only
 from repro.obs.metrics import counter as _obs_counter, gauge as _obs_gauge
 # repro: allow[RPR002] -- span tracing is read-only and off by default
 from repro.obs import tracing as _obs_tracing
-from repro.prefetch.factory import SCHEME_FACTORIES, build_scheme
+from repro.prefetch.factory import build_scheme
 from repro.workloads.profiles import build_program, build_trace, \
     get_profile
 
-#: Environment switch for the grid runner: ``REPRO_PARALLEL=0`` forces
-#: serial execution, any other value (or unset) allows fan-out.
-_ENV_PARALLEL = "REPRO_PARALLEL"
-
-#: Environment overrides for the backend layer, set (scoped) by the CLI:
-#: ``REPRO_BACKEND`` names the execution backend, ``REPRO_MAX_WORKERS``
-#: caps its pool, ``REPRO_PROGRESS=1`` turns on stderr progress events
-#: and ``REPRO_JOURNAL`` points at the invocation's run-journal file.
-_ENV_BACKEND = "REPRO_BACKEND"
-_ENV_MAX_WORKERS = "REPRO_MAX_WORKERS"
-_ENV_PROGRESS = "REPRO_PROGRESS"
-_ENV_JOURNAL = "REPRO_JOURNAL"
-
-#: Fault-tolerance overrides (DESIGN.md Section 11), set (scoped) by the
-#: CLI's ``--retries``/``--unit-timeout``/``--on-error`` flags;
-#: ``REPRO_BACKOFF_BASE`` shrinks retry backoff for tests and CI chaos
-#: runs.
-_ENV_RETRIES = "REPRO_RETRIES"
-_ENV_UNIT_TIMEOUT = "REPRO_UNIT_TIMEOUT"
-_ENV_ON_ERROR = "REPRO_ON_ERROR"
+#: Shrinks supervised retry backoff for tests and CI chaos runs.
 _ENV_BACKOFF_BASE = "REPRO_BACKOFF_BASE"
 
 #: In-process result memo, keyed by canonical :class:`RunSpec`.
@@ -102,8 +77,7 @@ _RESULT_CACHE: Dict[RunSpec, SimulationResult] = {}
 #: cross-process races (the parent probes memo and disk cache before
 #: dispatching, so a dispatched cell is simulated unless a concurrent
 #: foreign process stored it first).  A fully-cached run — serial or
-#: parallel — adds zero.  The historical module globals ``simulations``
-#: and ``quarantines`` remain readable via the ``__getattr__`` shim.
+#: parallel — adds zero.
 _SIMULATIONS = _obs_counter("sweep.simulations")
 
 #: Process-local count of cells quarantined by supervised execution
@@ -116,20 +90,6 @@ _QUARANTINES = _obs_counter("sweep.quarantines")
 #: reconcile exactly: ``cells == simulated + cached + quarantined``.
 _CELLS = _obs_counter("sweep.cells")
 _CACHED_CELLS = _obs_counter("sweep.cached_cells")
-
-_COUNTER_SHIMS = {
-    "simulations": _SIMULATIONS,
-    "quarantines": _QUARANTINES,
-}
-
-
-def __getattr__(name: str):
-    """Compatibility shim: the pre-obs counter globals, read-only."""
-    instrument = _COUNTER_SHIMS.get(name)
-    if instrument is not None:
-        return instrument.value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 #: Structured report of the most recent supervised :func:`run_specs`
 #: call that quarantined, retried or degraded anything (None when the
@@ -254,147 +214,9 @@ def run_spec(spec: RunSpec, use_cache: bool = True) -> SimulationResult:
     return result
 
 
-def run_scheme(workload: str, scheme_name: str,
-               n_blocks: int = DEFAULT_TRACE_BLOCKS,
-               config: Optional[SchemeConfig] = None,
-               params: Optional[MicroarchParams] = None,
-               seed: int = 0,
-               use_cache: bool = True) -> SimulationResult:
-    """Simulate one scheme on one workload's reference trace.
-
-    ``seed=0`` selects the workload profile's reference trace seed;
-    other values derive independent trace streams.  Thin wrapper over
-    :func:`run_spec`.
-    """
-    return run_spec(
-        RunSpec(workload=workload, scheme=scheme_name, config=config,
-                params=params, n_blocks=n_blocks, seed=seed),
-        use_cache=use_cache,
-    )
-
-
-def _cell_scheme_name(label: Hashable,
-                      configs: Optional[Dict] = None) -> str:
-    """Scheme to build for a grid *label* (see module docstring).
-
-    A label that names a scheme always builds that scheme — matching
-    ``run_schemes``' serial semantics, where the configs dict is keyed
-    by scheme name — and only non-scheme labels ("8_bit_vector",
-    "boomerang@512", a C-BTB size) resolve through their config's
-    ``name``.
-    """
-    if isinstance(label, str) and label.lower() in SCHEME_FACTORIES:
-        return label
-    if configs is not None:
-        config = configs.get(label)
-        if config is not None:
-            return config.name
-    if isinstance(label, str):
-        return label  # unknown scheme: build_scheme raises with choices
-    raise TypeError(
-        f"grid label {label!r} is not a scheme name and has no "
-        "entry in configs"
-    )
-
-
-def _parallel_allowed() -> bool:
-    return os.environ.get(_ENV_PARALLEL, "1") not in ("0", "false", "no")
-
-
-def _env_backend() -> Optional[str]:
-    value = os.environ.get(_ENV_BACKEND, "").strip()
-    return value.lower() or None
-
-
-def _env_max_workers() -> Optional[int]:
-    value = os.environ.get(_ENV_MAX_WORKERS, "").strip()
-    if not value:
-        return None
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ReproError(
-            f"{_ENV_MAX_WORKERS} must be an integer, got {value!r}"
-        ) from None
-    if workers < 1:
-        raise ReproError(f"{_ENV_MAX_WORKERS} must be >= 1, got {workers}")
-    return workers
-
-
-def _progress_enabled() -> bool:
-    return os.environ.get(_ENV_PROGRESS, "0") not in ("0", "false", "no", "")
-
-
-def _env_int(name: str, minimum: int) -> Optional[int]:
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return None
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ReproError(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
-    if parsed < minimum:
-        raise ReproError(f"{name} must be >= {minimum}, got {parsed}")
-    return parsed
-
-
-def _env_float(name: str) -> Optional[float]:
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return None
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise ReproError(
-            f"{name} must be a number, got {value!r}"
-        ) from None
-    if parsed <= 0:
-        raise ReproError(f"{name} must be positive, got {parsed}")
-    return parsed
-
-
-def _env_on_error() -> Optional[str]:
-    value = os.environ.get(_ENV_ON_ERROR, "").strip().lower()
-    return value or None
-
-
-def _default_backend(parallel: Optional[bool], n_pending: int,
-                     max_workers: int) -> str:
-    """Backend when the caller named none: the legacy ``parallel`` map.
-
-    ``parallel=False`` is the serial path, ``parallel=True`` the
-    process pool, and ``None`` decides from ``REPRO_PARALLEL``, the
-    pending-cell count and the core count — exactly the decision the
-    pre-backend runner made.  A single worker (or a single pending
-    cell) degrades to serial: a pool of one costs spawn overhead and
-    buys nothing.
-    """
-    if parallel is False:
-        return "serial"
-    if max_workers == 1 or n_pending == 1:
-        return "serial"
-    if parallel is True:
-        return "process"
-    cpu_count = os.cpu_count() or 1
-    if _parallel_allowed() and n_pending > 1 and cpu_count > 1:
-        return "process"
-    return "serial"
-
-
-def run_specs(specs: Iterable[RunSpec],
-              parallel: Optional[bool] = None,
-              max_workers: Optional[int] = None,
-              use_cache: bool = True,
-              backend: Optional[Union[str, Backend]] = None,
-              progress: Optional[Callable] = None,
-              journal: Optional[RunJournal] = None,
+def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
               faults: Optional[faultlib.FaultPlan] = None,
-              retries: Optional[int] = None,
-              unit_timeout: Optional[float] = None,
-              on_error: Optional[str] = None,
-              ) -> Dict[RunSpec, SimulationResult]:
+              **overrides) -> Dict[RunSpec, SimulationResult]:
     """Simulate a collection of cells through a pluggable backend.
 
     Cells are deduplicated on their canonical form, so a grid whose
@@ -403,46 +225,24 @@ def run_specs(specs: Iterable[RunSpec],
     Cells are independent deterministic simulations, so results are
     bit-identical whichever backend executes them.
 
-    Args:
-        parallel: legacy switch — ``False`` forces the serial backend,
-            ``True`` the process backend, ``None`` auto-decides.
-            ``backend`` (or the scoped ``REPRO_BACKEND`` environment
-            override the CLI sets) wins over it.
-        max_workers: pool size cap (default ``REPRO_MAX_WORKERS`` or
-            the machine's core count), clamped to the pending work.
-        backend: a backend name (``serial``/``thread``/``process``) or
-            a configured :class:`~repro.core.exec.Backend` instance.
-        progress: callback receiving structured
-            :class:`~repro.core.exec.ProgressEvent` values (default:
-            stderr rendering when ``REPRO_PROGRESS`` is set).
-        journal: a :class:`~repro.core.exec.RunJournal` recording every
-            resolved cell (default: the file ``REPRO_JOURNAL`` names).
-            Together with the disk cache this makes an interrupted
-            collection resumable with zero recomputation.
-        faults: a :class:`~repro.core.exec.faults.FaultPlan` scoped to
-            this call (the test harness; an inherited
-            ``REPRO_FAULT_PLAN`` environment plan reaches here too).
-        retries: per-unit retry budget (default ``REPRO_RETRIES`` or 0).
-        unit_timeout: per-unit wall-clock timeout in seconds (default
-            ``REPRO_UNIT_TIMEOUT`` or none).
-        on_error: ``fail`` (default — raise on the first cell that
-            exhausts its retries), ``skip`` (quarantine it and keep
-            going; the returned mapping omits it) or ``degrade`` (skip
-            plus backend fallback process → thread → serial).  Any
-            non-default fault-tolerance setting routes execution
-            through the :class:`~repro.core.exec.supervisor.
-            SupervisedBackend` (DESIGN.md Section 11).
+    Scheduling follows the :class:`~repro.core.exec.ExecutionPolicy` in
+    scope (the CLI scopes one per invocation) with *overrides* — keywords
+    named exactly like its fields: ``backend``, ``max_workers``,
+    ``progress``, ``journal``, ``retries``, ``unit_timeout`` and
+    ``on_error`` — replacing fields for this call only.  ``faults`` is
+    a :class:`~repro.core.exec.faults.FaultPlan` scoped to this call
+    (the test harness; an inherited ``REPRO_FAULT_PLAN`` environment
+    plan reaches here too).
 
     A fully-cached collection returns before any backend is resolved:
     no pool, no workers, no executor — repeated runs cost file reads.
-    Quarantined cells are recorded in the journal (``cell_failed``) and
-    in :data:`last_failures`; a resumed invocation carries them forward
-    (under ``skip``/``degrade``) instead of retrying them.
+    Under ``on_error`` ``skip``/``degrade`` the returned mapping omits
+    quarantined cells; they are recorded in the journal
+    (``cell_failed``) and in :data:`last_failures`, and a resumed
+    invocation carries them forward instead of retrying them.
     """
     global last_failures
-    # repro: allow[RPR002] -- scheduler boundary; policy constants only
-    from repro.core.exec.supervisor import DEFAULT_BACKOFF_BASE, \
-        ON_ERROR_POLICIES
+    policy = replace(current_policy(), **overrides)
 
     ordered: List[RunSpec] = []
     seen = set()
@@ -453,8 +253,7 @@ def run_specs(specs: Iterable[RunSpec],
             ordered.append(canonical)
     _CELLS.inc(len(ordered))
 
-    if progress is None and _progress_enabled():
-        progress = stderr_progress()
+    progress = policy.progress
     telemetry_path = os.environ.get(_obs_tracing.TELEMETRY_ENV)
     if telemetry_path:
         # Stream every progress event to the JSONL telemetry sink,
@@ -463,20 +262,9 @@ def run_specs(specs: Iterable[RunSpec],
         from repro.obs import export as _obs_export
         writer = _obs_export.TelemetryWriter(telemetry_path)
         progress = _obs_export.progress_sink(writer, wrapped=progress)
-    if journal is None:
-        journal_path = os.environ.get(_ENV_JOURNAL)
-        if journal_path:
-            journal = RunJournal(journal_path)
-    if retries is None:
-        retries = _env_int(_ENV_RETRIES, 0)
-    if unit_timeout is None:
-        unit_timeout = _env_float(_ENV_UNIT_TIMEOUT)
-    policy = (on_error or _env_on_error() or "fail").lower()
-    if policy not in ON_ERROR_POLICIES:
-        raise ReproError(
-            f"unknown on-error policy {policy!r}; choose from "
-            f"{ON_ERROR_POLICIES}"
-        )
+    journal = policy.journal
+    if isinstance(journal, str):
+        journal = RunJournal(journal)
 
     results: Dict[RunSpec, SimulationResult] = {}
     pending: List[RunSpec] = []
@@ -520,7 +308,7 @@ def run_specs(specs: Iterable[RunSpec],
                 else:
                     still_pending.append(spec)
             pending = still_pending
-    if carried and policy == "fail":
+    if carried and policy.on_error == "fail":
         first = carried[0]
         raise ReproError(
             f"{len(carried)} cell(s) were quarantined by a previous "
@@ -587,15 +375,8 @@ def run_specs(specs: Iterable[RunSpec],
             tracker.finish()
         return results
 
-    if max_workers is None:
-        max_workers = _env_max_workers() or os.cpu_count() or 1
-    workers = max(1, min(max_workers, len(pending)))
-    chosen = backend if backend is not None else _env_backend()
-    if chosen is None:
-        chosen = _default_backend(parallel, len(pending), workers)
-    engine = get_backend(chosen, max_workers=workers)
-    _obs_gauge("sweep.last_backend").set(
-        getattr(engine, "name", str(chosen)))
+    engine = policy.make_backend(len(pending))
+    _obs_gauge("sweep.last_backend").set(engine.name)
     _obs_gauge("sweep.last_workers").set(engine.max_workers)
 
     def _notify(event: SupervisorEvent) -> None:
@@ -620,17 +401,15 @@ def run_specs(specs: Iterable[RunSpec],
                 tracker.degrade(f"execution degraded {event.mode} -> "
                                 f"{event.to_mode}: {event.error}")
 
-    supervise = bool(retries) or unit_timeout is not None \
-        or policy in ("skip", "degrade")
-    if supervise and not isinstance(engine, SupervisedBackend):
+    if policy.supervised and not isinstance(engine, SupervisedBackend):
         engine = SupervisedBackend(
             inner=engine,
-            retries=retries or 0,
-            unit_timeout=unit_timeout,
-            on_error=policy,
+            retries=policy.retries,
+            unit_timeout=policy.unit_timeout,
+            on_error=policy.on_error,
             notify=_notify,
-            backoff_base=_env_float(_ENV_BACKOFF_BASE)
-            or DEFAULT_BACKOFF_BASE,
+            backoff_base=float(os.environ.get(_ENV_BACKOFF_BASE)
+                               or DEFAULT_BACKOFF_BASE),
         )
 
     plan_scope = faults.activated() if faults is not None \
@@ -676,83 +455,6 @@ def run_specs(specs: Iterable[RunSpec],
                        failed=failed)
     if tracker is not None:
         tracker.finish()
-    return results
-
-
-def run_grid(workloads: Sequence[str], schemes: Sequence[Hashable],
-             n_blocks: int = DEFAULT_TRACE_BLOCKS,
-             configs: Optional[Dict] = None,
-             params: Optional[MicroarchParams] = None,
-             seed: int = 0,
-             parallel: Optional[bool] = None,
-             max_workers: Optional[int] = None,
-             ) -> Dict[str, Dict[Hashable, SimulationResult]]:
-    """Simulate a full (workload × scheme/config) grid, fanned across cores.
-
-    Args:
-        workloads: workload names (rows).
-        schemes: cell labels (columns) — scheme names, or arbitrary
-            labels resolved through ``configs`` (the built scheme is
-            ``configs[label].name``).
-        configs: optional per-label :class:`SchemeConfig` overrides.
-        params: microarchitectural parameters for every cell.
-        seed: trace seed selector (0 = each profile's reference seed).
-        parallel: force parallel (True) or serial (False) execution;
-            default decides from ``REPRO_PARALLEL``, the cell count and
-            the machine's core count.
-        max_workers: pool size cap (default: ``os.cpu_count()``).
-
-    Returns:
-        ``{workload: {label: SimulationResult}}``.
-    """
-    workloads = list(workloads)
-    schemes = list(schemes)
-    cell_specs: Dict[tuple, RunSpec] = {}
-    for workload in workloads:
-        for label in schemes:
-            config = configs.get(label) if configs else None
-            scheme_name = _cell_scheme_name(label, configs)
-            cell_specs[(workload, label)] = RunSpec(
-                workload=workload, scheme=scheme_name, config=config,
-                params=params, n_blocks=n_blocks, seed=seed,
-            )
-    results = run_specs(cell_specs.values(), parallel=parallel,
-                        max_workers=max_workers)
-    # .get: under --on-error skip/degrade a quarantined cell has no
-    # result; its grid slot is None and consumers decide how to react.
-    return {
-        workload: {
-            label: results.get(cell_specs[(workload, label)].canonical())
-            for label in schemes
-        }
-        for workload in workloads
-    }
-
-
-def run_schemes(workload: str, scheme_names: Iterable[str],
-                n_blocks: int = DEFAULT_TRACE_BLOCKS,
-                configs: Optional[Dict[str, SchemeConfig]] = None,
-                params: Optional[MicroarchParams] = None,
-                parallel: bool = False,
-                max_workers: Optional[int] = None,
-                ) -> Dict[str, SimulationResult]:
-    """Simulate several schemes on the same workload trace.
-
-    ``configs`` optionally overrides the per-scheme configuration (keyed
-    by scheme name); missing keys get defaults.  With ``parallel`` the
-    schemes fan out as a one-row :func:`run_grid`.
-    """
-    scheme_names = list(scheme_names)
-    if parallel:
-        grid = run_grid([workload], scheme_names, n_blocks=n_blocks,
-                        configs=configs, params=params,
-                        parallel=True, max_workers=max_workers)
-        return grid[workload]
-    results: Dict[str, SimulationResult] = {}
-    for name in scheme_names:
-        config = configs.get(name) if configs else None
-        results[name] = run_scheme(workload, name, n_blocks=n_blocks,
-                                   config=config, params=params)
     return results
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.config.schemes import (
     REFERENCE_SIZES,
@@ -11,8 +11,6 @@ from repro.config.schemes import (
     shotgun_budget_split,
     ubtb_entry_bits,
 )
-from repro.core.metrics import SimulationResult
-from repro.core.sweep import run_grid
 from repro.errors import ExperimentError
 from repro.experiments.spec import Cell, GridSpec, RunSpec, SampleSpec
 from repro.workloads.profiles import WORKLOAD_NAMES
@@ -96,21 +94,6 @@ def cbtb_variant_config(cbtb_entries: int) -> SchemeConfig:
     return SchemeConfig(name="shotgun", shotgun_sizes=sizes)
 
 
-def figure_grid(labels: Sequence[Hashable], n_blocks: int,
-                configs: Optional[Dict] = None,
-                workloads: Sequence[str] = WORKLOAD_NAMES,
-                ) -> Dict[str, Dict[Hashable, SimulationResult]]:
-    """All (workload × label) results a figure needs, via the grid runner.
-
-    Thin wrapper over :func:`repro.core.sweep.run_grid` so every figure
-    fans its cells across cores (and shares the persistent result cache)
-    through one entry point; labels follow run_grid's convention (scheme
-    names, or config-dict keys whose ``SchemeConfig.name`` is the scheme
-    to build).
-    """
-    return run_grid(workloads, labels, n_blocks=n_blocks, configs=configs)
-
-
 #: One column of a workload grid: (column name, scheme, optional config).
 Variant = Tuple[str, str, Optional[SchemeConfig]]
 
@@ -182,7 +165,6 @@ __all__ = [
     "DISPLAY_NAMES",
     "FOOTPRINT_VARIANTS",
     "FOOTPRINT_LABELS",
-    "figure_grid",
     "workload_grid",
     "footprint_variant_config",
     "cbtb_variant_config",

@@ -444,22 +444,18 @@ class GridSpec:
 
 
 def run_grid_spec(spec: GridSpec, n_blocks: Optional[int] = None,
-                  parallel: Optional[bool] = None,
-                  max_workers: Optional[int] = None,
                   use_cache: bool = True,
-                  backend=None,
-                  progress: Optional[Callable] = None,
                   post: Optional[Callable[[ExperimentResult],
                                           ExperimentResult]] = None,
-                  ) -> ExperimentResult:
+                  **overrides) -> ExperimentResult:
     """Execute a :class:`GridSpec` through the shared sweep path.
 
     Distinct canonical cells (baselines dedupe naturally) run through
-    the execution-backend layer (``backend`` names or carries a
-    :class:`~repro.core.exec.Backend`; ``progress`` observes structured
-    events) and hit the in-process/disk caches exactly like
-    :func:`repro.core.sweep.run_grid`; the named metric reducer then
-    folds raw simulation results into the experiment's table.
+    :func:`repro.core.sweep.run_specs` — *overrides* (``backend``,
+    ``max_workers``, ``progress``, … named like the
+    :class:`~repro.core.exec.ExecutionPolicy` fields) apply to this grid
+    only — and hit the in-process/disk caches; the named metric reducer
+    then folds raw simulation results into the experiment's table.
 
     With a ``sample`` axis, every cell's windows run through the same
     path; the metric is evaluated once per window (cell window *i*
@@ -469,9 +465,8 @@ def run_grid_spec(spec: GridSpec, n_blocks: Optional[int] = None,
     half-width.
     """
     from repro.core.sweep import run_specs
-    results = run_specs(spec.run_specs(n_blocks), parallel=parallel,
-                        max_workers=max_workers, use_cache=use_cache,
-                        backend=backend, progress=progress)
+    results = run_specs(spec.run_specs(n_blocks), use_cache=use_cache,
+                        **overrides)
     metric = METRICS[spec.metric]
 
     def lookup(run):

@@ -54,16 +54,12 @@ class _Evaluator:
     def __init__(self, space: ParamSpace,
                  objectives: Tuple[Objective, ...],
                  budget: Optional[int], n_blocks: int,
-                 parallel: Optional[bool] = None,
-                 max_workers: Optional[int] = None,
-                 backend=None) -> None:
+                 **overrides) -> None:
         self.space = space
         self.objectives = objectives
         self.budget = budget
         self.n_blocks = n_blocks
-        self._parallel = parallel
-        self._max_workers = max_workers
-        self._backend = backend
+        self._overrides = overrides
         self._needs_baseline = any(obj.name == "speedup"
                                    for obj in objectives)
         self._charged: Set[RunSpec] = set()
@@ -96,9 +92,7 @@ class _Evaluator:
                 f"{self.budget - len(self._charged)} of the "
                 f"{self.budget}-cell budget remain"
             )
-        results = run_specs(specs, parallel=self._parallel,
-                            max_workers=self._max_workers,
-                            backend=self._backend)
+        results = run_specs(specs, **self._overrides)
         missing = [spec for spec in specs if spec not in results]
         if missing:
             cell = missing[0]
@@ -274,20 +268,19 @@ def explore(space: ParamSpace,
             budget: Optional[int] = None,
             n_blocks: Optional[int] = None,
             seed: int = 0,
-            parallel: Optional[bool] = None,
-            max_workers: Optional[int] = None,
-            backend=None) -> ExploreResult:
+            **overrides) -> ExploreResult:
     """Run one budgeted exploration of *space* and extract its frontier.
 
     Deterministic given ``(space, strategy, objectives, budget, seed,
-    n_blocks)`` regardless of cache state *and* of ``backend`` — the
-    execution backend only decides where cells simulate; every
-    evaluated cell flows through :func:`repro.core.sweep.run_specs`, so
+    n_blocks)`` regardless of cache state *and* of the execution
+    policy — *overrides* (``backend``, ``max_workers``, … as for
+    :func:`repro.core.sweep.run_specs`) only decide where cells
+    simulate; every evaluated cell flows through ``run_specs``, so
     repeats are served from the in-process memo and the persistent disk
     cache.
     """
-    from repro.core import sweep
     from repro.core.sweep import simulation_meter
+    from repro.obs import metrics
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
     resolved = resolve_objectives([
@@ -297,11 +290,10 @@ def explore(space: ParamSpace,
     blocks = n_blocks if n_blocks is not None else DEFAULT_TRACE_BLOCKS
     if budget is not None and budget < 1:
         raise ExperimentError("explore budget must be at least one cell")
-    evaluator = _Evaluator(space, resolved, budget, blocks,
-                           parallel=parallel, max_workers=max_workers,
-                           backend=backend)
+    evaluator = _Evaluator(space, resolved, budget, blocks, **overrides)
     rng = random.Random(seed)
-    quarantined_before = sweep.quarantines
+    quarantines = metrics.counter("sweep.quarantines")
+    quarantined_before = quarantines.value
     with simulation_meter() as meter:
         try:
             strategy.search(space, evaluator, rng)
@@ -319,7 +311,7 @@ def explore(space: ParamSpace,
         frontier=pareto_frontier(evaluator.evaluated, resolved),
         cells=evaluator.cells,
         simulations=simulations,
-        failures=sweep.quarantines - quarantined_before,
+        failures=quarantines.value - quarantined_before,
     )
 
 

@@ -401,8 +401,8 @@ def render_accounting(label: str, delta: Dict[str, Dict]) -> str:
 
     Format is pinned by CI greps: ``[label: N simulated, M cached]``
     with ``, K quarantined`` appended only when K > 0.  ``cached``
-    counts *disk-cache* hits (probe + retry-recovered), exactly the
-    pre-obs ``diskcache.hits`` delta semantics.
+    counts *disk-cache* hits (probe + retry-recovered): the
+    ``cache.hits`` delta.
     """
     counters = delta.get("counters", {})
     simulated = counters.get("sweep.simulations", 0)

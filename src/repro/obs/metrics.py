@@ -12,12 +12,9 @@ stay authoritative for accounting.
 Instrument naming scheme (dotted, lowercase, ``subsystem.event``):
 
 * ``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
-  ``cache.corrupt`` — the disk-cache counters (the pre-obs module
-  globals of :mod:`repro.core.diskcache` are compatibility shims over
-  these).
+  ``cache.corrupt`` — the disk-cache counters.
 * ``sweep.simulations`` / ``sweep.quarantines`` / ``sweep.memo_hits``
-  / ``sweep.cells`` — scheduler accounting (ditto for the pre-obs
-  ``sweep.simulations``/``sweep.quarantines`` module globals).
+  / ``sweep.cells`` — scheduler accounting.
 * ``supervisor.retries`` / ``supervisor.quarantines`` /
   ``supervisor.degrades`` / ``supervisor.backoff_seconds`` — fault
   tolerance.

@@ -13,6 +13,7 @@ from repro.core.exec.journal import RunJournal, _record_crc
 from repro.core.sweep import clear_result_cache, run_spec, \
     simulation_meter
 from repro.experiments.spec import RunSpec
+from repro.obs.metrics import counter
 
 SPEC = RunSpec(workload="nutch", scheme="baseline", n_blocks=400)
 
@@ -50,7 +51,7 @@ class TestChecksummedEntries:
             handle.truncate(size // 2)
         key = diskcache.spec_key(SPEC)
         assert diskcache.load(key) is None
-        assert diskcache.corrupt == 1
+        assert counter("cache.corrupt").value == 1
         assert not os.path.exists(path)  # evicted, not left to rot
         with simulation_meter() as meter:
             run_spec(SPEC)
@@ -68,7 +69,7 @@ class TestChecksummedEntries:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         assert diskcache.load(diskcache.spec_key(SPEC)) is None
-        assert diskcache.corrupt == 1
+        assert counter("cache.corrupt").value == 1
         assert not os.path.exists(path)
 
     def test_legacy_entry_without_checksum_accepted(self, tmp_path,
@@ -80,7 +81,7 @@ class TestChecksummedEntries:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         assert diskcache.load(diskcache.spec_key(SPEC)) is not None
-        assert diskcache.corrupt == 0
+        assert counter("cache.corrupt").value == 0
 
     def test_verify_entry(self, tmp_path, monkeypatch):
         (path,) = _populate(tmp_path, monkeypatch)

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.obs.metrics import counter
 
 
 class TestList:
@@ -36,7 +37,7 @@ class TestRun:
 
     def test_run_json_is_machine_readable(self, capsys):
         assert main(["run", "figure7", "--blocks", "2000",
-                     "--serial", "--json"]) == 0
+                     "--backend", "serial", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["experiment_id"] == "figure7"
         assert payload["baseline"] == 1.0
@@ -46,7 +47,7 @@ class TestRun:
 
     def test_run_chart_uses_structured_baseline(self, capsys):
         assert main(["run", "colocation", "--blocks", "2000",
-                     "--serial", "--chart"]) == 0
+                     "--backend", "serial", "--chart"]) == 0
         out = capsys.readouterr().out
         # The speedup chart starts its bars at the structured baseline.
         assert "(bars start at 1)" in out
@@ -67,7 +68,7 @@ class TestSweep:
     def test_jsonl_one_line_per_cell(self, capsys):
         assert main(["sweep", "--workloads", "nutch",
                      "--schemes", "baseline,ideal",
-                     "--blocks", "2000", "--serial"]) == 0
+                     "--blocks", "2000", "--backend", "serial"]) == 0
         lines = [json.loads(line) for line
                  in capsys.readouterr().out.splitlines() if line]
         assert len(lines) == 2
@@ -80,7 +81,7 @@ class TestSweep:
         out_file = tmp_path / "grid.jsonl"
         assert main(["sweep", "--workloads", "nutch",
                      "--schemes", "ideal", "--blocks", "2000",
-                     "--serial", "--out", str(out_file)]) == 0
+                     "--backend", "serial", "--out", str(out_file)]) == 0
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["workload"] == "nutch"
@@ -122,37 +123,46 @@ class TestNoCacheFlag:
         clear_result_cache()
         diskcache.reset_counters()
         assert main(["run", "colocation", "--blocks", "2000",
-                     "--serial", "--no-cache"]) == 0
+                     "--backend", "serial", "--no-cache"]) == 0
         capsys.readouterr()
-        assert diskcache.stores == 0
+        assert counter("cache.stores").value == 0
         assert not os.path.isdir(str(tmp_path / "cache"))
         clear_result_cache()
 
-    def test_execution_env_restored_after_command(self, monkeypatch,
-                                                  capsys):
-        """Regression: --no-cache/--serial must not leak their env
-        overrides into the process after main() returns — a later
-        in-process caller (tests, notebooks) would silently run
-        uncached/serial."""
+    def test_no_policy_or_scheduler_env_survives(self, monkeypatch,
+                                                 capsys):
+        """Regression: an invocation's flags must not leak into the
+        process after main() returns — a later in-process caller
+        (tests, notebooks) would silently run uncached, on the wrong
+        backend or with a stale journal.  The scheduling flags live in
+        a scoped ExecutionPolicy; only the worker-bound switches touch
+        the environment, and those are restored."""
         from repro.core import diskcache
-        monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        from repro.core.exec import ExecutionPolicy, current_policy
+        for name in ("REPRO_DISK_CACHE", "REPRO_ENGINE"):
+            monkeypatch.delenv(name, raising=False)
+        before = {name for name in os.environ if name.startswith("REPRO_")}
         assert main(["run", "figure3", "--blocks", "2000",
-                     "--serial", "--no-cache"]) == 0
+                     "--backend", "thread", "--max-workers", "2",
+                     "--retries", "1", "--on-error", "skip",
+                     "--progress", "--no-cache",
+                     "--engine", "columnar"]) == 0
         capsys.readouterr()
-        assert "REPRO_DISK_CACHE" not in os.environ
-        assert "REPRO_PARALLEL" not in os.environ
+        assert current_policy() == ExecutionPolicy()
+        after = {name for name in os.environ if name.startswith("REPRO_")}
+        assert after == before
         assert diskcache.enabled()
 
     def test_execution_env_restores_prior_values(self, monkeypatch,
                                                  capsys):
         monkeypatch.setenv("REPRO_DISK_CACHE", "1")
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        monkeypatch.setenv("REPRO_ENGINE", "interpreter")
         assert main(["run", "figure3", "--blocks", "2000",
-                     "--serial", "--no-cache"]) == 0
+                     "--backend", "serial", "--no-cache",
+                     "--engine", "columnar"]) == 0
         capsys.readouterr()
         assert os.environ["REPRO_DISK_CACHE"] == "1"
-        assert os.environ["REPRO_PARALLEL"] == "1"
+        assert os.environ["REPRO_ENGINE"] == "interpreter"
 
     def test_execution_env_restored_on_error(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
@@ -164,7 +174,7 @@ class TestNoCacheFlag:
 class TestSampledMode:
     def test_run_windows_emits_ci(self, capsys):
         assert main(["run", "figure7", "--blocks", "1600",
-                     "--windows", "2", "--serial", "--json"]) == 0
+                     "--windows", "2", "--backend", "serial", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["samples"] == 2
         for row in payload["rows"]:
@@ -172,7 +182,7 @@ class TestSampledMode:
 
     def test_sampled_flag_defaults_to_four_windows(self, capsys):
         assert main(["run", "colocation", "--blocks", "1200",
-                     "--sampled", "--serial", "--json"]) == 0
+                     "--sampled", "--backend", "serial", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["samples"] == 4
 
@@ -189,7 +199,7 @@ class TestSampledMode:
     def test_sampled_sweep_emits_means_and_ci(self, capsys):
         assert main(["sweep", "--workloads", "nutch",
                      "--schemes", "baseline,ideal", "--blocks", "2000",
-                     "--windows", "2", "--serial"]) == 0
+                     "--windows", "2", "--backend", "serial"]) == 0
         lines = [json.loads(line) for line
                  in capsys.readouterr().out.splitlines() if line]
         assert len(lines) == 2
@@ -210,7 +220,7 @@ class TestSampledMode:
 
     def test_frontier_runs_sampled_by_default(self, capsys):
         assert main(["run", "frontier", "--blocks", "600",
-                     "--windows", "2", "--serial", "--json"]) == 0
+                     "--windows", "2", "--backend", "serial", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["samples"] == 2
         labels = [row["label"] for row in payload["rows"]]
@@ -242,10 +252,12 @@ class TestBackendFlags:
         assert second.out == first.out
         clear_result_cache()
 
-    def test_backend_conflicts_with_serial_flag(self, capsys):
+    @pytest.mark.parametrize("flag", ["--serial", "--parallel"])
+    def test_legacy_mode_flags_are_gone(self, flag, capsys):
+        """--backend is the one way to pick where cells run."""
         with pytest.raises(SystemExit):
             main(["sweep", "--workloads", "nutch", "--schemes",
-                  "baseline", "--backend", "process", "--serial"])
+                  "baseline", flag])
 
     def test_cell_accounting_line_on_stderr(self, capsys):
         assert main(["sweep", "--workloads", "nutch", "--schemes",
@@ -259,7 +271,7 @@ class TestBackendFlags:
         from repro.core.sweep import clear_result_cache
         clear_result_cache()
         assert main(["sweep", "--workloads", "nutch", "--schemes",
-                     "baseline", "--blocks", "1000", "--serial",
+                     "baseline", "--blocks", "1000", "--backend", "serial",
                      "--progress"]) == 0
         err = capsys.readouterr().err
         assert "[sweep:" in err and "[sweep done:" in err
@@ -285,7 +297,7 @@ class TestResume:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         clear_result_cache()
         argv = ["sweep", "--workloads", "nutch", "--schemes",
-                "baseline,ideal", "--blocks", "1000", "--serial"]
+                "baseline,ideal", "--blocks", "1000", "--backend", "serial"]
         assert main(argv) == 0
         first = capsys.readouterr()
         assert "2 simulated" in first.err
@@ -308,7 +320,7 @@ class TestResume:
                                                  monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["sweep", "--workloads", "nutch", "--schemes",
-                     "baseline", "--blocks", "1000", "--serial",
+                     "baseline", "--blocks", "1000", "--backend", "serial",
                      "--resume"]) == 0
         assert "[resume: no journal" in capsys.readouterr().err
 
@@ -358,7 +370,7 @@ class TestFaultTolerance:
         self._poison_env(tmp_path, monkeypatch)
         assert main(["sweep", "--workloads", "nutch",
                      "--schemes", "baseline,ideal", "--blocks", "1000",
-                     "--serial", "--retries", "1",
+                     "--backend", "serial", "--retries", "1",
                      "--on-error", "skip"]) == 0
         captured = capsys.readouterr()
         records = [json.loads(line)
@@ -375,7 +387,7 @@ class TestFaultTolerance:
         self._poison_env(tmp_path, monkeypatch)
         assert main(["sweep", "--workloads", "nutch",
                      "--schemes", "baseline,ideal", "--blocks", "1000",
-                     "--serial", "--retries", "1",
+                     "--backend", "serial", "--retries", "1",
                      "--on-error", "fail"]) == 2
         assert "failed after" in capsys.readouterr().err
         clear_result_cache()
@@ -386,7 +398,7 @@ class TestFaultTolerance:
         self._poison_env(tmp_path, monkeypatch)
         argv = ["sweep", "--workloads", "nutch",
                 "--schemes", "baseline,ideal", "--blocks", "1000",
-                "--serial", "--on-error", "skip"]
+                "--backend", "serial", "--on-error", "skip"]
         assert main(argv) == 0
         capsys.readouterr()
         clear_result_cache()
@@ -398,11 +410,11 @@ class TestFaultTolerance:
 
     def test_flag_validation(self, capsys):
         assert main(["sweep", "--workloads", "nutch", "--schemes",
-                     "baseline", "--blocks", "1000", "--serial",
+                     "baseline", "--blocks", "1000", "--backend", "serial",
                      "--retries", "-1"]) == 2
         assert "--retries" in capsys.readouterr().err
         assert main(["sweep", "--workloads", "nutch", "--schemes",
-                     "baseline", "--blocks", "1000", "--serial",
+                     "baseline", "--blocks", "1000", "--backend", "serial",
                      "--unit-timeout", "0"]) == 2
         assert "--unit-timeout" in capsys.readouterr().err
 
@@ -420,7 +432,7 @@ class TestCacheVerifyCommand:
         clear_result_cache()
         assert main(["sweep", "--workloads", "nutch", "--schemes",
                      "baseline,ideal", "--blocks", "1000",
-                     "--serial"]) == 0
+                     "--backend", "serial"]) == 0
         capsys.readouterr()
         clear_result_cache()
         from repro.experiments.spec import RunSpec

@@ -10,7 +10,9 @@ import pytest
 from repro.config import MicroarchParams, SchemeConfig
 from repro.core import diskcache
 from repro.core.metrics import EngineStats, SimulationResult
-from repro.core.sweep import clear_result_cache, run_scheme
+from repro.core.sweep import clear_result_cache, run_spec
+from repro.experiments.spec import RunSpec
+from repro.obs.metrics import counter
 
 
 @pytest.fixture
@@ -52,7 +54,7 @@ class TestStoreLoad:
 
     def test_miss_returns_none(self, fresh_cache):
         assert diskcache.load(_key()) is None
-        assert diskcache.misses == 1
+        assert counter("cache.misses").value == 1
 
     def test_corrupt_entry_is_a_miss(self, fresh_cache):
         key = _key()
@@ -156,19 +158,23 @@ class TestOptOut:
         assert diskcache.cache_dir() == str(fresh_cache)
 
 
-class TestRunSchemeIntegration:
+#: The cell the run_spec integration tests simulate.
+_NUTCH = RunSpec(workload="nutch", scheme="baseline", n_blocks=2000)
+
+
+class TestRunSpecIntegration:
     def test_disk_hit_equals_simulated_result(self, fresh_cache):
-        first = run_scheme("nutch", "baseline", n_blocks=2000)
-        assert diskcache.stores == 1
+        first = run_spec(_NUTCH)
+        assert counter("cache.stores").value == 1
         # Drop the in-process memo: the next call must come from disk
         # and be field-identical to the simulated result.
         clear_result_cache()
-        second = run_scheme("nutch", "baseline", n_blocks=2000)
-        assert diskcache.hits == 1
+        second = run_spec(_NUTCH)
+        assert counter("cache.hits").value == 1
         assert second is not first
         assert second.stats == first.stats
 
     def test_use_cache_false_skips_disk(self, fresh_cache):
-        run_scheme("nutch", "baseline", n_blocks=2000, use_cache=False)
-        assert diskcache.stores == 0
-        assert diskcache.hits == 0
+        run_spec(_NUTCH, use_cache=False)
+        assert counter("cache.stores").value == 0
+        assert counter("cache.hits").value == 0

@@ -159,7 +159,7 @@ class TestSingleWorkerCollapse:
 
     def test_single_worker_run_builds_no_pool(self, tmp_path,
                                               monkeypatch):
-        """End to end: a 1-worker 'parallel' sweep must never touch
+        """End to end: a 1-worker pool sweep must never touch
         concurrent.futures, and still simulates every cell."""
         _fresh(tmp_path, monkeypatch)
         for attr in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
@@ -412,13 +412,13 @@ class TestFullyCachedRunsNeverSchedule:
             raise AssertionError(
                 "a fully-cached run must not resolve a backend")
 
-        monkeypatch.setattr("repro.core.sweep.get_backend", explode)
+        monkeypatch.setattr("repro.core.exec.policy.get_backend", explode)
         # Memo path (same process) ...
-        results = run_specs(specs, parallel=True, max_workers=4)
+        results = run_specs(specs, backend="process", max_workers=4)
         assert len(results) == len(specs)
         # ... and disk path (fresh process simulated by clearing memo).
         clear_result_cache()
-        results = run_specs(specs, parallel=True, max_workers=4)
+        results = run_specs(specs, backend="process", max_workers=4)
         assert len(results) == len(specs)
         clear_result_cache()
 

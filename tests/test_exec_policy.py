@@ -1,0 +1,99 @@
+"""The execution policy: validation, the auto-backend rule, scoping."""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro.core.exec import ExecutionPolicy, auto_backend, current_policy, \
+    scoped_policy
+from repro.core.sweep import clear_result_cache, run_specs
+from repro.errors import ReproError
+from repro.experiments.spec import RunSpec
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field, value, flag", [
+        ("backend", "bogus", "--backend"),
+        ("max_workers", 0, "--max-workers"),
+        ("retries", -1, "--retries"),
+        ("unit_timeout", 0, "--unit-timeout"),
+        ("unit_timeout", -3.0, "--unit-timeout"),
+        ("on_error", "explode", "--on-error"),
+    ])
+    def test_bad_value_names_its_flag(self, field, value, flag):
+        with pytest.raises(ReproError, match=flag):
+            ExecutionPolicy(**{field: value})
+
+    def test_names_are_normalised(self):
+        policy = ExecutionPolicy(backend="Thread", on_error="SKIP")
+        assert (policy.backend, policy.on_error) == ("thread", "skip")
+
+    def test_run_specs_validates_overrides(self):
+        with pytest.raises(ReproError, match="--retries"):
+            run_specs([], retries=-1)
+        with pytest.raises(TypeError):
+            run_specs([], parallel=True)
+
+    @pytest.mark.parametrize("policy, supervised", [
+        (ExecutionPolicy(), False),
+        (ExecutionPolicy(retries=1), True),
+        (ExecutionPolicy(unit_timeout=5.0), True),
+        (ExecutionPolicy(on_error="skip"), True),
+    ])
+    def test_supervision_follows_fault_tolerance_fields(self, policy,
+                                                        supervised):
+        assert policy.supervised is supervised
+
+
+class TestAutoBackend:
+    @pytest.mark.parametrize("cpus, workers, expected", [
+        (1, 1, "serial"),
+        (1, 2, "serial"),
+        (2, 1, "serial"),
+        (2, 2, "process"),
+    ])
+    def test_decision_table(self, monkeypatch, cpus, workers, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert auto_backend(workers) == expected
+
+    def test_workers_clamp_to_pending_cells(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert ExecutionPolicy().make_backend(1).name == "serial"
+        pool = ExecutionPolicy().make_backend(5)
+        assert (pool.name, pool.max_workers) == ("process", 2)
+        named = ExecutionPolicy(backend="thread", max_workers=8)
+        assert named.make_backend(3).max_workers == 3
+
+
+class TestScope:
+    def test_default_outside_any_scope(self):
+        assert current_policy() == ExecutionPolicy()
+
+    def test_scope_restores_previous_policy_after_exception(self):
+        outer = ExecutionPolicy(backend="serial")
+        with scoped_policy(outer):
+            with pytest.raises(RuntimeError):
+                with scoped_policy(ExecutionPolicy(retries=2)):
+                    assert current_policy().retries == 2
+                    raise RuntimeError("boom")
+            assert current_policy() is outer
+        assert current_policy() == ExecutionPolicy()
+
+    def test_run_specs_reads_the_scoped_policy(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        clear_result_cache()
+        seen = []
+        spec = RunSpec(workload="nutch", scheme="baseline", n_blocks=2000)
+        with scoped_policy(ExecutionPolicy(backend="serial",
+                                           progress=seen.append)):
+            run_specs([spec])
+        assert [event.kind for event in seen][0] == "start"
+        # An explicit override replaces the scoped field for one call.
+        quiet, before = [], len(seen)
+        with scoped_policy(ExecutionPolicy(progress=seen.append)):
+            run_specs([spec], progress=quiet.append)
+        assert quiet and len(seen) == before
+        clear_result_cache()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import diskcache, sweep
+from repro.core.exec import ExecutionPolicy, scoped_policy
 from repro.core.exec import supervisor as supervisor_module
 from repro.core.exec.faults import FaultPlan, FaultRule
 from repro.core.exec.journal import RunJournal
@@ -15,6 +16,7 @@ from repro.core.sweep import clear_result_cache, run_specs, \
     simulation_meter
 from repro.errors import ReproError
 from repro.experiments.spec import RunSpec
+from repro.obs.metrics import counter
 
 
 #: Small, fast cells (sub-second each) the fault matrix permutes over.
@@ -79,7 +81,7 @@ class TestSupervisedBackendValidation:
     def test_run_specs_rejects_unknown_policy(self, tmp_path,
                                               monkeypatch):
         _fresh(tmp_path, monkeypatch)
-        with pytest.raises(ReproError, match="on-error policy"):
+        with pytest.raises(ReproError, match="--on-error policy"):
             run_specs(CELLS[:1], backend="serial", on_error="explode")
 
 
@@ -130,10 +132,10 @@ class TestQuarantine:
         poison = CELLS[2]
         plan = FaultPlan(rules=(_rule("raise", poison, times=None),),
                         state_dir=str(tmp_path / "faults"))
-        before = sweep.quarantines
+        before = counter("sweep.quarantines").value
         results = run_specs(CELLS, backend="serial", faults=plan,
                             retries=1, on_error="skip")
-        assert sweep.quarantines - before == 1
+        assert counter("sweep.quarantines").value - before == 1
         report = sweep.last_failures
         assert [f.spec for f in report.cells] == [poison.canonical()]
         assert report.cells[0].attempts[-1]["kind"] == "error"
@@ -317,30 +319,19 @@ class TestResume:
         clear_result_cache()
 
 
-class TestEnvironmentPlumbing:
-    def test_env_flags_route_through_supervisor(self, tmp_path,
-                                                monkeypatch):
+class TestPolicyPlumbing:
+    def test_scoped_policy_routes_through_supervisor(self, tmp_path,
+                                                     monkeypatch):
         _fresh(tmp_path, monkeypatch)
         poison = CELLS[3]
         plan = FaultPlan(rules=(_rule("raise", poison, times=None),),
                         state_dir=str(tmp_path / "faults"))
         monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
-        monkeypatch.setenv("REPRO_RETRIES", "1")
-        monkeypatch.setenv("REPRO_ON_ERROR", "skip")
-        results = run_specs(CELLS, backend="serial")
+        with scoped_policy(ExecutionPolicy(retries=1, on_error="skip")):
+            results = run_specs(CELLS, backend="serial")
         assert poison.canonical() not in results
         assert len(results) == len(CELLS) - 1
         clear_result_cache()
-
-    def test_env_validation(self, tmp_path, monkeypatch):
-        _fresh(tmp_path, monkeypatch)
-        monkeypatch.setenv("REPRO_RETRIES", "nope")
-        with pytest.raises(ReproError, match="REPRO_RETRIES"):
-            run_specs(CELLS[:1], backend="serial")
-        monkeypatch.delenv("REPRO_RETRIES")
-        monkeypatch.setenv("REPRO_UNIT_TIMEOUT", "-3")
-        with pytest.raises(ReproError, match="REPRO_UNIT_TIMEOUT"):
-            run_specs(CELLS[:1], backend="serial")
 
 
 _matrix_counter = [0]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import diskcache, sweep
+from repro.core.exec import ExecutionPolicy, scoped_policy
 from repro.errors import ExperimentError
 from repro.explore import (
     Dimension,
@@ -16,6 +17,7 @@ from repro.explore import (
     ParamSpace,
     explore,
 )
+from repro.obs.metrics import counter
 
 #: A deliberately tiny space so engine-backed tests stay fast.
 TINY_SPACE = ParamSpace(
@@ -32,12 +34,12 @@ TINY_SPACE = ParamSpace(
 def fresh_cache(tmp_path, monkeypatch):
     """A private empty disk cache, serial execution, empty memo."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_PARALLEL", "0")
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
     diskcache.reset_counters()
     sweep.clear_result_cache()
     sweep.reset_simulation_counter()
-    yield
+    with scoped_policy(ExecutionPolicy(backend="serial")):
+        yield
     sweep.clear_result_cache()
 
 
@@ -93,7 +95,7 @@ class TestExploreCli:
     def test_rendered_table(self, fresh_cache, tmp_path, capsys):
         assert main(["explore", "--space", _space_file(tmp_path),
                      "--strategy", "exhaustive", "--budget", "5",
-                     "--blocks", "1500", "--serial"]) == 0
+                     "--blocks", "1500", "--backend", "serial"]) == 0
         captured = capsys.readouterr()
         assert "Pareto frontier" in captured.out
         assert "btb_entries" in captured.out
@@ -102,7 +104,7 @@ class TestExploreCli:
     def test_jsonl_points_and_summary(self, fresh_cache, tmp_path, capsys):
         assert main(["explore", "--space", _space_file(tmp_path),
                      "--strategy", "exhaustive", "--budget", "5",
-                     "--blocks", "1500", "--serial", "--json"]) == 0
+                     "--blocks", "1500", "--backend", "serial", "--json"]) == 0
         lines = [json.loads(line) for line
                  in capsys.readouterr().out.splitlines() if line]
         points = [line for line in lines if line["kind"] == "point"]
@@ -124,16 +126,17 @@ class TestExploreCli:
         (sweep.simulations counter) and produces identical stdout."""
         args = ["explore", "--space", _space_file(tmp_path),
                 "--strategy", "random", "--budget", "5",
-                "--blocks", "1500", "--seed", "11", "--serial", "--json"]
+                "--blocks", "1500", "--seed", "11", "--backend", "serial",
+                "--json"]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert sweep.simulations > 0
+        assert counter("sweep.simulations").value > 0
 
         sweep.clear_result_cache()  # drop the memo: disk cache must serve
         sweep.reset_simulation_counter()
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert sweep.simulations == 0
+        assert counter("sweep.simulations").value == 0
         assert second == first
 
     def test_seeds_change_the_schedule(self, fresh_cache, tmp_path,
@@ -143,7 +146,7 @@ class TestExploreCli:
             assert main(["explore", "--space", _space_file(tmp_path),
                          "--strategy", "random", "--budget", "3",
                          "--blocks", "1500", "--seed", seed,
-                         "--serial", "--json"]) == 0
+                         "--backend", "serial", "--json"]) == 0
             outputs.append(capsys.readouterr().out)
         # 3-cell budget affords 2 of the 4 points: different seeds pick
         # different prefixes of the shuffled schedule.
@@ -153,7 +156,7 @@ class TestExploreCli:
         out = tmp_path / "points.jsonl"
         assert main(["explore", "--space", _space_file(tmp_path),
                      "--strategy", "exhaustive", "--budget", "5",
-                     "--blocks", "1500", "--serial", "--json",
+                     "--blocks", "1500", "--backend", "serial", "--json",
                      "--out", str(out)]) == 0
         capsys.readouterr()
         lines = out.read_text().strip().splitlines()
@@ -162,7 +165,7 @@ class TestExploreCli:
     def test_workload_override(self, fresh_cache, tmp_path, capsys):
         assert main(["explore", "--space", _space_file(tmp_path),
                      "--strategy", "exhaustive", "--budget", "2",
-                     "--blocks", "1500", "--serial", "--json",
+                     "--blocks", "1500", "--backend", "serial", "--json",
                      "--workloads", "flatstream"]) == 0
         lines = [json.loads(line) for line
                  in capsys.readouterr().out.splitlines() if line]
@@ -190,7 +193,7 @@ class TestExploreCli:
         (tmp_path / "btb_budget").write_text("not a space")
         assert main(["explore", "--space", "btb_budget",
                      "--strategy", "exhaustive", "--budget", "3",
-                     "--blocks", "1500", "--serial", "--json",
+                     "--blocks", "1500", "--backend", "serial", "--json",
                      "--workloads", "nutch"]) == 0
         lines = [json.loads(line) for line
                  in capsys.readouterr().out.splitlines() if line]
@@ -201,7 +204,7 @@ class TestCacheCli:
     def _populate(self, tmp_path, capsys):
         assert main(["explore", "--space", _space_file(tmp_path),
                      "--strategy", "exhaustive", "--budget", "3",
-                     "--blocks", "1500", "--serial", "--json"]) == 0
+                     "--blocks", "1500", "--backend", "serial", "--json"]) == 0
         capsys.readouterr()
 
     def test_stats_counts_entries(self, fresh_cache, tmp_path, capsys):

@@ -7,7 +7,8 @@ the paper's core qualitative claims end to end.
 import pytest
 
 from repro.core.metrics import frontend_stall_coverage, speedup
-from repro.core.sweep import run_schemes
+from repro.core.sweep import run_spec
+from repro.experiments.spec import RunSpec
 from repro.workloads.analysis import btb_mpki, region_access_distribution
 from repro.workloads.profiles import build_trace
 
@@ -18,10 +19,12 @@ N_BLOCKS = 12_000
 
 @pytest.fixture(scope="module")
 def oltp_results():
-    return run_schemes(
-        "db2", ("baseline", "ideal", "boomerang", "confluence", "shotgun"),
-        n_blocks=N_BLOCKS,
-    )
+    return {
+        scheme: run_spec(RunSpec(workload="db2", scheme=scheme,
+                                 n_blocks=N_BLOCKS))
+        for scheme in ("baseline", "ideal", "boomerang", "confluence",
+                       "shotgun")
+    }
 
 
 class TestPaperHeadlines:

@@ -16,7 +16,7 @@ def _fresh(tmp_path, monkeypatch):
 
 def _sweep_args(extra=()):
     return ["sweep", "--workloads", "nutch", "--schemes",
-            "baseline,ideal", "--blocks", "2000", "--serial",
+            "baseline,ideal", "--blocks", "2000", "--backend", "serial",
             *extra]
 
 
@@ -247,7 +247,7 @@ class TestExploreManifest:
             self, tmp_path, monkeypatch, capsys):
         _fresh(tmp_path, monkeypatch)
         assert main(["explore", "--strategy", "random", "--budget", "3",
-                     "--blocks", "1500", "--seed", "1", "--serial",
+                     "--blocks", "1500", "--seed", "1", "--backend", "serial",
                      "--workloads", "nutch"]) == 0
         err = capsys.readouterr().err
         # The explore report's own accounting line survives...

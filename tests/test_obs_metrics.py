@@ -129,30 +129,21 @@ class TestAbsorb:
         assert g.value == "parent"
 
 
-class TestCompatibilityShims:
-    def test_diskcache_module_attrs_read_the_registry(self):
+class TestCounterResets:
+    def test_diskcache_reset_zeroes_the_cache_counters(self):
         from repro.core import diskcache
+        names = ("cache.hits", "cache.misses", "cache.stores",
+                 "cache.corrupt")
+        for name in names:
+            metrics.counter(name).inc()
         diskcache.reset_counters()
-        base = diskcache.hits
-        metrics.counter("cache.hits").inc()
-        assert diskcache.hits == base + 1
-        assert diskcache.misses == metrics.counter("cache.misses").value
-        assert diskcache.stores == metrics.counter("cache.stores").value
-        assert diskcache.corrupt == metrics.counter("cache.corrupt").value
+        assert [metrics.counter(name).value for name in names] \
+            == [0, 0, 0, 0]
 
-    def test_sweep_module_attrs_read_the_registry(self):
+    def test_sweep_reset_zeroes_the_cell_counters(self):
         from repro.core import sweep
-        sweep.reset_simulation_counter()
-        assert sweep.simulations == 0
         metrics.counter("sweep.simulations").inc(2)
-        assert sweep.simulations == 2
+        metrics.counter("sweep.quarantines").inc()
         sweep.reset_simulation_counter()
-        assert sweep.simulations == 0
-
-    def test_unknown_module_attr_still_raises(self):
-        from repro.core import diskcache, sweep
-        import pytest
-        with pytest.raises(AttributeError):
-            diskcache.no_such_counter
-        with pytest.raises(AttributeError):
-            sweep.no_such_counter
+        assert metrics.counter("sweep.simulations").value == 0
+        assert metrics.counter("sweep.quarantines").value == 0

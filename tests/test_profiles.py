@@ -2,13 +2,17 @@
 
 import pytest
 
+from dataclasses import replace
+
 from repro.errors import ConfigError
+from repro.workloads import profiles
 from repro.workloads.profiles import (
     WORKLOAD_NAMES,
     build_program,
     build_trace,
     clear_caches,
     get_profile,
+    register_profile,
 )
 
 
@@ -62,3 +66,13 @@ class TestBuilders:
         reference = build_trace("nutch", 1500)
         other = build_trace("nutch", 1500, seed=99)
         assert not (reference.pc == other.pc).all()
+
+    def test_changed_reregistration_evicts_memoised_artefacts(self):
+        original = get_profile("nutch")
+        program = build_program("nutch")
+        try:
+            register_profile(replace(original, trace_seed=77), replace=True)
+            assert "nutch" not in profiles._PROGRAM_CACHE
+        finally:
+            register_profile(original, replace=True)
+        assert build_program("nutch") is not program

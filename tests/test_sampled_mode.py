@@ -16,6 +16,7 @@ from repro.experiments.spec import (
     SampleSpec,
     run_grid_spec,
 )
+from repro.obs.metrics import counter
 
 
 @pytest.fixture
@@ -108,29 +109,29 @@ class TestSampledExecution:
     def test_second_sampled_run_performs_zero_simulations(
             self, fresh_cache):
         grid = _sampled_grid()
-        first = run_grid_spec(grid, n_blocks=3000, parallel=False)
+        first = run_grid_spec(grid, n_blocks=3000, backend="serial")
         # 3 schemes (incl. shared baseline) x 3 windows.
-        assert sweep.simulations == 9
+        assert counter("sweep.simulations").value == 9
         # Fresh process simulation: drop the in-process memo, keep disk.
         clear_result_cache()
         sweep.reset_simulation_counter()
-        second = run_grid_spec(grid, n_blocks=3000, parallel=False)
-        assert sweep.simulations == 0
+        second = run_grid_spec(grid, n_blocks=3000, backend="serial")
+        assert counter("sweep.simulations").value == 0
         assert second.to_dict() == first.to_dict()
 
     def test_serial_and_parallel_sampled_results_bit_identical(
             self, fresh_cache):
         grid = _sampled_grid()
-        serial = run_grid_spec(grid, n_blocks=3000, parallel=False,
+        serial = run_grid_spec(grid, n_blocks=3000, backend="serial",
                                use_cache=False)
         clear_result_cache()
-        parallel = run_grid_spec(grid, n_blocks=3000, parallel=True,
+        parallel = run_grid_spec(grid, n_blocks=3000, backend="process",
                                  max_workers=2)
         assert parallel.to_dict() == serial.to_dict()
 
     def test_sampled_result_surfaces_ci_and_samples(self, fresh_cache):
         result = run_grid_spec(_sampled_grid(), n_blocks=3000,
-                               parallel=False)
+                               backend="serial")
         assert result.samples == 3
         assert set(result.ci) == {"Nutch"}
         assert len(result.ci["Nutch"]) == 2
@@ -151,7 +152,7 @@ class TestSampledExecution:
             metric="speedup",
         )
         payload = run_grid_spec(grid, n_blocks=2000,
-                                parallel=False).to_dict()
+                                backend="serial").to_dict()
         assert "samples" not in payload
         assert all("ci" not in row for row in payload["rows"])
 

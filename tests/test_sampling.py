@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.exec import ExecutionPolicy, scoped_policy
 from repro.core.sampling import SampleStats, aggregate, sampled_comparison, \
     t_quantile_975
 from repro.errors import SimulationError
+from repro.obs.metrics import counter
 
 
 class TestAggregate:
@@ -81,13 +83,15 @@ class TestSampledComparison:
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
         sweep.clear_result_cache()
         sweep.reset_simulation_counter()
-        first = sampled_comparison("nutch", "fdip", n_windows=2,
-                                   window_blocks=2000, parallel=False)
-        assert sweep.simulations == 4  # 2 schemes x 2 windows
+        with scoped_policy(ExecutionPolicy(backend="serial")):
+            first = sampled_comparison("nutch", "fdip", n_windows=2,
+                                       window_blocks=2000)
+        assert counter("sweep.simulations").value == 4  # 2 schemes x 2 windows
         sweep.clear_result_cache()
         sweep.reset_simulation_counter()
-        second = sampled_comparison("nutch", "fdip", n_windows=2,
-                                    window_blocks=2000, parallel=False)
-        assert sweep.simulations == 0
+        with scoped_policy(ExecutionPolicy(backend="serial")):
+            second = sampled_comparison("nutch", "fdip", n_windows=2,
+                                        window_blocks=2000)
+        assert counter("sweep.simulations").value == 0
         assert second == first
         sweep.clear_result_cache()

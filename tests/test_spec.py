@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import MicroarchParams, SchemeConfig
 from repro.core import diskcache
+from repro.core.exec import ExecutionPolicy, scoped_policy
 from repro.core.sweep import clear_result_cache, run_specs
 from repro.errors import ExperimentError
 from repro.experiments import colocation, figure7
@@ -15,17 +16,18 @@ from repro.experiments.spec import (
     RunSpec,
     run_grid_spec,
 )
+from repro.obs.metrics import counter
 
 
 @pytest.fixture
 def fresh_cache(tmp_path, monkeypatch):
     """A private empty disk cache, serial execution, empty memo."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_PARALLEL", "0")
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
     diskcache.reset_counters()
     clear_result_cache()
-    yield
+    with scoped_policy(ExecutionPolicy(backend="serial")):
+        yield
     clear_result_cache()
 
 
@@ -177,12 +179,11 @@ class TestRunSpecsExecution:
         import os
         cache_dir = tmp_path / "parallel-cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
         clear_result_cache()
         specs = [RunSpec(workload="nutch", scheme=s, n_blocks=2000)
                  for s in ("baseline", "ideal")]
-        results = run_specs(specs, parallel=True, max_workers=2,
+        results = run_specs(specs, backend="process", max_workers=2,
                             use_cache=False)
         assert len(results) == 2
         # Neither the parent nor any pool worker touched the disk cache.
@@ -198,15 +199,15 @@ class TestRunSpecsExecution:
 class TestDiskCacheHitRate:
     def test_second_colocation_run_simulates_nothing(self, fresh_cache):
         colocation.run(n_blocks=2000, workload="nutch")
-        first_stores = diskcache.stores
+        first_stores = counter("cache.stores").value
         assert first_stores == len(colocation.spec_for("nutch")
                                    .run_specs(2000))
         clear_result_cache()
         diskcache.reset_counters()
         second = colocation.run(n_blocks=2000, workload="nutch")
-        assert diskcache.misses == 0
-        assert diskcache.stores == 0
-        assert diskcache.hits == first_stores
+        assert counter("cache.misses").value == 0
+        assert counter("cache.stores").value == 0
+        assert counter("cache.hits").value == first_stores
         assert [label for label, _ in second.rows] == \
             [f"degree {d}" for d in colocation.DEGREES]
 
