@@ -35,6 +35,10 @@ GOLDEN_BLOCKS = 2000
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
+#: Pinned files in ``GOLDEN_DIR`` that are not experiment snapshots
+#: (workload-construction digests, see ``test_golden_workloads.py``).
+NON_EXPERIMENT_GOLDENS = frozenset({"workloads"})
+
 
 def golden_path(experiment_id: str) -> str:
     return os.path.join(GOLDEN_DIR, experiment_id + ".json")
@@ -84,7 +88,7 @@ def test_no_orphan_snapshots():
     """Snapshots for deregistered experiments must be deleted."""
     on_disk = {name[:-len(".json")] for name in os.listdir(GOLDEN_DIR)
                if name.endswith(".json")}
-    orphans = sorted(on_disk - set(EXPERIMENTS))
+    orphans = sorted(on_disk - set(EXPERIMENTS) - NON_EXPERIMENT_GOLDENS)
     assert not orphans, f"golden snapshots without experiments: {orphans}"
 
 
