@@ -20,8 +20,9 @@ loop offsets, giving the high intra-region spatial locality of Figure 3.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -136,6 +137,21 @@ def _zipf_weights(n: int, s: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def choice_cdf(weights: np.ndarray) -> List[float]:
+    """The CDF ``Generator.choice`` builds from ``p=weights``.
+
+    ``rng.choice(n, size=k, p=weights)`` normalises ``weights.cumsum()``
+    by its last element and inverts ``rng.random(k)`` through it with a
+    right-sided search.  Computing the CDF once and drawing with
+    ``bisect_right(cdf, u)`` for each ``u`` in ``rng.random(k)`` consumes
+    the same stream and returns the same indices, without rebuilding and
+    re-validating the weights at every draw.
+    """
+    cdf = np.asarray(weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def _layer_sizes(params: GeneratorParams) -> List[int]:
     """Split functions across layers: roots, app layers, kernel."""
     kernel = max(2, int(round(params.n_functions * params.kernel_fraction)))
@@ -156,14 +172,14 @@ def _draw_block_count(rng: np.random.Generator,
                       params: GeneratorParams) -> int:
     mu = np.log(params.median_blocks)
     count = int(round(float(rng.lognormal(mu, params.sigma_blocks))))
-    return int(np.clip(count, 2, 64))
+    return min(max(count, 2), 64)
 
 
 def _draw_ninstr(rng: np.random.Generator, params: GeneratorParams) -> int:
     # Geometric-ish block length with the requested mean, clipped so the
     # 5-bit BTB size field can encode it.
     ninstr = 2 + rng.poisson(max(0.1, params.mean_block_instrs - 2))
-    return int(np.clip(ninstr, 2, 15))
+    return min(max(ninstr, 2), 15)
 
 
 def _pick_cond(rng: np.random.Generator, params: GeneratorParams,
@@ -221,15 +237,25 @@ def _pick_cond(rng: np.random.Generator, params: GeneratorParams,
 
 def _pick_callees(rng: np.random.Generator, params: GeneratorParams,
                   target_pool: Sequence[int], cluster_base: int,
-                  indirect: bool) -> Tuple[int, ...]:
-    """Choose callee fid(s) from a deeper-layer pool with clustering."""
+                  indirect: bool,
+                  cdfs: Dict[int, List[float]]) -> Tuple[int, ...]:
+    """Choose callee fid(s) from a deeper-layer pool with clustering.
+
+    Callee ranks within the cluster are Zipf(``zipf_callee``)-distributed;
+    *cdfs* memoises their CDF per cluster width for one program (its
+    params, hence the exponent, are fixed).
+    """
     pool_size = len(target_pool)
     cluster = max(1, int(pool_size * params.cluster_fraction))
-    weights = _zipf_weights(cluster, params.zipf_callee)
+    cdf = cdfs.get(cluster)
+    if cdf is None:
+        cdf = cdfs[cluster] = choice_cdf(
+            _zipf_weights(cluster, params.zipf_callee))
     count = params.indirect_fanout if indirect else 1
-    picks = rng.choice(cluster, size=count, p=weights)
+    # The draws of rng.choice(cluster, size=count, p=weights).
     fids = tuple(
-        int(target_pool[(cluster_base + int(p)) % pool_size]) for p in picks
+        int(target_pool[(cluster_base + bisect_right(cdf, u)) % pool_size])
+        for u in rng.random(count).tolist()
     )
     # Deduplicate while preserving order; an indirect site may legitimately
     # collapse to fewer distinct targets.
@@ -264,7 +290,8 @@ def _pick_call_pool(rng: np.random.Generator, params: GeneratorParams,
 
 def _build_function(rng: np.random.Generator, params: GeneratorParams,
                     fid: int, layer: int, layer_pools: List[List[int]],
-                    is_kernel: bool) -> Function:
+                    is_kernel: bool,
+                    cdfs: Dict[int, List[float]]) -> Function:
     nblocks = _draw_block_count(rng, params)
     blocks: List[BasicBlock] = []
     n_layers = len(layer_pools)
@@ -287,6 +314,7 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
                 callees = _pick_callees(
                     rng, params, pool, cluster_base,
                     indirect=rng.random() < params.indirect_fraction,
+                    cdfs=cdfs,
                 )
                 blocks.append(BasicBlock(ninstr=ninstr,
                                          kind=BranchKind.CALL,
@@ -301,7 +329,7 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
             kernel_pool = layer_pools[-1]
             cluster_base = int(rng.integers(0, len(kernel_pool)))
             callees = _pick_callees(rng, params, kernel_pool, cluster_base,
-                                    indirect=False)
+                                    indirect=False, cdfs=cdfs)
             blocks.append(BasicBlock(ninstr=ninstr, kind=BranchKind.TRAP,
                                      callees=callees))
         else:
@@ -327,13 +355,15 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
         layer_pools.append(list(range(next_fid, next_fid + size)))
         next_fid += size
 
+    # Callee-rank CDFs by cluster width, shared by every call site.
+    cdfs: Dict[int, List[float]] = {}
     functions: List[Function] = []
     for layer, pool in enumerate(layer_pools):
         is_kernel = layer == len(layer_pools) - 1
         for fid in pool:
             functions.append(
                 _build_function(rng, params, fid, layer, layer_pools,
-                                is_kernel)
+                                is_kernel, cdfs)
             )
 
     # Shuffle the *layout order* (not the fids) so that functions that call

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProgramError
@@ -114,9 +115,14 @@ class Function:
 
     def block_addr(self, idx: int) -> int:
         """Start address of block *idx* (requires a laid-out program)."""
+        return self.block_addrs[idx]
+
+    @property
+    def block_addrs(self) -> List[int]:
+        """Start address of every block (requires a laid-out program)."""
         if self.base_addr < 0:
             raise ProgramError(f"function {self.fid} has not been laid out")
-        return self._block_addrs[idx]
+        return self._block_addrs
 
     def _layout(self, base: int) -> int:
         """Assign addresses from *base*; returns the end address."""
@@ -231,6 +237,19 @@ class Program:
                     ).append(descriptor)
             self._image = image
         return self._image
+
+    @cached_property
+    def static_targets(self) -> Dict[int, int]:
+        """Block pc -> static taken target of its branch (lazy).
+
+        A decoder genuinely knows a direct branch's target even when it
+        is not taken, so BTB fills for not-taken conditionals use this
+        target rather than the trace's fall-through address.  A pure
+        function of the program, so every trace of it (and both engines)
+        share one copy.
+        """
+        return {branch.block_pc: branch.target
+                for branches in self.image.values() for branch in branches}
 
     def unconditional_count(self) -> int:
         """Number of static unconditional branches (U-BTB + RIB residents)."""

@@ -95,22 +95,14 @@ def _trace_predictor(trace: Trace) -> TagePredictor:
 
 
 def _static_target_map(trace: Trace) -> Dict[int, int]:
-    """Static taken-targets from the binary image, cached on the trace.
+    """Static taken-targets of the trace's program, or none without one.
 
-    A decoder genuinely knows a direct branch's target even when it is
-    not taken, so BTB fills for not-taken conditionals use the real
-    target rather than the trace's fall-through address.  Pure function
-    of the trace, shared by both engines via ``trace.derived``.
+    See :attr:`repro.cfg.model.Program.static_targets`; shared by both
+    engines.
     """
-    cached = trace.derived.get("static_targets")
-    if cached is None:
-        cached = {}
-        if trace.generated is not None:
-            for branches in trace.generated.program.image.values():
-                for branch in branches:
-                    cached[branch.block_pc] = branch.target
-        trace.derived["static_targets"] = cached
-    return cached
+    if trace.generated is None:
+        return {}
+    return trace.generated.program.static_targets
 
 
 class FrontEnd:

@@ -348,6 +348,8 @@ def build_report(run_id: str, label: str, command: str,
         "cache_probe": _phase_total(spans, "cache_probe"),
         "execute": _phase_total(spans, "execute"),
         "simulate": _phase_total(spans, "simulate"),
+        "build_program": _phase_total(spans, "build_program"),
+        "build_trace": _phase_total(spans, "build_trace"),
         "retry_backoff": float(
             counters.get("supervisor.backoff_seconds", 0.0)),
     }

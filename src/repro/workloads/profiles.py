@@ -49,6 +49,8 @@ from typing import Dict, Tuple
 from repro.cfg.generator import GeneratedProgram, GeneratorParams, \
     generate_program
 from repro.errors import ConfigError
+# repro: allow[RPR002] -- observability spans; they only time the builders
+from repro.obs import tracing as _obs_tracing
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import generate_trace
 
@@ -155,13 +157,18 @@ def get_profile(name: str) -> WorkloadProfile:
 # ---------------------------------------------------------------------------
 # Memoised builders: program generation and trace execution are pure
 # functions of (profile, length, seed), so experiments share one copy.
+# A memo miss is timed as a ``build_program`` / ``build_trace`` span
+# (run-manifest phases of the same names); the generators are called
+# through this module's attributes, inside those spans.
 # ---------------------------------------------------------------------------
 
 def build_program(name: str) -> GeneratedProgram:
     """Generate (or fetch the cached) program for a workload."""
     key = name.lower()
     if key not in _PROGRAM_CACHE:
-        _PROGRAM_CACHE[key] = generate_program(get_profile(key).gen_params)
+        gen_params = get_profile(key).gen_params
+        with _obs_tracing.span("build_program", workload=key):
+            _PROGRAM_CACHE[key] = generate_program(gen_params)
     return _PROGRAM_CACHE[key]
 
 
@@ -175,10 +182,13 @@ def build_trace(name: str, n_blocks: int, seed: int = 0) -> Trace:
     actual_seed = profile.trace_seed if seed == 0 else seed
     key = (name.lower(), n_blocks, actual_seed)
     if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = generate_trace(
-            build_program(name), n_blocks, seed=actual_seed,
-            warmup_blocks=profile.warmup_blocks,
-        )
+        generated = build_program(name)
+        with _obs_tracing.span("build_trace", workload=key[0],
+                               blocks=n_blocks):
+            _TRACE_CACHE[key] = generate_trace(
+                generated, n_blocks, seed=actual_seed,
+                warmup_blocks=profile.warmup_blocks,
+            )
     return _TRACE_CACHE[key]
 
 

@@ -12,15 +12,27 @@ same trace.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.cfg.generator import GeneratedProgram
+from repro.cfg.generator import GeneratedProgram, choice_cdf
 from repro.cfg.model import CondBehavior
 from repro.errors import TraceError
 from repro.isa import BranchKind
 from repro.workloads.trace import Trace
+
+# Plain-int views of the enum members the executor's loop compares.
+_COND = int(BranchKind.COND)
+_JUMP = int(BranchKind.JUMP)
+_CALL = int(BranchKind.CALL)
+_TRAP = int(BranchKind.TRAP)
+_BIASED = int(CondBehavior.BIASED)
+_LOOP = int(CondBehavior.LOOP)
+
+#: ``Generator.choice``'s tolerance on the sum of its probabilities.
+_P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class TraceGenerator:
@@ -39,93 +51,109 @@ class TraceGenerator:
         self._stack: List[Tuple[int, int]] = []
         # Loop/alternate per-branch counters, keyed by (fid, block index).
         self._counters: Dict[Tuple[int, int], int] = {}
+        roots = generated.roots
+        weights = np.asarray(generated.root_weights, dtype=np.float64)
+        if (weights.shape != (len(roots),) or not (weights >= 0).all()
+                or not abs(weights.sum() - 1.0) <= _P_ATOL):
+            raise TraceError(
+                f"root_weights must be {len(roots)} non-negative "
+                f"probabilities summing to 1"
+            )
+        self._root_cdf = choice_cdf(weights)
         self._fid = self._pick_root()
         self._bidx = 0
 
     def _pick_root(self) -> int:
-        roots = self.generated.roots
-        weights = self.generated.root_weights
-        return int(roots[self._rng.choice(len(roots), p=weights)])
-
-    def _cond_taken(self, fid: int, bidx: int, behavior: CondBehavior,
-                    param: float) -> bool:
-        if behavior == CondBehavior.BIASED:
-            return bool(self._rng.random() < param)
-        key = (fid, bidx)
-        count = self._counters.get(key, 0)
-        if behavior == CondBehavior.LOOP:
-            trips = max(2, int(param))
-            if count + 1 < trips:
-                self._counters[key] = count + 1
-                return True
-            self._counters[key] = 0
-            return False
-        # ALTERNATE
-        self._counters[key] = count ^ 1
-        return count == 0
+        # The draw of rng.choice(len(roots), p=root_weights).
+        index = bisect_right(self._root_cdf, self._rng.random())
+        return int(self.generated.roots[index])
 
     def run(self, n_blocks: int) -> Trace:
         """Execute *n_blocks* dynamic basic blocks and return the trace."""
         if n_blocks < 1:
             raise TraceError(f"n_blocks must be >= 1, got {n_blocks}")
-        pcs = np.empty(n_blocks, dtype=np.int64)
-        ninstrs = np.empty(n_blocks, dtype=np.int16)
-        kinds = np.empty(n_blocks, dtype=np.int8)
-        takens = np.empty(n_blocks, dtype=bool)
-        targets = np.empty(n_blocks, dtype=np.int64)
+        pcs = [0] * n_blocks
+        ninstrs = [0] * n_blocks
+        kinds = [0] * n_blocks
+        # Only conditionals can fall through; they overwrite their entry.
+        takens = [True] * n_blocks
+        targets = [0] * n_blocks
 
+        random = self._rng.random
+        integers = self._rng.integers
+        stack = self._stack
+        counters = self._counters
         functions = self.program.functions
+        fid = self._fid
+        bidx = self._bidx
+        # The current function's blocks and block addresses; refreshed
+        # only when control enters another function.
+        function = functions[fid]
+        blocks = function.blocks
+        addrs = function.block_addrs
         for i in range(n_blocks):
-            function = functions[self._fid]
-            block = function.blocks[self._bidx]
-            pc = function.block_addr(self._bidx)
-            kind = block.kind
-
-            pcs[i] = pc
+            block = blocks[bidx]
+            kind = int(block.kind)
+            pcs[i] = addrs[bidx]
             ninstrs[i] = block.ninstr
-            kinds[i] = int(kind)
+            kinds[i] = kind
 
-            if kind == BranchKind.COND:
-                taken = self._cond_taken(self._fid, self._bidx,
-                                         block.behavior,
-                                         block.behavior_param)
-                if taken:
-                    next_bidx = block.taken_succ
+            if kind == _COND:
+                behavior = block.behavior
+                if behavior == _BIASED:
+                    taken = random() < block.behavior_param
                 else:
-                    next_bidx = self._bidx + 1
-                target = function.block_addr(next_bidx)
+                    key = (fid, bidx)
+                    count = counters.get(key, 0)
+                    if behavior == _LOOP:
+                        if count + 1 < max(2, int(block.behavior_param)):
+                            counters[key] = count + 1
+                            taken = True
+                        else:
+                            counters[key] = 0
+                            taken = False
+                    else:  # ALTERNATE
+                        counters[key] = count ^ 1
+                        taken = count == 0
+                bidx = block.taken_succ if taken else bidx + 1
                 takens[i] = taken
-                targets[i] = target
-                self._bidx = next_bidx
-            elif kind == BranchKind.JUMP:
-                next_bidx = block.taken_succ
-                target = function.block_addr(next_bidx)
-                takens[i] = True
-                targets[i] = target
-                self._bidx = next_bidx
-            elif kind in (BranchKind.CALL, BranchKind.TRAP):
+                targets[i] = addrs[bidx]
+            elif kind == _JUMP:
+                bidx = block.taken_succ
+                targets[i] = addrs[bidx]
+            elif kind == _CALL or kind == _TRAP:
                 callees = block.callees
                 if len(callees) == 1:
                     callee = callees[0]
                 else:
-                    callee = callees[int(self._rng.integers(0, len(callees)))]
-                self._stack.append((self._fid, self._bidx + 1))
-                target = functions[callee].base_addr
-                takens[i] = True
-                targets[i] = target
-                self._fid = callee
-                self._bidx = 0
+                    callee = callees[int(integers(0, len(callees)))]
+                stack.append((fid, bidx + 1))
+                fid = callee
+                bidx = 0
+                function = functions[fid]
+                blocks = function.blocks
+                addrs = function.block_addrs
+                targets[i] = function.base_addr
             else:  # RET or TRAP_RET
-                takens[i] = True
-                if self._stack:
-                    self._fid, self._bidx = self._stack.pop()
+                if stack:
+                    fid, bidx = stack.pop()
                 else:
                     # Request complete: dispatch the next request type.
-                    self._fid = self._pick_root()
-                    self._bidx = 0
-                targets[i] = functions[self._fid].block_addr(self._bidx)
+                    fid = self._pick_root()
+                    bidx = 0
+                function = functions[fid]
+                blocks = function.blocks
+                addrs = function.block_addrs
+                targets[i] = addrs[bidx]
+        self._fid = fid
+        self._bidx = bidx
 
-        return Trace(pcs, ninstrs, kinds, takens, targets, self.generated)
+        return Trace(np.array(pcs, dtype=np.int64),
+                     np.array(ninstrs, dtype=np.int16),
+                     np.array(kinds, dtype=np.int8),
+                     np.array(takens, dtype=bool),
+                     np.array(targets, dtype=np.int64),
+                     self.generated)
 
 
 def generate_trace(generated: GeneratedProgram, n_blocks: int,

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.config import MicroarchParams
-from repro.core.frontend import FrontEnd, simulate
+from repro.core.frontend import FrontEnd, _static_target_map, simulate
 from repro.core.metrics import frontend_stall_coverage, speedup
 from repro.errors import SimulationError
 from repro.prefetch.factory import build_scheme
+from repro.isa import BranchKind
 from repro.uarch.tage import BimodalPredictor
+from repro.workloads.trace import Trace
+from repro.workloads.tracegen import generate_trace
 
 
 def _run(trace, generated, scheme_name, params, **kwargs):
@@ -55,6 +58,35 @@ class TestEngineBasics:
                       warmup_fraction=0.5)
         assert warmed.instructions < full.instructions
         assert warmed.cycles < full.cycles
+
+
+class TestStaticTargets:
+    def test_one_map_per_program_not_per_trace(self, medium_generated):
+        first = generate_trace(medium_generated, 500, seed=1)
+        second = generate_trace(medium_generated, 500, seed=2)
+        assert _static_target_map(first) is _static_target_map(second)
+        assert _static_target_map(first) \
+            is medium_generated.program.static_targets
+        assert "static_targets" not in first.derived
+
+    def test_not_taken_conditionals_know_their_target(self,
+                                                      medium_generated):
+        program = medium_generated.program
+        checked = 0
+        for function in program.functions:
+            for bidx, block in enumerate(function.blocks):
+                if block.kind in (BranchKind.COND, BranchKind.JUMP):
+                    pc = function.block_addr(bidx)
+                    assert program.static_targets[pc] \
+                        == function.block_addr(block.taken_succ)
+                    checked += 1
+        assert checked
+
+    def test_program_less_trace_has_no_static_targets(self, medium_trace):
+        bare = Trace(medium_trace.pc, medium_trace.ninstr,
+                     medium_trace.kind, medium_trace.taken,
+                     medium_trace.target)
+        assert _static_target_map(bare) == {}
 
 
 class TestSchemeOrdering:

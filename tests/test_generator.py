@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cfg.generator import GeneratorParams, generate_program
+from bisect import bisect_right
+
+from repro.cfg.generator import GeneratorParams, choice_cdf, \
+    generate_program
 from repro.cfg.model import CondBehavior
 from repro.errors import ProgramError
 from repro.isa import BranchKind
@@ -133,3 +136,26 @@ class TestGenerateProgram:
                 if (block.kind == BranchKind.COND
                         and block.behavior == CondBehavior.BIASED):
                     assert 0.0 < block.behavior_param < 1.0
+
+
+class TestChoiceCdf:
+    @pytest.mark.parametrize("n", [1, 2, 7, 150])
+    @pytest.mark.parametrize("exponent", [0.0, 0.7, 1.6])
+    @pytest.mark.parametrize("size", [None, 1, 5])
+    def test_draws_match_generator_choice(self, n, exponent, size):
+        """Inverting rng.random() through the CDF is rng.choice(p=...)."""
+        weights = np.arange(1, n + 1, dtype=np.float64) ** -exponent
+        weights /= weights.sum()
+        cdf = choice_cdf(weights)
+        reference = np.random.default_rng(n)
+        ours = np.random.default_rng(n)
+        for _ in range(300):
+            expected = reference.choice(n, size=size, p=weights)
+            if size is None:
+                assert bisect_right(cdf, ours.random()) == expected
+            else:
+                assert [bisect_right(cdf, u)
+                        for u in ours.random(size).tolist()] \
+                    == expected.tolist()
+        # Both streams are at the same position afterwards.
+        assert reference.random() == ours.random()

@@ -7,6 +7,7 @@ import os
 
 from repro.cli import main
 from repro.core.sweep import clear_result_cache
+from repro.workloads import profiles
 
 
 def _fresh(tmp_path, monkeypatch):
@@ -60,6 +61,58 @@ class TestTelemetryStream:
             ["--telemetry", str(tmp_path / "t.jsonl")])) == 0
         traced = capsys.readouterr().out
         assert plain == traced
+
+
+def _stream_manifest(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()
+               if line]
+    return [r for r in records if r["kind"] == "manifest"][-1]
+
+
+class TestBuildPhases:
+    """Workload construction shows up as its own manifest phases."""
+
+    def _cold_workloads(self, monkeypatch):
+        monkeypatch.setattr(profiles, "_PROGRAM_CACHE", {})
+        monkeypatch.setattr(profiles, "_TRACE_CACHE", {})
+
+    def test_cold_run_builds_and_warm_rerun_does_not(
+            self, tmp_path, monkeypatch, capsys):
+        _fresh(tmp_path, monkeypatch)
+        self._cold_workloads(monkeypatch)
+        cold_stream = tmp_path / "cold.jsonl"
+        assert main(_sweep_args(["--telemetry", str(cold_stream)])) == 0
+        cold = _stream_manifest(cold_stream)
+        assert cold["phases"]["build_program"] > 0
+        assert cold["phases"]["build_trace"] > 0
+        builds = [(r["name"], r["attrs"]) for r in cold["spans"]
+                  if r["name"].startswith("build_")]
+        assert builds == [("build_program", {"workload": "nutch"}),
+                          ("build_trace", {"workload": "nutch",
+                                           "blocks": 2000})]
+        capsys.readouterr()
+        assert main(["stats"]) == 0
+        assert "build_program" in capsys.readouterr().out
+
+        # A warm rerun reads every cell from the disk cache: no builds.
+        clear_result_cache()
+        warm_stream = tmp_path / "warm.jsonl"
+        assert main(_sweep_args(["--telemetry", str(warm_stream)])) == 0
+        warm = _stream_manifest(warm_stream)
+        assert warm["counts"]["cached"] == 2
+        assert warm["phases"]["build_program"] == 0
+        assert warm["phases"]["build_trace"] == 0
+
+    def test_cold_output_identical_with_and_without_telemetry(
+            self, tmp_path, monkeypatch, capsys):
+        outputs = []
+        for run, extra in enumerate(
+                ([], ["--telemetry", str(tmp_path / "t.jsonl")])):
+            _fresh(tmp_path / str(run), monkeypatch)
+            self._cold_workloads(monkeypatch)
+            assert main(_sweep_args(extra)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestManifestFile:

@@ -1,8 +1,12 @@
 """Unit tests for trace generation (execution semantics)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cfg.generator import GeneratorParams, generate_program
+from repro.cfg.model import CondBehavior
 from repro.errors import TraceError
 from repro.isa import BranchKind, fallthrough_pc
 from repro.workloads.tracegen import TraceGenerator, generate_trace
@@ -37,6 +41,18 @@ class TestExecutionSemantics:
     def test_rejects_empty_run(self, tiny_generated):
         with pytest.raises(TraceError):
             TraceGenerator(tiny_generated).run(0)
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, 0.5],                 # wrong length
+        [0.5, 0.5, 0.5, -0.5],      # negative
+        [0.3, 0.3, 0.3, 0.3],       # does not sum to 1
+        [0.5, 0.5, 0.0, np.nan],    # not a number
+    ])
+    def test_rejects_bad_root_weights(self, tiny_generated, weights):
+        bad = dataclasses.replace(tiny_generated,
+                                  root_weights=np.array(weights))
+        with pytest.raises(TraceError, match="root_weights"):
+            TraceGenerator(bad)
 
     def test_successor_consistency(self, tiny_trace):
         """Each block's recorded target is the next block's pc."""
@@ -92,3 +108,79 @@ class TestExecutionSemantics:
         # legitimately reach ~25%).
         _, counts = np.unique(trace.pc, return_counts=True)
         assert counts.max() < 0.3 * len(trace)
+
+
+def _reference_trace(generated, n_blocks, seed, warmup_blocks):
+    """Straightforward executor: one ``rng.choice`` per dispatched root.
+
+    The production executor hoists state into locals, fills lists and
+    inverts a cached root CDF; this per-block loop over the program's
+    accessors must produce the same columns bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    functions = generated.program.functions
+    counters = {}
+    stack = []
+
+    def pick_root():
+        index = rng.choice(len(generated.roots), p=generated.root_weights)
+        return int(generated.roots[index])
+
+    fid, bidx = pick_root(), 0
+    rows = []
+    for _ in range(warmup_blocks + n_blocks):
+        function = functions[fid]
+        block = function.blocks[bidx]
+        pc, taken = function.block_addr(bidx), True
+        if block.kind == BranchKind.COND:
+            if block.behavior == CondBehavior.BIASED:
+                taken = bool(rng.random() < block.behavior_param)
+            else:
+                count = counters.get((fid, bidx), 0)
+                if block.behavior == CondBehavior.LOOP:
+                    taken = count + 1 < max(2, int(block.behavior_param))
+                    counters[(fid, bidx)] = count + 1 if taken else 0
+                else:
+                    counters[(fid, bidx)] = count ^ 1
+                    taken = count == 0
+            bidx = block.taken_succ if taken else bidx + 1
+            target = function.block_addr(bidx)
+        elif block.kind == BranchKind.JUMP:
+            bidx = block.taken_succ
+            target = function.block_addr(bidx)
+        elif block.kind in (BranchKind.CALL, BranchKind.TRAP):
+            callees = block.callees
+            callee = callees[0] if len(callees) == 1 \
+                else callees[int(rng.integers(0, len(callees)))]
+            stack.append((fid, bidx + 1))
+            fid, bidx = callee, 0
+            target = functions[fid].base_addr
+        else:
+            fid, bidx = stack.pop() if stack else (pick_root(), 0)
+            target = functions[fid].block_addr(bidx)
+        rows.append((pc, block.ninstr, int(block.kind), taken, target))
+    return rows[warmup_blocks:]
+
+
+class TestAgainstReferenceExecutor:
+    @pytest.mark.parametrize("seed,warmup", [(1, 0), (3, 200), (11, 1500)])
+    def test_tiny_program(self, tiny_generated, seed, warmup):
+        trace = generate_trace(tiny_generated, 3000, seed=seed,
+                               warmup_blocks=warmup)
+        rows = list(zip(trace.pc.tolist(), trace.ninstr.tolist(),
+                        trace.kind.tolist(), trace.taken.tolist(),
+                        trace.target.tolist()))
+        assert rows == _reference_trace(tiny_generated, 3000, seed, warmup)
+
+    def test_indirect_heavy_program(self):
+        generated = generate_program(GeneratorParams(
+            n_functions=150, n_layers=5, n_roots=6, indirect_fraction=0.6,
+            indirect_fanout=4, loop_fraction=0.3, alternate_fraction=0.2,
+            trap_fraction=0.05, seed=5,
+        ))
+        generator = TraceGenerator(generated, seed=9)
+        parts = [generator.run(n) for n in (1, 999, 2000)]
+        rows = [row for part in parts for row in zip(
+            part.pc.tolist(), part.ninstr.tolist(), part.kind.tolist(),
+            part.taken.tolist(), part.target.tolist())]
+        assert rows == _reference_trace(generated, 3000, 9, 0)
