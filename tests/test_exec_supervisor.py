@@ -85,6 +85,35 @@ class TestSupervisedBackendValidation:
             run_specs(CELLS[:1], backend="serial", on_error="explode")
 
 
+class TestDefaultPolicy:
+    """The default policy (no retries, no timeout, ``on_error="fail"``)
+    supervises nothing: a failing cell's own exception propagates, with
+    no unit split, no re-run and no backoff."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_cell_error_propagates_and_fires_once(self, tmp_path,
+                                                  monkeypatch, backend):
+        from repro.core.exec import chunk_specs
+        from repro.core.exec.faults import InjectedFault
+        _fresh(tmp_path, monkeypatch)
+        specs = [RunSpec(workload="nutch", scheme="baseline",
+                         n_blocks=400, seed=seed) for seed in range(16)]
+        poison = specs[5]
+        workers = 1 if backend == "serial" else 2
+        units = chunk_specs(specs, workers)
+        assert any(poison in unit.specs and len(unit.specs) > 1
+                   for unit in units)
+        state = tmp_path / "faults"
+        plan = FaultPlan(rules=(_rule("raise", poison, times=5),),
+                         state_dir=str(state))
+        with pytest.raises(InjectedFault, match="injected fault"):
+            run_specs(specs, backend=backend, max_workers=workers,
+                      faults=plan)
+        # The scoreboard holds one claim file per firing.
+        assert len(list(state.iterdir())) == 1
+        clear_result_cache()
+
+
 class TestRetry:
     def test_transient_fault_heals_bit_identical(self, tmp_path,
                                                  monkeypatch):
