@@ -19,8 +19,8 @@ simulated on it, so it is experiment setup, not per-run cost.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -30,6 +30,7 @@ import pytest
 from repro.config import MicroarchParams, SchemeConfig
 from repro.core import diskcache
 from repro.core.engine_columnar import simulate_columnar
+from repro.core.exec import usable_cpus
 from repro.core.frontend import _trace_predictor, simulate
 from repro.core.sweep import clear_result_cache, run_spec, run_specs
 from repro.experiments.spec import RunSpec
@@ -256,7 +257,7 @@ def test_grid_parallel_bit_identical_and_timed(isolated_disk_cache,
     # available worker the pool collapses to the serial backend, so
     # "parallel" must never lose (it used to pay pool + pickling + IPC
     # for nothing and run ~15% slower here).
-    max_workers = min(os.cpu_count() or 1, 8)
+    max_workers = min(usable_cpus(), 8)
     best = None
     for _attempt in range(8):
         clear_result_cache()
@@ -295,7 +296,7 @@ def test_grid_parallel_bit_identical_and_timed(isolated_disk_cache,
         "parallel_seconds": round(parallel_seconds, 4),
         "parallel_speedup": round(speedup, 3),
         "max_workers": max_workers,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "bit_identical": True,
     })
     # At one worker both runs execute the identical SerialBackend code
@@ -316,8 +317,8 @@ def test_telemetry_overhead_is_bounded(isolated_disk_cache, monkeypatch):
     Telemetry-off runs pay one env probe per ``span()`` call site —
     within measurement noise of a build without the hooks.  Telemetry-on
     runs additionally allocate span records and observe histograms;
-    the guard allows < 5% over the off timing (min-of-3 each way, same
-    warmed trace, uncached simulations).
+    the guard allows < 5% over the off timing (min-of-3 each way,
+    alternating off/on, same warmed trace, uncached simulations).
     """
     from repro.core.sweep import run_specs
     from repro.experiments.spec import RunSpec
@@ -333,23 +334,21 @@ def test_telemetry_overhead_is_bounded(isolated_disk_cache, monkeypatch):
     run_specs(specs, backend="serial", use_cache=False)  # warm-up pass
 
     def measure(enabled: bool) -> float:
-        best = float("inf")
-        for _attempt in range(3):
-            tracing.reset()
-            if enabled:
-                with tracing.enable():
-                    start = time.perf_counter()
-                    run_specs(specs, backend="serial", use_cache=False)
-                    best = min(best, time.perf_counter() - start)
-                tracing.reset()
-            else:
-                start = time.perf_counter()
-                run_specs(specs, backend="serial", use_cache=False)
-                best = min(best, time.perf_counter() - start)
-        return best
+        tracing.reset()
+        with tracing.enable() if enabled else contextlib.nullcontext():
+            start = time.perf_counter()
+            run_specs(specs, backend="serial", use_cache=False)
+            elapsed = time.perf_counter() - start
+        tracing.reset()
+        return elapsed
 
-    off_seconds = measure(enabled=False)
-    on_seconds = measure(enabled=True)
+    # Alternate off/on attempts: host speed drifts over tens of seconds,
+    # and three off runs followed by three on runs would sample the two
+    # sides at systematically different host speeds.
+    off_seconds = on_seconds = float("inf")
+    for _attempt in range(3):
+        off_seconds = min(off_seconds, measure(enabled=False))
+        on_seconds = min(on_seconds, measure(enabled=True))
     overhead = on_seconds / off_seconds - 1.0
 
     _record("telemetry", {

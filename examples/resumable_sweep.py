@@ -18,7 +18,7 @@ Run with::
 import os
 import tempfile
 
-from repro.core.exec import RunJournal, chunk_specs
+from repro.core.exec import RunJournal, chunk_specs, usable_cpus
 from repro.core.sweep import clear_result_cache, run_specs, \
     simulation_meter
 from repro.experiments.spec import RunSpec
@@ -34,7 +34,7 @@ def main() -> None:
 
     # How the scheduler will batch these cells: cost-sized work units,
     # dispatched longest-first and drained work-stealing-style.
-    units = chunk_specs(specs, max_workers=os.cpu_count() or 1)
+    units = chunk_specs(specs, max_workers=usable_cpus())
     print(f"{len(specs)} cells -> {len(units)} work units "
           f"(costs: {[unit.cost for unit in units]})")
 

@@ -4,8 +4,9 @@ This package is the scheduling substrate under
 :func:`repro.core.sweep.run_specs` (DESIGN.md Section 10): *what* to
 simulate stays in the sweep layer, *how and where* lives here.
 
-* :mod:`~repro.core.exec.backends` — the :class:`Backend` protocol and
-  its serial/thread/process implementations, all bit-identical.
+* :mod:`~repro.core.exec.backends` — the one execution loop every
+  sweep drains through (:class:`Backend`) and its serial/thread/process
+  pool factories, all bit-identical.
 * :mod:`~repro.core.exec.chunking` — cost-based grouping of cells into
   work units, drained work-stealing-style by pool workers.
 * :mod:`~repro.core.exec.journal` — the append-only run journal that,
@@ -13,14 +14,16 @@ simulate stays in the sweep layer, *how and where* lives here.
   with zero recomputation.
 * :mod:`~repro.core.exec.progress` — structured progress events
   (cells done / simulated / cached, cost-weighted ETA) for the CLI.
-* :mod:`~repro.core.exec.supervisor` — the fault-tolerance wrapper
-  (timeouts, seeded retry/backoff, quarantine, graceful degradation —
-  DESIGN.md Section 11).
+* :mod:`~repro.core.exec.supervisor` — the loop's failure records and
+  retry constants (timeouts, seeded retry/backoff, quarantine,
+  graceful degradation — DESIGN.md Section 11).
 * :mod:`~repro.core.exec.faults` — deterministic, seeded fault
   injection: the test harness that proves the supervisor works.
 * :mod:`~repro.core.exec.policy` — the frozen :class:`ExecutionPolicy`
   (backend, workers, progress, journal, retries, timeout, on-error)
-  the CLI scopes per invocation and ``run_specs`` resolves per call.
+  the CLI scopes per invocation and ``run_specs`` resolves per call;
+  its budgets configure the loop, which supervises nothing at the
+  defaults.
 
 None of it affects simulation output, so the package is excluded from
 the disk cache's engine fingerprint: scheduler changes never invalidate
@@ -54,11 +57,10 @@ from repro.core.exec.supervisor import (
     ON_ERROR_POLICIES,
     CellFailure,
     FailureReport,
-    SupervisedBackend,
     SupervisorEvent,
 )
 from repro.core.exec.policy import ExecutionPolicy, auto_backend, \
-    current_policy, scoped_policy
+    current_policy, scoped_policy, usable_cpus
 
 __all__ = [
     "Backend",
@@ -82,7 +84,6 @@ __all__ = [
     "InjectedFault",
     "InjectedCrash",
     "active_plan",
-    "SupervisedBackend",
     "FailureReport",
     "CellFailure",
     "SupervisorEvent",
@@ -91,4 +92,5 @@ __all__ = [
     "auto_backend",
     "current_policy",
     "scoped_policy",
+    "usable_cpus",
 ]

@@ -2,11 +2,12 @@
 
 One frozen :class:`ExecutionPolicy` carries every parent-side
 scheduling decision :func:`repro.core.sweep.run_specs` makes — backend,
-worker cap, progress sink, run journal and the fault-tolerance trio —
-and validates it once, at construction.  The CLI builds one policy per
-invocation and scopes it with :func:`scoped_policy`; library callers
-pass per-call overrides (keywords named exactly like the fields), which
-``run_specs`` folds into :func:`current_policy` in one ``replace``.
+worker cap, progress sink, run journal and the fault-tolerance budgets
+of the one execution loop — and validates it once, at construction.
+The CLI builds one policy per invocation and scopes it with
+:func:`scoped_policy`; library callers pass per-call overrides
+(keywords named exactly like the fields), which ``run_specs`` folds
+into :func:`current_policy` in one ``replace``.
 
 None of it reaches pool workers: what a worker needs per cell (the
 disk-cache switch, telemetry sink and engine selection) still travels
@@ -23,7 +24,8 @@ from typing import Callable, Iterator, Optional, Union
 
 from repro.core.exec.backends import BACKENDS, Backend, get_backend
 from repro.core.exec.journal import RunJournal
-from repro.core.exec.supervisor import ON_ERROR_POLICIES
+from repro.core.exec.supervisor import DEFAULT_BACKOFF_BASE, \
+    ON_ERROR_POLICIES, NotifyCallback
 from repro.errors import ReproError
 
 
@@ -32,11 +34,10 @@ class ExecutionPolicy:
     """Where and how the cells of one collection execute.
 
     Attributes:
-        backend: a backend name (``serial``/``thread``/``process``), a
-            configured :class:`~repro.core.exec.Backend`, or None for
-            the automatic choice (:func:`auto_backend`).
-        max_workers: pool size cap (None = the machine's core count),
-            clamped to the pending work.
+        backend: a backend name (``serial``/``thread``/``process``), or
+            None for the automatic choice (:func:`auto_backend`).
+        max_workers: pool size cap (None = the CPUs this process may
+            use, :func:`usable_cpus`), clamped to the pending work.
         progress: callback receiving structured
             :class:`~repro.core.exec.ProgressEvent` values.
         journal: a :class:`~repro.core.exec.RunJournal` (or the path of
@@ -47,11 +48,12 @@ class ExecutionPolicy:
         on_error: ``fail`` (raise on the first cell that exhausts its
             retries), ``skip`` (quarantine it and keep going) or
             ``degrade`` (skip plus backend fallback process → thread →
-            serial).  Any non-default fault-tolerance setting routes
-            execution through the supervisor (DESIGN.md Section 11).
+            serial).  These three budgets configure the execution loop
+            (DESIGN.md Section 11); at their defaults it supervises
+            nothing and the first failing cell's error propagates.
     """
 
-    backend: Union[str, Backend, None] = None
+    backend: Optional[str] = None
     max_workers: Optional[int] = None
     progress: Optional[Callable] = None
     journal: Union[str, RunJournal, None] = None
@@ -60,8 +62,8 @@ class ExecutionPolicy:
     on_error: str = "fail"
 
     def __post_init__(self) -> None:
-        if isinstance(self.backend, str):
-            name = self.backend.lower()
+        if self.backend is not None:
+            name = str(self.backend).lower()
             if name not in BACKENDS:
                 raise ReproError(
                     f"unknown execution backend {self.backend!r} "
@@ -82,26 +84,36 @@ class ExecutionPolicy:
             )
         object.__setattr__(self, "on_error", on_error)
 
-    @property
-    def supervised(self) -> bool:
-        """Whether execution needs the fault-tolerant supervisor."""
-        return bool(self.retries) or self.unit_timeout is not None \
-            or self.on_error != "fail"
-
-    def make_backend(self, n_pending: int) -> Backend:
-        """The backend for *n_pending* cells, workers clamped to them."""
-        cap = self.max_workers or os.cpu_count() or 1
+    def make_backend(self, n_pending: int,
+                     notify: Optional[NotifyCallback] = None,
+                     backoff_base: float = DEFAULT_BACKOFF_BASE) -> Backend:
+        """The backend for *n_pending* cells, workers clamped to them,
+        its loop configured with this policy's budgets."""
+        cap = self.max_workers or usable_cpus()
         workers = max(1, min(cap, n_pending))
         chosen = self.backend if self.backend is not None \
             else auto_backend(workers)
-        return get_backend(chosen, max_workers=workers)
+        return get_backend(chosen, max_workers=workers,
+                           retries=self.retries,
+                           unit_timeout=self.unit_timeout,
+                           on_error=self.on_error, notify=notify,
+                           backoff_base=backoff_base)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform exposes one (``taskset``, container CPU sets), else the
+    machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def auto_backend(workers: int) -> str:
     """The backend when none is named: a process pool when more than
-    one worker has work and the machine has more than one core, else
-    serial (a pool of one costs spawn overhead and buys nothing)."""
-    if workers > 1 and (os.cpu_count() or 1) > 1:
+    one worker has work and this process may use more than one CPU,
+    else serial (a pool of one costs spawn overhead and buys nothing)."""
+    if workers > 1 and usable_cpus() > 1:
         return "process"
     return "serial"
 
@@ -131,4 +143,5 @@ __all__ = [
     "auto_backend",
     "current_policy",
     "scoped_policy",
+    "usable_cpus",
 ]

@@ -1,10 +1,9 @@
-"""Supervised execution: timeouts, retries, quarantine, degradation.
+"""Failure records and retry constants of the execution loop.
 
-:class:`SupervisedBackend` wraps any :class:`~repro.core.exec.backends.
-Backend` and turns its fail-everything semantics into fault tolerance
-(DESIGN.md Section 11).  The plain backends propagate the first worker
-exception and lose the whole sweep to one bad cell; the supervisor
-instead gives every work unit:
+Every sweep drains through one loop, :meth:`repro.core.exec.backends.
+Backend.execute` (DESIGN.md Sections 10 and 11); the
+:class:`~repro.core.exec.ExecutionPolicy`'s budgets configure it.  With
+a budget, the loop gives every work unit:
 
 * a **per-unit wall-clock timeout** (``unit_timeout``) — a hung worker
   is detected, its pool killed (process mode) or abandoned (thread
@@ -18,56 +17,36 @@ instead gives every work unit:
   already-simulated cell was persisted to the disk cache, and retries
   re-probe it in the parent before resubmitting);
 * **quarantine** — a cell that exhausts its attempts is recorded in a
-  structured :class:`FailureReport` (and, via the supervisor's event
+  structured :class:`FailureReport` (and, via the loop's event
   callback, in the run journal as a ``cell_failed`` record) and the
   sweep completes with N-k cells instead of dying;
 * **graceful degradation** (``on_error="degrade"``) — when the
   execution substrate itself is unrecoverable (a pool that keeps
   breaking without progress, a pool that cannot even be built,
-  un-picklable work) the supervisor falls back process → thread →
-  serial and keeps going, emitting a ``degrade`` event.
+  un-picklable work) the loop falls back process → thread → serial
+  and keeps going, emitting a ``degrade`` event.
 
 ``on_error`` policies: ``"fail"`` raises a :class:`ReproError` at the
-first quarantine (after retries are exhausted — the safe default),
-``"skip"`` quarantines and continues on the same backend, and
-``"degrade"`` additionally allows the backend fallback chain.
+first quarantine (after retries are exhausted), ``"skip"`` quarantines
+and continues on the same backend, and ``"degrade"`` additionally
+allows the backend fallback chain.  The default policy (no retries, no
+timeout, ``"fail"``) supervises nothing: the first failing cell's own
+exception propagates, with no split, no re-run and no backoff.
 
-Execution modes: ``process`` uses a killable process pool (hung worker
-processes are terminated), ``thread`` a thread pool (a hung thread
-cannot be killed — it is abandoned, and injected hangs are released via
-:func:`~repro.core.exec.faults.cancel_hangs`), and ``serial`` runs
-units inline with no preemption — the floor of the degradation chain.
-This wrapper is the contract a future network backend inherits: lease
-units, time them out, retry stragglers, quarantine poison, merge what
-survives.
+This module holds the records the loop fills and the constants it
+follows; the loop itself lives in :mod:`~repro.core.exec.backends`.
 """
 
 from __future__ import annotations
 
-import pickle
-import random
-import time
-from collections import deque
-from concurrent.futures import CancelledError, FIRST_COMPLETED, Future, \
-    ProcessPoolExecutor, ThreadPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, \
-    Sequence, Set, Tuple
-
-from repro.core.exec import faults
-from repro.core.exec.backends import Backend, CellResult, _run_unit
-from repro.core.exec.chunking import WorkUnit
-from repro.errors import ReproError
-from repro.obs import metrics as obsmetrics
-from repro.obs import tracing as obstracing
-from repro.obs.metrics import counter as _obs_counter
+from typing import Any, Callable, Dict, List, Tuple
 
 #: ``on_error`` policies, in increasing tolerance.
 ON_ERROR_POLICIES = ("fail", "skip", "degrade")
 
 #: Consecutive pool-level failures without a completed unit before the
-#: supervisor degrades to the next execution mode.
+#: loop degrades to the next execution mode.
 DEGRADE_AFTER = 2
 
 #: Default backoff schedule: ``base * 2**(attempt-1)``, jittered by up
@@ -98,7 +77,7 @@ class CellFailure:
 
 @dataclass
 class FailureReport:
-    """Structured outcome of one supervised execution."""
+    """Structured outcome of one execution of the loop."""
 
     cells: List[CellFailure] = field(default_factory=list)
     #: Retry attempts performed (re-submissions, including splits).
@@ -143,453 +122,11 @@ class SupervisorEvent:
 NotifyCallback = Callable[[SupervisorEvent], None]
 
 
-@dataclass
-class _Attempt:
-    """One scheduled execution of a unit (possibly a retry/split)."""
-
-    unit: WorkUnit
-    attempt: int = 1
-    not_before: float = 0.0
-    history: List[Dict[str, Any]] = field(default_factory=list)
-
-
-class _InlinePool:
-    """The serial floor: executes submissions inline, no preemption."""
-
-    def submit(self, fn, *args) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except KeyboardInterrupt:
-            raise
-        except BaseException as error:  # delivered via future.result()
-            future.set_exception(error)
-        return future
-
-    def shutdown(self, **_kwargs) -> None:
-        pass
-
-
-def _ensure_picklable(specs: Sequence[Any]) -> None:
-    """Fail fast with a clear error when work cannot cross a pipe."""
-    try:
-        pickle.dumps(tuple(specs))
-    except Exception as error:
-        raise ReproError(
-            "cannot dispatch work to process workers: the specs are not "
-            f"picklable ({type(error).__name__}: {error}); schemes, "
-            "configs and workload closures must be picklable for the "
-            "process backend — use --backend thread or serial instead"
-        ) from None
-
-
-def _supervised_worker_init(profiles) -> None:
-    """Process-pool initializer: registry mirror + fault-worker flag."""
-    from repro.core.exec.backends import _process_worker_init
-    _process_worker_init(profiles)
-    faults.mark_worker()
-
-
-class SupervisedBackend(Backend):
-    """Fault-tolerant wrapper around a plain execution backend."""
-
-    name = "supervised"
-    #: The supervisor mirrors counters/memo itself, per execution mode.
-    remote = False
-
-    def __init__(self, inner: Backend,
-                 retries: int = 0,
-                 unit_timeout: Optional[float] = None,
-                 on_error: str = "fail",
-                 notify: Optional[NotifyCallback] = None,
-                 seed: int = 0,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP) -> None:
-        super().__init__(max_workers=inner.max_workers)
-        if on_error not in ON_ERROR_POLICIES:
-            raise ReproError(
-                f"unknown on-error policy {on_error!r}; choose from "
-                f"{ON_ERROR_POLICIES}"
-            )
-        if retries < 0:
-            raise ReproError(f"retries must be >= 0, got {retries}")
-        if unit_timeout is not None and unit_timeout <= 0:
-            raise ReproError(
-                f"unit timeout must be positive, got {unit_timeout}"
-            )
-        self.inner = inner
-        self.retries = retries
-        self.unit_timeout = unit_timeout
-        self.on_error = on_error
-        self.seed = seed
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._notify = notify or (lambda event: None)
-        #: Degradation chain, starting at the wrapped backend's mode.
-        chain = ["process", "thread", "serial"]
-        start = inner.name if inner.name in chain else "serial"
-        self._modes = chain[chain.index(start):]
-        self._mode_index = 0
-        #: Filled per execute() call.
-        self.report = FailureReport()
-        #: Specs the parent served from the disk cache on retry probes
-        #: (so the scheduler can label them ``cached``, not simulated).
-        self.recovered: Set[Any] = set()
-
-    # -- Mode / pool management ----------------------------------------
-
-    @property
-    def mode(self) -> str:
-        return self._modes[self._mode_index]
-
-    def _degrade(self, reason: str) -> None:
-        """Advance the fallback chain, or raise when policy forbids it."""
-        if self.on_error == "degrade" \
-                and self._mode_index + 1 < len(self._modes):
-            previous = self.mode
-            self._mode_index += 1
-            self.report.degraded.append((previous, self.mode))
-            self._notify(SupervisorEvent(
-                kind="degrade", mode=previous, to_mode=self.mode,
-                error=reason,
-            ))
-            return
-        raise ReproError(
-            f"execution backend {self.mode!r} is unrecoverable "
-            f"({reason}) and --on-error {self.on_error} forbids "
-            "degradation; retry with --on-error degrade"
-        )
-
-    def _create_pool(self):
-        mode = self.mode
-        if mode == "process":
-            from repro.workloads.profiles import iter_profiles
-            return ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_supervised_worker_init,
-                initargs=(iter_profiles(),),
-            )
-        if mode == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-supervised",
-            )
-        return _InlinePool()
-
-    def _spawn_pool(self):
-        """Create a pool for the current mode, degrading on failure."""
-        while True:
-            try:
-                return self._create_pool()
-            except ReproError:
-                raise
-            except Exception as error:
-                self._degrade(f"cannot create {self.mode} pool: {error}")
-
-    def _kill_pool(self, pool) -> None:
-        """Tear a pool down hard enough that hung work cannot block us."""
-        if isinstance(pool, _InlinePool):
-            return
-        if isinstance(pool, ProcessPoolExecutor):
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-            pool.shutdown(wait=True, cancel_futures=True)
-            return
-        # Thread pool: threads cannot be killed.  Release injected
-        # hangs so abandoned workers unwind, then walk away without
-        # waiting (a genuinely hung thread is leaked until it returns).
-        faults.cancel_hangs()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    # -- Failure handling ----------------------------------------------
-
-    def _backoff(self, attempt: int, rng: random.Random) -> float:
-        delay = min(self.backoff_cap,
-                    self.backoff_base * (2 ** max(0, attempt - 1)))
-        return delay * (1.0 + rng.random())
-
-    def _fail_attempt(self, att: _Attempt, kind: str, error: str,
-                      queue: deque, now: float,
-                      rng: random.Random) -> None:
-        """Record one failed execution of *att* and decide its future."""
-        att.history.append({"attempt": att.attempt, "mode": self.mode,
-                            "kind": kind, "error": error[:500]})
-        specs = att.unit.specs
-        next_attempt = att.attempt + 1
-        if kind == "reset":
-            # A reset punishes the *neighbour* of a hung or dead unit —
-            # the pool had to die, but this unit did nothing wrong, so
-            # the collateral restart does not consume its retry budget
-            # (a cell repeatedly co-scheduled with a poison cell used to
-            # burn all its attempts on resets and get quarantined
-            # without ever failing).  Resets cannot recur unboundedly:
-            # each one is caused by a timeout or crash that *is* charged
-            # to the culprit's budget.
-            next_attempt = att.attempt
-        if len(specs) > 1:
-            # Split: isolate the culprit by re-running per cell.  The
-            # split itself is the retry (attempt advances), and each
-            # singleton inherits the unit's history so quarantine
-            # records show the full story.
-            delay = self._backoff(att.attempt, rng)
-            self.report.retries += 1
-            self._notify(SupervisorEvent(
-                kind="retry", unit_size=len(specs), attempt=next_attempt,
-                mode=self.mode, error=error, delay=delay,
-            ))
-            for spec in specs:
-                queue.append(_Attempt(
-                    unit=WorkUnit(index=att.unit.index, specs=(spec,),
-                                  cost=max(1, att.unit.cost // len(specs))),
-                    attempt=next_attempt,
-                    not_before=now + delay,
-                    history=list(att.history),
-                ))
-            return
-        if next_attempt > self.retries + 1:
-            for spec in specs:
-                failure = CellFailure(spec=spec,
-                                      attempts=tuple(att.history))
-                self.report.cells.append(failure)
-                self._notify(SupervisorEvent(
-                    kind="quarantine", spec=spec, attempt=att.attempt,
-                    mode=self.mode, error=error,
-                    attempts=failure.attempts,
-                ))
-            if self.on_error == "fail":
-                spec = specs[0]
-                raise ReproError(
-                    f"cell {spec.workload}/{spec.scheme} failed after "
-                    f"{att.attempt} attempt(s): {error} "
-                    "(use --on-error skip or degrade to quarantine "
-                    "failing cells and continue)"
-                )
-            return
-        delay = self._backoff(att.attempt, rng)
-        self.report.retries += 1
-        self._notify(SupervisorEvent(
-            kind="retry", unit_size=len(specs), attempt=next_attempt,
-            mode=self.mode, error=error, delay=delay,
-        ))
-        queue.append(_Attempt(unit=att.unit, attempt=next_attempt,
-                              not_before=now + delay,
-                              history=att.history))
-
-    def _probe_retry_cache(self, att: _Attempt,
-                           use_cache: bool) -> Tuple[List[CellResult],
-                                                     Tuple[Any, ...]]:
-        """Serve a retry's already-completed cells from the disk cache.
-
-        A unit that crashed halfway persisted every cell it finished;
-        re-probing in the parent before resubmission means a retry only
-        re-simulates what was actually lost.
-        """
-        if not att.history or not use_cache:
-            # No failed execution behind this attempt, nothing to
-            # recover.  (Checked via the history, not the attempt
-            # number: a budget-free reset requeues at the same attempt
-            # but may still have completed cells worth probing.)
-            return [], att.unit.specs
-        from repro.core import diskcache
-        if not diskcache.enabled():
-            return [], att.unit.specs
-        served: List[CellResult] = []
-        remaining: List[Any] = []
-        for spec in att.unit.specs:
-            hit = diskcache.load(diskcache.spec_key(spec))
-            if hit is not None:
-                served.append((spec, hit))
-                self.recovered.add(spec)
-            else:
-                remaining.append(spec)
-        return served, tuple(remaining)
-
-    # -- The drain loop ------------------------------------------------
-
-    def _note_pool_failure(self, pool_failures: int) -> int:
-        """Count one pool-level failure; degrade when they accumulate."""
-        pool_failures += 1
-        if pool_failures >= DEGRADE_AFTER \
-                and self.on_error == "degrade" \
-                and self._mode_index + 1 < len(self._modes):
-            self._degrade(
-                f"{pool_failures} consecutive pool failures "
-                "without progress")
-            pool_failures = 0
-        return pool_failures
-
-    def execute(self, units: Sequence[WorkUnit],
-                use_cache: bool = True) -> Iterator[CellResult]:
-        self.report = FailureReport()
-        self.recovered = set()
-        rng = random.Random(self.seed)
-        queue: deque = deque(_Attempt(unit=unit) for unit in units)
-        inflight: Dict[Future, Tuple[_Attempt, Optional[float]]] = {}
-        pool = None
-        pool_failures = 0
-        try:
-            while queue or inflight:
-                now = time.monotonic()
-                # Submit every attempt whose backoff has elapsed — but
-                # never more than the pool has workers.  The unit
-                # deadline is stamped at submit time, so an attempt
-                # queued inside the executor behind busy workers would
-                # burn its timeout budget *waiting*: with a hung worker
-                # clogging the pool, innocent units used to expire on
-                # queue wait alone, eat their whole retry budget and get
-                # quarantined without ever running.  Holding them in our
-                # own queue keeps their clocks stopped until a worker is
-                # actually free.
-                ready = [att for att in queue if att.not_before <= now]
-                for att in ready:
-                    if len(inflight) >= self.max_workers:
-                        break
-                    queue.remove(att)
-                    served, remaining = self._probe_retry_cache(
-                        att, use_cache)
-                    for pair in served:
-                        yield pair
-                    if not remaining:
-                        pool_failures = 0
-                        continue
-                    att.unit = WorkUnit(index=att.unit.index,
-                                        specs=remaining,
-                                        cost=att.unit.cost)
-                    if pool is None:
-                        pool = self._spawn_pool()
-                    if self.mode == "process":
-                        try:
-                            _ensure_picklable(remaining)
-                        except ReproError as error:
-                            self._kill_pool(pool)
-                            pool = None
-                            self._degrade(str(error))
-                            queue.appendleft(att)
-                            continue
-                    deadline = now + self.unit_timeout \
-                        if self.unit_timeout is not None else None
-                    try:
-                        future = pool.submit(_run_unit, remaining,
-                                             use_cache)
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException as error:
-                        # A worker crash is often noticed at *submit*
-                        # time (the executor marks itself broken).  The
-                        # attempt being submitted did not fail — requeue
-                        # it untouched; every in-flight attempt on the
-                        # broken pool is failed and retried.
-                        queue.appendleft(att)
-                        for ifuture, (iatt, _dl) in list(inflight.items()):
-                            self._fail_attempt(
-                                iatt, "crash",
-                                f"execution pool broke: {error}", queue,
-                                now, rng)
-                        inflight.clear()
-                        self._kill_pool(pool)
-                        pool = None
-                        pool_failures = self._note_pool_failure(
-                            pool_failures)
-                        break
-                    inflight[future] = (att, deadline)
-                if not inflight:
-                    if queue:
-                        # Everything is backing off: sleep to the next
-                        # eligible attempt.
-                        wake = min(att.not_before for att in queue)
-                        pause = max(0.0, wake - time.monotonic())
-                        _obs_counter("supervisor.backoff_seconds").inc(pause)
-                        time.sleep(pause)
-                    continue
-
-                deadlines = [dl for _, dl in inflight.values()
-                             if dl is not None]
-                timeout = max(0.0, min(deadlines) - time.monotonic()) \
-                    if deadlines else None
-                done, _ = wait(set(inflight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                now = time.monotonic()
-                broken = False
-                for future in done:
-                    att, _deadline = inflight.pop(future)
-                    try:
-                        pairs, spans, shipped = future.result()
-                    except BrokenProcessPool as error:
-                        broken = True
-                        self._fail_attempt(
-                            att, "crash",
-                            f"worker process died: {error}", queue, now,
-                            rng)
-                    except CancelledError:
-                        self._fail_attempt(
-                            att, "reset",
-                            "cancelled by a pool reset", queue, now, rng)
-                    except faults.InjectedCrash as error:
-                        self._fail_attempt(att, "crash", str(error),
-                                           queue, now, rng)
-                    except Exception as error:
-                        self._fail_attempt(
-                            att, "error",
-                            f"{type(error).__name__}: {error}", queue,
-                            now, rng)
-                    else:
-                        pool_failures = 0
-                        obstracing.adopt(spans)
-                        obsmetrics.absorb(shipped)
-                        if self.mode == "process":
-                            # Mirror worker-simulated results into the
-                            # parent's counters and memo (the plain
-                            # process backend's ``remote`` contract).
-                            from repro.core.sweep import \
-                                note_remote_result
-                            for spec, result in pairs:
-                                note_remote_result(spec, result,
-                                                   use_cache=use_cache)
-                        for pair in pairs:
-                            yield pair
-
-                expired = [
-                    future for future, (att, deadline) in inflight.items()
-                    if deadline is not None and now >= deadline
-                    and not future.done()
-                ]
-                if expired or broken:
-                    # The pool is compromised: a hung worker (kill it)
-                    # or a dead one (the executor is broken anyway).
-                    # Every in-flight attempt is failed and requeued;
-                    # innocents replay almost for free via the disk
-                    # cache re-probe.
-                    for future, (att, deadline) in list(inflight.items()):
-                        if future in expired:
-                            kind, message = "timeout", (
-                                f"unit exceeded --unit-timeout "
-                                f"{self.unit_timeout}s")
-                        elif broken:
-                            kind, message = "crash", \
-                                "worker process died mid-unit"
-                        else:
-                            kind, message = "reset", \
-                                "pool reset after a hung unit"
-                        self._fail_attempt(att, kind, message, queue,
-                                           now, rng)
-                    inflight.clear()
-                    self._kill_pool(pool)
-                    pool = None
-                    pool_failures = self._note_pool_failure(pool_failures)
-        finally:
-            if pool is not None:
-                self._kill_pool(pool)
-
-
 __all__ = [
-    "SupervisedBackend",
     "FailureReport",
     "CellFailure",
     "SupervisorEvent",
+    "NotifyCallback",
     "ON_ERROR_POLICIES",
     "DEGRADE_AFTER",
     "DEFAULT_BACKOFF_BASE",

@@ -47,7 +47,7 @@ from repro.core.exec import faults as faultlib
 from repro.core.exec import progress as progress_events
 # repro: allow[RPR002] -- supervision retries bit-identical cells (DESIGN 11)
 from repro.core.exec.supervisor import DEFAULT_BACKOFF_BASE, CellFailure, \
-    FailureReport, SupervisedBackend, SupervisorEvent
+    FailureReport, SupervisorEvent
 from repro.core.engine_select import selected_engine, simulate
 from repro.core.metrics import SimulationResult
 from repro.errors import ReproError
@@ -80,7 +80,7 @@ _RESULT_CACHE: Dict[RunSpec, SimulationResult] = {}
 #: parallel — adds zero.
 _SIMULATIONS = _obs_counter("sweep.simulations")
 
-#: Process-local count of cells quarantined by supervised execution
+#: Process-local count of cells quarantined by the execution loop
 #: (each one completed no simulation and has no result).  The CLI's
 #: accounting line and the explore budget report read deltas of this.
 _QUARANTINES = _obs_counter("sweep.quarantines")
@@ -91,9 +91,9 @@ _QUARANTINES = _obs_counter("sweep.quarantines")
 _CELLS = _obs_counter("sweep.cells")
 _CACHED_CELLS = _obs_counter("sweep.cached_cells")
 
-#: Structured report of the most recent supervised :func:`run_specs`
-#: call that quarantined, retried or degraded anything (None when the
-#: last call was clean or unsupervised).
+#: Structured report of the most recent :func:`run_specs` call that
+#: quarantined, retried or degraded anything (None when the last call
+#: was clean).
 last_failures: Optional[FailureReport] = None
 
 
@@ -111,10 +111,10 @@ def note_remote_result(spec: RunSpec, result: SimulationResult,
 
     Process-pool workers simulate in their own interpreters: the parent
     must count the simulation (budget/zero-simulation observers) and
-    memoise the result (so later serial calls hit).  Both the plain
-    process backend's drain loop and the supervisor's process mode call
-    this once per dispatched cell — both caches were probed before
-    dispatch, so every dispatched cell was a genuine miss here.
+    memoise the result (so later serial calls hit).  The execution loop
+    calls this once per cell a process-pool worker returns — both caches
+    were probed before dispatch, so every dispatched cell was a genuine
+    miss here.
     """
     _count_simulation()
     if use_cache:
@@ -338,21 +338,16 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
             tracker.quarantine(spec, spec_cost(spec),
                                "quarantined by a previous invocation")
 
-    def _finish_report(report: Optional[FailureReport]) -> int:
+    def _finish_report(report: FailureReport) -> int:
         """Fold carried + fresh failures into :data:`last_failures`."""
         global last_failures
         cells = [CellFailure(spec=spec, carried=True) for spec in carried]
-        retries_done = 0
-        degraded: List = []
-        if report is not None:
-            cells.extend(report.cells)
-            retries_done = report.retries
-            degraded = list(report.degraded)
-        if cells or retries_done or degraded:
+        cells.extend(report.cells)
+        if cells or report.retries or report.degraded:
             # repro: allow[RPR004] -- parent-only, after all workers drained
             last_failures = FailureReport(cells=cells,
-                                          retries=retries_done,
-                                          degraded=degraded)
+                                          retries=report.retries,
+                                          degraded=list(report.degraded))
         else:
             last_failures = None
         return len(cells)
@@ -368,16 +363,12 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
         # Fully cached (or fully carried): the scheduler never
         # materialises — the no-executor guarantee the regression
         # tests pin.
-        failed = _finish_report(None)
+        failed = _finish_report(FailureReport())
         if journal is not None:
             journal.finish(simulated=0, cached=n_cached, failed=failed)
         if tracker is not None:
             tracker.finish()
         return results
-
-    engine = policy.make_backend(len(pending))
-    _obs_gauge("sweep.last_backend").set(engine.name)
-    _obs_gauge("sweep.last_workers").set(engine.max_workers)
 
     def _notify(event: SupervisorEvent) -> None:
         if event.kind == "retry":
@@ -401,16 +392,12 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
                 tracker.degrade(f"execution degraded {event.mode} -> "
                                 f"{event.to_mode}: {event.error}")
 
-    if policy.supervised and not isinstance(engine, SupervisedBackend):
-        engine = SupervisedBackend(
-            inner=engine,
-            retries=policy.retries,
-            unit_timeout=policy.unit_timeout,
-            on_error=policy.on_error,
-            notify=_notify,
-            backoff_base=float(os.environ.get(_ENV_BACKOFF_BASE)
-                               or DEFAULT_BACKOFF_BASE),
-        )
+    engine = policy.make_backend(
+        len(pending), notify=_notify,
+        backoff_base=float(os.environ.get(_ENV_BACKOFF_BASE)
+                           or DEFAULT_BACKOFF_BASE))
+    _obs_gauge("sweep.last_backend").set(engine.name)
+    _obs_gauge("sweep.last_workers").set(engine.max_workers)
 
     plan_scope = faults.activated() if faults is not None \
         else contextlib.nullcontext()
@@ -423,8 +410,7 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
                 chunk_specs(pending, engine.max_workers),
                 use_cache=use_cache):
             results[spec] = result
-            recovered = getattr(engine, "recovered", None)
-            if recovered is not None and spec in recovered:
+            if spec in engine.recovered:
                 # A retry re-probe served this cell from the disk cache
                 # (its first attempt persisted it before the unit
                 # failed) — a cache hit, not a simulation.
@@ -436,19 +422,11 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
             else:
                 simulated += 1
                 source = progress_events.SIMULATED
-                if engine.remote:
-                    # The worker simulated in its own process; mirror
-                    # the cost into the parent counter so budget/
-                    # zero-simulation observers see parallel work (both
-                    # caches were probed before dispatch, so this cell
-                    # was a genuine miss here), and mirror the result
-                    # into the parent memo so later serial calls hit.
-                    note_remote_result(spec, result, use_cache=use_cache)
             if journal is not None:
                 journal.record(cell_key(spec), source)
             if tracker is not None:
                 tracker.cell(spec, source, spec_cost(spec))
-    failed = _finish_report(getattr(engine, "report", None))
+    failed = _finish_report(engine.report)
     if journal is not None:
         journal.finish(simulated=simulated,
                        cached=n_cached + recovered_cached,

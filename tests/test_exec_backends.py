@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import diskcache
 from repro.core.exec import (
     BACKENDS,
-    ProcessBackend,
     RunJournal,
     SerialBackend,
     ThreadBackend,
@@ -122,18 +121,9 @@ class TestBackendRegistry:
         with pytest.raises(ReproError, match="unknown execution backend"):
             get_backend("gpu")
 
-    def test_instance_passes_through(self):
-        backend = ThreadBackend(max_workers=3)
-        assert get_backend(backend) is backend
-
     def test_worker_floor(self):
         with pytest.raises(ReproError):
             SerialBackend(max_workers=0)
-
-    def test_only_process_is_remote(self):
-        assert ProcessBackend.remote
-        assert not SerialBackend.remote
-        assert not ThreadBackend.remote
 
 
 class TestSingleWorkerCollapse:
@@ -152,10 +142,6 @@ class TestSingleWorkerCollapse:
     def test_multi_worker_pool_not_collapsed(self, name):
         backend = get_backend(name, max_workers=2)
         assert type(backend) is BACKENDS[name]
-
-    def test_explicit_instances_still_pass_through(self):
-        backend = ThreadBackend(max_workers=1)
-        assert get_backend(backend) is backend
 
     def test_single_worker_run_builds_no_pool(self, tmp_path,
                                               monkeypatch):
@@ -329,6 +315,25 @@ class TestBackendEquivalence:
         with simulation_meter() as meter:
             run_specs(specs, backend="thread", max_workers=4)
         assert meter.count == len(specs)
+        clear_result_cache()
+
+    def test_process_backend_mirrors_every_simulation(self, tmp_path,
+                                                      monkeypatch):
+        """Cells simulated in pool workers count once in this process
+        and land in its memo, so a later serial call hits."""
+        from repro.core import sweep
+        _fresh(tmp_path, monkeypatch)
+        specs = [RunSpec(workload="nutch", scheme=scheme, n_blocks=1000)
+                 for scheme in ("baseline", "ideal", "fdip", "rdip")]
+        with simulation_meter() as meter:
+            results = run_specs(specs, backend="process", max_workers=2)
+        assert meter.count == len(specs)
+        for spec in specs:
+            assert sweep._RESULT_CACHE[spec.canonical()] \
+                is results[spec.canonical()]
+        with simulation_meter() as meter:
+            run_specs(specs, backend="serial")
+        assert meter.count == 0
         clear_result_cache()
 
 

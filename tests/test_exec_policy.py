@@ -7,7 +7,8 @@ import os
 import pytest
 
 from repro.core.exec import ExecutionPolicy, auto_backend, current_policy, \
-    scoped_policy
+    scoped_policy, usable_cpus
+from repro.core.exec import policy as policy_module
 from repro.core.sweep import clear_result_cache, run_specs
 from repro.errors import ReproError
 from repro.experiments.spec import RunSpec
@@ -44,7 +45,7 @@ class TestValidation:
     ])
     def test_supervision_follows_fault_tolerance_fields(self, policy,
                                                         supervised):
-        assert policy.supervised is supervised
+        assert policy.make_backend(1).supervised is supervised
 
 
 class TestAutoBackend:
@@ -55,11 +56,27 @@ class TestAutoBackend:
         (2, 2, "process"),
     ])
     def test_decision_table(self, monkeypatch, cpus, workers, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(policy_module, "usable_cpus", lambda: cpus)
         assert auto_backend(workers) == expected
 
-    def test_workers_clamp_to_pending_cells(self, monkeypatch):
+    def test_affinity_mask_bounds_the_pool(self, monkeypatch):
+        """Pinned to one CPU of a multi-core machine (``taskset -c 0``),
+        the process may use one CPU: no pool, serial."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert usable_cpus() == 1
+        assert auto_backend(2) == "serial"
+        backend = ExecutionPolicy().make_backend(18)
+        assert (backend.name, backend.max_workers) == ("serial", 1)
+
+    def test_without_affinity_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+
+    def test_workers_clamp_to_pending_cells(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "usable_cpus", lambda: 2)
         assert ExecutionPolicy().make_backend(1).name == "serial"
         pool = ExecutionPolicy().make_backend(5)
         assert (pool.name, pool.max_workers) == ("process", 2)

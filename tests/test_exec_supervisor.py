@@ -8,10 +8,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import diskcache, sweep
 from repro.core.exec import ExecutionPolicy, scoped_policy
-from repro.core.exec import supervisor as supervisor_module
+from repro.core.exec import backends as backends_module
+from repro.core.exec.backends import SerialBackend
 from repro.core.exec.faults import FaultPlan, FaultRule
 from repro.core.exec.journal import RunJournal
-from repro.core.exec.supervisor import SupervisedBackend
 from repro.core.sweep import clear_result_cache, run_specs, \
     simulation_meter
 from repro.errors import ReproError
@@ -62,21 +62,20 @@ class _BrokenPool:
         raise OSError("injected: this pool type cannot start here")
 
 
-class TestSupervisedBackendValidation:
+class TestBudgetValidation:
+    """The budgets are validated once, by the policy that carries them."""
+
     def test_unknown_policy(self):
-        from repro.core.exec.backends import SerialBackend
         with pytest.raises(ReproError, match="on-error policy"):
-            SupervisedBackend(SerialBackend(), on_error="explode")
+            ExecutionPolicy(on_error="explode")
 
     def test_negative_retries(self):
-        from repro.core.exec.backends import SerialBackend
         with pytest.raises(ReproError, match="retries"):
-            SupervisedBackend(SerialBackend(), retries=-1)
+            ExecutionPolicy(retries=-1)
 
     def test_nonpositive_timeout(self):
-        from repro.core.exec.backends import SerialBackend
         with pytest.raises(ReproError, match="timeout"):
-            SupervisedBackend(SerialBackend(), unit_timeout=0)
+            ExecutionPolicy(unit_timeout=0)
 
     def test_run_specs_rejects_unknown_policy(self, tmp_path,
                                               monkeypatch):
@@ -144,8 +143,7 @@ class TestRetry:
 
     def test_backoff_schedule_is_seeded(self):
         import random
-        from repro.core.exec.backends import SerialBackend
-        backend = SupervisedBackend(SerialBackend(), retries=3, seed=11)
+        backend = SerialBackend(retries=3, seed=11)
         first = [backend._backoff(a, random.Random(11))
                  for a in range(1, 4)]
         second = [backend._backoff(a, random.Random(11))
@@ -224,11 +222,9 @@ class TestCollateralDamage:
     def test_reset_does_not_consume_the_retry_budget(self):
         import random
         from collections import deque
-        from repro.core.exec.backends import SerialBackend
+        from repro.core.exec.backends import _Attempt
         from repro.core.exec.chunking import WorkUnit
-        from repro.core.exec.supervisor import _Attempt
-        backend = SupervisedBackend(SerialBackend(), retries=1,
-                                    on_error="skip")
+        backend = SerialBackend(retries=1, on_error="skip")
         unit = WorkUnit(index=0, specs=(CELLS[0],), cost=400)
         queue = deque()
         rng = random.Random(0)
@@ -279,9 +275,9 @@ class TestDegradation:
     def test_unbuildable_pools_degrade_to_serial_and_complete(
             self, tmp_path, monkeypatch):
         _fresh(tmp_path, monkeypatch)
-        monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor",
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
                             _BrokenPool)
-        monkeypatch.setattr(supervisor_module, "ThreadPoolExecutor",
+        monkeypatch.setattr(backends_module, "ThreadPoolExecutor",
                             _BrokenPool)
         results = run_specs(CELLS, backend="process", max_workers=2,
                             on_error="degrade")
@@ -296,7 +292,7 @@ class TestDegradation:
     def test_fail_policy_forbids_degradation(self, tmp_path,
                                              monkeypatch):
         _fresh(tmp_path, monkeypatch)
-        monkeypatch.setattr(supervisor_module, "ThreadPoolExecutor",
+        monkeypatch.setattr(backends_module, "ThreadPoolExecutor",
                             _BrokenPool)
         with pytest.raises(ReproError, match="unrecoverable"):
             run_specs(CELLS, backend="thread", max_workers=2,
@@ -398,7 +394,7 @@ class TestFaultMatrix:
         )
         plan = FaultPlan(rules=rules, state_dir=str(scratch / "faults"))
         if degrade:
-            monkeypatch.setattr(supervisor_module, "ThreadPoolExecutor",
+            monkeypatch.setattr(backends_module, "ThreadPoolExecutor",
                                 _BrokenPool)
             backend, policy = "thread", "degrade"
         else:
@@ -420,8 +416,8 @@ class TestFaultMatrix:
                 == {spec.canonical() for spec in poison}
         if degrade:
             assert report.degraded[-1][1] == "serial"
-        monkeypatch.setattr(supervisor_module, "ThreadPoolExecutor",
-                            supervisor_module.ThreadPoolExecutor)
+        monkeypatch.setattr(backends_module, "ThreadPoolExecutor",
+                            backends_module.ThreadPoolExecutor)
         clear_result_cache()
 
 
