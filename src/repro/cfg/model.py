@@ -226,15 +226,22 @@ class Program:
 
     @property
     def image(self) -> Dict[int, List[StaticBranch]]:
-        """Cache-line index -> static branches in that line (lazy)."""
+        """Cache-line index -> static branches in that line (lazy).
+
+        The build is timed as a ``build_image`` span (a run-manifest
+        phase beside ``build_program``/``build_trace``).
+        """
         if self._image is None:
+            # repro: allow[RPR002] -- observability span; only times it
+            from repro.obs import tracing
             image: Dict[int, List[StaticBranch]] = {}
-            for function in self.functions:
-                for bidx, block in enumerate(function.blocks):
-                    descriptor = self.static_branch(function.fid, bidx)
-                    image.setdefault(
-                        descriptor.branch_pc >> BLOCK_SHIFT, []
-                    ).append(descriptor)
+            with tracing.span("build_image", functions=self.nfunctions):
+                for function in self.functions:
+                    for bidx, block in enumerate(function.blocks):
+                        descriptor = self.static_branch(function.fid, bidx)
+                        image.setdefault(
+                            descriptor.branch_pc >> BLOCK_SHIFT, []
+                        ).append(descriptor)
             self._image = image
         return self._image
 

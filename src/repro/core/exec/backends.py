@@ -16,10 +16,11 @@ bit-identical results:
   the right choice for cache-dominated or I/O-heavy collections, and
   for environments where ``fork``/``spawn`` is unavailable.
 * :class:`ProcessBackend` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor`.  True parallel simulation; workers keep warm
-  program/trace caches across the cells of their units and persist
-  every result to the shared disk cache the moment it is simulated
-  (which is what makes interrupted sweeps resumable).
+  ProcessPoolExecutor`.  True parallel simulation; workers start with
+  the parent's warm program/trace caches, keep them across the cells
+  of their (program-affine) units and persist every result to the
+  shared disk cache the moment it is simulated (which is what makes
+  interrupted sweeps resumable).
 
 The three differ only in :meth:`Backend._make_pool`.  The
 :class:`~repro.core.exec.ExecutionPolicy`'s budgets configure the loop
@@ -99,9 +100,16 @@ def _run_unit(specs: Sequence[Any], use_cache: bool) -> UnitResult:
     from repro.core.sweep import run_spec
     in_worker = tracing.in_worker()
     before = metrics.snapshot() if in_worker else None
+    pairs: List[CellResult] = []
     with tracing.span("unit", cells=len(specs)):
-        pairs = [(spec, run_spec(spec, use_cache=use_cache))
-                 for spec in specs]
+        for spec in specs:
+            try:
+                pairs.append((spec, run_spec(spec, use_cache=use_cache)))
+            except Exception as error:
+                # Name the failing cell (the attribute pickles with the
+                # exception) so a split charges the retry to it alone.
+                error.repro_failed_cell = spec
+                raise
     if not in_worker:
         return pairs, [], {}
     shipped = metrics.delta(before, metrics.snapshot())
@@ -123,8 +131,9 @@ def _process_worker_init(profiles) -> None:
     overrides made in the parent would be missing or stale.  The parent
     ships its full registry and the worker re-registers every entry.
     Under ``fork`` the worker inherits the registry together with the
-    parent's memoised programs and traces, and re-registering evicts
-    them: the worker regenerates every program it touches.
+    parent's memoised programs, traces and results; every shipped
+    profile equals the inherited one, so re-registering is a no-op and
+    the worker starts warm: it builds only what the parent had not.
     """
     from repro.workloads.profiles import register_profile
     faults.mark_worker()
@@ -297,12 +306,14 @@ class Backend:
 
     def _fail_attempt(self, att: _Attempt, kind: str, error: str,
                       queue: deque, now: float, rng: random.Random,
-                      unfinished: Optional[Sequence[Any]] = None) -> None:
+                      unfinished: Optional[Sequence[Any]] = None,
+                      culprit: Any = None) -> None:
         """Record one failed execution of *att* and decide its future.
 
         *unfinished* are the unit's cells a split re-runs (default: all
         of them; inline execution already yielded the ones before the
-        failing cell).
+        failing cell).  *culprit* is the cell that raised, when known:
+        a split then charges the attempt to it alone.
         """
         att.history.append({"attempt": att.attempt, "mode": self.mode,
                             "kind": kind, "error": error[:500]})
@@ -320,8 +331,11 @@ class Backend:
             next_attempt = att.attempt
         if len(specs) > 1:
             # Split: isolate the culprit by re-running per cell.  The
-            # split itself is the retry (attempt advances), and each
-            # singleton inherits the unit's history so quarantine
+            # split is the culprit's retry (its attempt advances); a
+            # unit-mate that did not raise — it finished or never ran —
+            # keeps its budget.  Without a known culprit (a crash or
+            # timeout takes the whole unit down) every cell is charged.
+            # Each singleton inherits the unit's history so quarantine
             # records show the full story.
             delay = self._backoff(att.attempt, rng)
             self.report.retries += 1
@@ -330,10 +344,11 @@ class Backend:
                 mode=self.mode, error=error, delay=delay,
             ))
             for spec in specs if unfinished is None else unfinished:
+                charged = culprit is None or spec == culprit
                 queue.append(_Attempt(
                     unit=WorkUnit(index=att.unit.index, specs=(spec,),
                                   cost=max(1, att.unit.cost // len(specs))),
-                    attempt=next_attempt,
+                    attempt=next_attempt if charged else att.attempt,
                     not_before=now + delay,
                     history=list(att.history),
                 ))
@@ -430,7 +445,8 @@ class Backend:
                         raise
                     self._fail_attempt(att, *_failure_kind(error), queue,
                                        time.monotonic(), rng,
-                                       unfinished=specs[done:])
+                                       unfinished=specs[done:],
+                                       culprit=spec)
                     return
                 yield spec, result
 
@@ -548,8 +564,10 @@ class Backend:
                             raise
                         broken = broken \
                             or isinstance(error, BrokenProcessPool)
-                        self._fail_attempt(att, *_failure_kind(error),
-                                           queue, now, rng)
+                        self._fail_attempt(
+                            att, *_failure_kind(error), queue, now, rng,
+                            culprit=getattr(error, "repro_failed_cell",
+                                            None))
                         continue
                     pool_failures = 0
                     tracing.adopt(spans)

@@ -1,15 +1,22 @@
-"""Adaptive work-unit chunking for the sweep scheduler.
+"""Program-affine work-unit chunking for the sweep scheduler.
 
 Dispatching one pool task per cell maximises balance but pays per-task
 overhead (pickling, IPC, scheduling) on every cell; dispatching one
 task per worker amortises overhead but lets one slow worker straggle.
-The scheduler splits the difference: cells are grouped into
-:class:`WorkUnit` chunks sized by *trace-block cost* (a cell's trace
-length is proportional to its simulation time), aiming for several
-units per worker.  Units are ordered longest-first and drained from the
-executor's shared queue, so rebalancing is work-stealing in effect: a
-worker that finishes its unit early simply pulls the next unit, and the
-tail of the sweep is made of the smallest units.
+A process-pool worker also pays for every workload program and trace
+it touches that it did not inherit warm: the program's lazy binary
+image, its static-target map, and any trace the parent never built.
+So the scheduler groups cells by *program* first: every cell of one
+workload goes into one :class:`WorkUnit`, with cells that replay the
+same trace adjacent, and whole groups are packed into units by
+*trace-block cost* (a cell's trace length is proportional to its
+simulation time).  A group costlier than one worker's share of the
+sweep is split into pieces of at most that share, so a single-workload
+sweep still spreads over every worker.  Units are ordered
+longest-first and drained from the execution loop's own queue, so
+rebalancing is work-stealing in effect: a worker that finishes its
+unit early simply pulls the next unit, and the tail of the sweep is
+made of the smallest units.
 
 The grouping never affects results — cells are independent,
 deterministic simulations — only how they are batched onto workers, so
@@ -19,7 +26,7 @@ every backend is bit-identical to the serial path by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
@@ -55,23 +62,68 @@ def spec_cost(spec: Any) -> int:
     return max(1, int(blocks)) if blocks else 1
 
 
+def _trace_key(spec: Any) -> Tuple[Any, Any, Any]:
+    """The trace a cell replays: ``(workload, n_blocks, seed)``."""
+    return (getattr(spec, "workload", None), getattr(spec, "n_blocks", None),
+            getattr(spec, "seed", None))
+
+
+def _program_groups(specs: Sequence[Any],
+                    costs: Sequence[int]) -> List[List[int]]:
+    """Spec indices grouped by workload, in first-appearance order.
+
+    Each group is ordered costliest first, the cells of one trace
+    (equal length, hence equal cost) adjacent in first-appearance order.
+    """
+    first: Dict[Tuple[Any, Any, Any], int] = {}
+    groups: Dict[Any, List[int]] = {}
+    for i, spec in enumerate(specs):
+        key = _trace_key(spec)
+        first.setdefault(key, i)
+        groups.setdefault(key[0], []).append(i)
+    return [sorted(members, key=lambda i: (
+                -costs[i], first[_trace_key(specs[i])], i))
+            for members in groups.values()]
+
+
+def _pack(items: Sequence[Any], costs: Sequence[int],
+          limit: int) -> List[Tuple[List[Any], int]]:
+    """Greedily pack *items* in order into ``(batch, cost)`` pairs,
+    closing a batch when the next item would take it past *limit* (an
+    item above *limit* gets a batch of its own)."""
+    batches: List[Tuple[List[Any], int]] = []
+    batch: List[Any] = []
+    batch_cost = 0
+    for item, cost in zip(items, costs):
+        if batch and batch_cost + cost > limit:
+            batches.append((batch, batch_cost))
+            batch, batch_cost = [], 0
+        batch.append(item)
+        batch_cost += cost
+    if batch:
+        batches.append((batch, batch_cost))
+    return batches
+
+
 def chunk_specs(specs: Sequence[Any], max_workers: int,
                 units_per_worker: int = UNITS_PER_WORKER) -> List[WorkUnit]:
-    """Group *specs* into cost-balanced work units, longest-first.
+    """Group *specs* into program-affine, cost-balanced units, longest-first.
 
-    The target unit cost is ``total / (workers * units_per_worker)``,
-    floored at the *median* cell cost so tiny sweeps still form units.
-    (The floor used to be the **cheapest** cell, which shattered
-    heterogeneous sweeps: one short-trace cell dragged the target down
-    to its own cost and every long-trace cell became a singleton unit —
-    far more units than slots, all per-task overhead.)  Cells are laid
-    out in descending cost order — classic longest processing time
-    dispatch, which keeps the end-of-sweep straggler small — and
-    greedily packed until a unit reaches the target.  Cells costlier
-    than the target get singleton units.  Deterministic: equal inputs
-    produce equal units, and the unit count is bounded by
-    ``min(len(specs), 4 * workers * units_per_worker + 2)`` (every
-    closed unit exceeds half the target).
+    Cells are first grouped by workload (:func:`_program_groups`); a group
+    costlier than one worker's share, ``total / max_workers``, is split
+    into pieces of at most that share.  The pieces are then laid out in
+    descending cost order — classic longest processing time dispatch,
+    which keeps the end-of-sweep straggler small — and greedily packed
+    until a unit reaches the target, ``total / (workers *
+    units_per_worker)`` floored at the *median* cell cost so tiny
+    sweeps still form units.  (The floor used to be the **cheapest**
+    cell, which shattered heterogeneous sweeps: one short-trace cell
+    dragged the target down to its own cost and every long-trace cell
+    became a singleton unit — far more units than slots, all per-task
+    overhead.)  Pieces costlier than the target get units of their own.
+    Deterministic: equal inputs produce equal units, and the unit count
+    is bounded by ``min(len(specs), 4 * workers * units_per_worker +
+    2)`` (every closed unit exceeds half the target).
     """
     specs = list(specs)
     if not specs:
@@ -80,24 +132,26 @@ def chunk_specs(specs: Sequence[Any], max_workers: int,
                            workers=max_workers):
         costs = [spec_cost(spec) for spec in specs]
         total = sum(costs)
-        slots = max(1, max_workers) * max(1, units_per_worker)
+        workers = max(1, max_workers)
+        slots = workers * max(1, units_per_worker)
         floor = sorted(costs)[len(costs) // 2]
         target = max(floor, total // slots)
+        share = -(-total // workers)
 
-        order = sorted(range(len(specs)), key=lambda i: (-costs[i], i))
-        units: List[WorkUnit] = []
-        batch: List[Any] = []
-        batch_cost = 0
-        for i in order:
-            if batch and batch_cost + costs[i] > target:
-                units.append(WorkUnit(index=len(units), specs=tuple(batch),
-                                      cost=batch_cost))
-                batch, batch_cost = [], 0
-            batch.append(specs[i])
-            batch_cost += costs[i]
-        if batch:
-            units.append(WorkUnit(index=len(units), specs=tuple(batch),
-                                  cost=batch_cost))
+        pieces = [piece
+                  for group in _program_groups(specs, costs)
+                  for piece in _pack(group, [costs[i] for i in group],
+                                     share)]
+        pieces.sort(key=lambda piece: (-piece[1], piece[0][0]))
+        units = [
+            WorkUnit(index=index,
+                     specs=tuple(specs[i] for members in batch
+                                 for i in members),
+                     cost=cost)
+            for index, (batch, cost) in enumerate(_pack(
+                [members for members, _ in pieces],
+                [cost for _, cost in pieces], target))
+        ]
     _obs_metrics.counter("chunking.calls").inc()
     _obs_metrics.counter("chunking.units").inc(len(units))
     _obs_metrics.counter("chunking.cells").inc(len(specs))

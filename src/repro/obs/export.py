@@ -350,6 +350,7 @@ def build_report(run_id: str, label: str, command: str,
         "simulate": _phase_total(spans, "simulate"),
         "build_program": _phase_total(spans, "build_program"),
         "build_trace": _phase_total(spans, "build_trace"),
+        "build_image": _phase_total(spans, "build_image"),
         "retry_backoff": float(
             counters.get("supervisor.backoff_seconds", 0.0)),
     }

@@ -91,7 +91,8 @@ class WorkloadProfile:
 
 # ---------------------------------------------------------------------------
 # The registry.  Memoised programs/traces are keyed by workload name, so
-# re-registering a name must evict its cached artefacts.
+# re-registering a name with changed parameters must evict its cached
+# artefacts.
 # ---------------------------------------------------------------------------
 
 _PROFILES: Dict[str, WorkloadProfile] = {}
@@ -105,9 +106,12 @@ def register_profile(profile: WorkloadProfile,
 
     Registration order is preserved (and is the row order of registry
     sweeps such as the ``frontier`` experiment).  Re-registering an
-    existing name requires ``replace=True`` and evicts the name's
-    memoised program/trace artefacts, so the next build reflects the new
-    parameters.  Returns the registered profile for chaining.
+    existing name requires ``replace=True``.  A *changed* profile
+    evicts the name's memoised program, traces and simulation results,
+    so the next build reflects the new parameters; an *equal* one is a
+    no-op that keeps them warm — which is what lets a forked pool
+    worker mirror the parent's registry without rebuilding what it
+    inherited.  Returns the registered profile for chaining.
     """
     key = profile.name.lower()
     if key != profile.name:
@@ -117,6 +121,8 @@ def register_profile(profile: WorkloadProfile,
             f"workload {key!r} is already registered; pass replace=True "
             "to override it"
         )
+    if _PROFILES.get(key) == profile:
+        return _PROFILES[key]
     _PROFILES[key] = profile
     _PROGRAM_CACHE.pop(key, None)
     for cache_key in [k for k in _TRACE_CACHE if k[0] == key]:

@@ -86,18 +86,59 @@ class TestChunking:
         assert len(units) == 3
         assert sorted(len(unit.specs) for unit in units) == [1, 1, 2]
 
-    @given(blocks=st.lists(st.integers(min_value=1, max_value=200_000),
-                           min_size=1, max_size=60),
+    def test_each_workload_in_one_unit(self):
+        """Program affinity: a 6-workload x 4-scheme sweep on 2 workers
+        gives every workload's cells one unit, so each program (and its
+        binary image) is built by one worker only."""
+        workloads = ("nutch", "streaming", "apache", "zeus", "oracle",
+                     "db2")
+        specs = [RunSpec(workload=workload, scheme=scheme, n_blocks=4000)
+                 for workload in workloads
+                 for scheme in ("baseline", "confluence", "boomerang",
+                                "shotgun")]
+        units = chunk_specs(specs, max_workers=2)
+        for workload in workloads:
+            holding = [unit for unit in units
+                       if any(s.workload == workload for s in unit.specs)]
+            assert len(holding) == 1
+            assert sum(s.workload == workload
+                       for s in holding[0].specs) == 4
+
+    def test_shared_trace_cells_adjacent(self):
+        specs = [RunSpec(workload="nutch", scheme=scheme, n_blocks=1000,
+                         seed=seed)
+                 for scheme in ("baseline", "shotgun", "ideal")
+                 for seed in (1, 2)]
+        (unit,) = chunk_specs(specs, max_workers=1)
+        assert [spec.seed for spec in unit.specs] == [1, 1, 1, 2, 2, 2]
+
+    def test_single_workload_sweep_uses_every_worker(self):
+        """A group costlier than one worker's share is split, so a
+        1-workload x 6-scheme sweep still reaches both workers."""
+        specs = [RunSpec(workload="nutch", scheme=scheme, n_blocks=4000)
+                 for scheme in ("baseline", "fdip", "confluence",
+                                "boomerang", "shotgun", "ideal")]
+        units = chunk_specs(specs, max_workers=2)
+        assert len(units) >= 2
+        assert max(unit.cost for unit in units) <= 12_000
+
+    @given(cells=st.lists(
+               st.tuples(st.integers(min_value=1, max_value=200_000),
+                         st.sampled_from(("nutch", "streaming", "apache",
+                                          "zeus"))),
+               min_size=1, max_size=60),
            max_workers=st.integers(min_value=1, max_value=16),
            units_per_worker=st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
-    def test_unit_count_bounded_and_exact(self, blocks, max_workers,
+    def test_unit_count_bounded_and_exact(self, cells, max_workers,
                                           units_per_worker):
         """Every spec lands in exactly one unit, deterministically, and
         the unit count never exceeds ``min(n, 4 * slots + 2)`` — every
         unit the greedy pass closes costs more than half the target, so
         heterogeneity cannot shatter the sweep into per-cell tasks."""
-        specs = self.specs(blocks)
+        specs = [RunSpec(workload=workload, scheme="baseline",
+                         n_blocks=blocks, seed=i)
+                 for i, (blocks, workload) in enumerate(cells)]
         units = chunk_specs(specs, max_workers,
                             units_per_worker=units_per_worker)
         chunked = [spec for unit in units for spec in unit.specs]

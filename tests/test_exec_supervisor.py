@@ -214,6 +214,35 @@ class TestQuarantine:
         clear_result_cache()
 
 
+class TestSplitBudget:
+    """A cell split off a failed unit keeps the retry budget it has
+    actually used: only the cell that raised is charged for the split."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_transient_unit_mate_of_poison_gets_its_own_retry(
+            self, tmp_path, monkeypatch, backend):
+        from repro.core.exec.chunking import WorkUnit
+        _fresh(tmp_path, monkeypatch)
+        poison, transient = CELLS[0], CELLS[1]
+        unit = WorkUnit(index=0, specs=(poison.canonical(),
+                                        transient.canonical()),
+                        cost=poison.n_blocks + transient.n_blocks)
+        monkeypatch.setattr(sweep, "chunk_specs",
+                            lambda specs, workers: [unit])
+        plan = FaultPlan(rules=(_rule("raise", poison, times=None),
+                                _rule("raise", transient, times=1)),
+                         state_dir=str(tmp_path / "faults"))
+        results = run_specs([poison, transient], backend=backend,
+                            max_workers=2, faults=plan, retries=1,
+                            on_error="skip")
+        report = sweep.last_failures
+        assert [f.spec for f in report.cells] == [poison.canonical()]
+        assert set(results) == {transient.canonical()}
+        assert results[transient.canonical()].stats \
+            == _reference()[transient.canonical()]
+        clear_result_cache()
+
+
 class TestCollateralDamage:
     """Innocent units sharing a pool with a poison cell must not pay
     for it: a pool reset does not consume their retry budget, and the

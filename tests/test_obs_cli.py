@@ -85,11 +85,13 @@ class TestBuildPhases:
         cold = _stream_manifest(cold_stream)
         assert cold["phases"]["build_program"] > 0
         assert cold["phases"]["build_trace"] > 0
+        assert cold["phases"]["build_image"] > 0
         builds = [(r["name"], r["attrs"]) for r in cold["spans"]
                   if r["name"].startswith("build_")]
         assert builds == [("build_program", {"workload": "nutch"}),
                           ("build_trace", {"workload": "nutch",
-                                           "blocks": 2000})]
+                                           "blocks": 2000}),
+                          ("build_image", {"functions": 1600})]
         capsys.readouterr()
         assert main(["stats"]) == 0
         assert "build_program" in capsys.readouterr().out
@@ -102,6 +104,7 @@ class TestBuildPhases:
         assert warm["counts"]["cached"] == 2
         assert warm["phases"]["build_program"] == 0
         assert warm["phases"]["build_trace"] == 0
+        assert warm["phases"]["build_image"] == 0
 
     def test_cold_output_identical_with_and_without_telemetry(
             self, tmp_path, monkeypatch, capsys):
