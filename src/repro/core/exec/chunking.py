@@ -6,17 +6,20 @@ task per worker amortises overhead but lets one slow worker straggle.
 A process-pool worker also pays for every workload program and trace
 it touches that it did not inherit warm: the program's lazy binary
 image, its static-target map, and any trace the parent never built.
-So the scheduler groups cells by *program* first: every cell of one
-workload goes into one :class:`WorkUnit`, with cells that replay the
-same trace adjacent, and whole groups are packed into units by
-*trace-block cost* (a cell's trace length is proportional to its
-simulation time).  A group costlier than one worker's share of the
-sweep is split into pieces of at most that share, so a single-workload
-sweep still spreads over every worker.  Units are ordered
-longest-first and drained from the execution loop's own queue, so
-rebalancing is work-stealing in effect: a worker that finishes its
-unit early simply pulls the next unit, and the tail of the sweep is
-made of the smallest units.
+So the scheduler groups cells by *program* first: the cells of one
+workload go into one :class:`WorkUnit`, with cells that replay the same
+trace adjacent, and whole groups are packed into units by *trace-block
+cost* (a cell's trace length is proportional to its simulation time).
+A group costlier than half of one worker's share of the sweep is split
+into pieces of at most that half share; as a trace's cells are
+adjacent, each cut splits at most one trace across two pieces.  A
+sweep of few, large groups (Figure 7's six workloads on four or more
+workers, a single-workload sweep) thus still yields about two pieces
+per worker to balance, while a sweep of many smaller groups keeps each
+program on one worker.  Units are ordered longest-first and drained
+from the execution loop's own queue, so rebalancing is work-stealing in
+effect: a worker that finishes its unit early simply pulls the next
+unit, and the tail of the sweep is made of the smallest units.
 
 The grouping never affects results — cells are independent,
 deterministic simulations — only how they are batched onto workers, so
@@ -35,6 +38,12 @@ from repro.obs import tracing as _obs_tracing
 #: finer rebalancing but more per-task overhead; 4 keeps the straggler
 #: tail under a quarter of a worker's share.
 UNITS_PER_WORKER = 4
+
+#: A workload group is cut into pieces of at most ``1 / PIECES_PER_WORKER``
+#: of a worker's share.  Longest-first dispatch ends within one piece of
+#: the ideal makespan, so 2 bounds the imbalance at half a share, paid
+#: for by one extra program-image build per extra piece.
+PIECES_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,9 @@ def _program_groups(specs: Sequence[Any],
 
     Each group is ordered costliest first, the cells of one trace
     (equal length, hence equal cost) adjacent in first-appearance order.
+    A sampled grid lists its cells scheme-major, one window trace per
+    seed; without adjacency every piece of a split group would need
+    every window trace, and a pool worker builds each trace it touches.
     """
     first: Dict[Tuple[Any, Any, Any], int] = {}
     groups: Dict[Any, List[int]] = {}
@@ -110,8 +122,8 @@ def chunk_specs(specs: Sequence[Any], max_workers: int,
     """Group *specs* into program-affine, cost-balanced units, longest-first.
 
     Cells are first grouped by workload (:func:`_program_groups`); a group
-    costlier than one worker's share, ``total / max_workers``, is split
-    into pieces of at most that share.  The pieces are then laid out in
+    costlier than ``total / (max_workers * PIECES_PER_WORKER)`` is split
+    into pieces of at most that cost.  The pieces are then laid out in
     descending cost order — classic longest processing time dispatch,
     which keeps the end-of-sweep straggler small — and greedily packed
     until a unit reaches the target, ``total / (workers *
@@ -136,12 +148,12 @@ def chunk_specs(specs: Sequence[Any], max_workers: int,
         slots = workers * max(1, units_per_worker)
         floor = sorted(costs)[len(costs) // 2]
         target = max(floor, total // slots)
-        share = -(-total // workers)
+        piece_limit = -(-total // (workers * PIECES_PER_WORKER))
 
         pieces = [piece
                   for group in _program_groups(specs, costs)
                   for piece in _pack(group, [costs[i] for i in group],
-                                     share)]
+                                     piece_limit)]
         pieces.sort(key=lambda piece: (-piece[1], piece[0][0]))
         units = [
             WorkUnit(index=index,

@@ -104,22 +104,41 @@ class TestChunking:
             assert sum(s.workload == workload
                        for s in holding[0].specs) == 4
 
-    def test_shared_trace_cells_adjacent(self):
+    def test_split_group_cuts_between_traces(self):
+        """Cells of one trace stay adjacent, so a split group's pieces
+        each replay their own traces (a sampled grid lists its cells
+        scheme-major) and no trace is built by two workers."""
         specs = [RunSpec(workload="nutch", scheme=scheme, n_blocks=1000,
                          seed=seed)
                  for scheme in ("baseline", "shotgun", "ideal")
                  for seed in (1, 2)]
-        (unit,) = chunk_specs(specs, max_workers=1)
-        assert [spec.seed for spec in unit.specs] == [1, 1, 1, 2, 2, 2]
+        units = chunk_specs(specs, max_workers=1)
+        assert sorted([spec.seed for spec in unit.specs]
+                      for unit in units) == [[1, 1, 1], [2, 2, 2]]
 
     def test_single_workload_sweep_uses_every_worker(self):
-        """A group costlier than one worker's share is split, so a
-        1-workload x 6-scheme sweep still reaches both workers."""
+        """A group costlier than half a worker's share is split, so a
+        1-workload x 6-scheme sweep gives each of 2 workers at least
+        two units to balance."""
         specs = [RunSpec(workload="nutch", scheme=scheme, n_blocks=4000)
                  for scheme in ("baseline", "fdip", "confluence",
                                 "boomerang", "shotgun", "ideal")]
         units = chunk_specs(specs, max_workers=2)
-        assert len(units) >= 2
+        assert len(units) >= 4
+        assert max(unit.cost for unit in units) <= 6_000
+
+    def test_few_large_groups_split_for_more_workers(self):
+        """Six workload groups on 4 workers are cut into pieces of at
+        most half a worker's share, so no worker is left with two whole
+        groups while another idles."""
+        workloads = ("nutch", "streaming", "apache", "zeus", "oracle",
+                     "db2")
+        specs = [RunSpec(workload=workload, scheme=scheme, n_blocks=4000)
+                 for workload in workloads
+                 for scheme in ("baseline", "confluence", "boomerang",
+                                "shotgun")]
+        units = chunk_specs(specs, max_workers=4)
+        assert len(units) >= 8
         assert max(unit.cost for unit in units) <= 12_000
 
     @given(cells=st.lists(

@@ -216,9 +216,11 @@ class TestQuarantine:
 
 class TestSplitBudget:
     """A cell split off a failed unit keeps the retry budget it has
-    actually used: only the cell that raised is charged for the split."""
+    actually used: only the cell that raised is charged for the split.
+    On the process backend the culprit travels home as an attribute of
+    the pickled exception."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_transient_unit_mate_of_poison_gets_its_own_retry(
             self, tmp_path, monkeypatch, backend):
         from repro.core.exec.chunking import WorkUnit

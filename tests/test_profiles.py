@@ -136,13 +136,13 @@ class TestReRegistration:
             register_profile(get_profile("nutch"))
 
     def test_pool_workers_start_warm(self, tmp_path, monkeypatch):
-        """After the parent has built two workloads' programs, a
+        """After the parent has built four workloads' programs, a
         2-worker process sweep of them builds no program in a worker,
         and each program's binary image is built once (program-affine
-        units)."""
+        units: four equal groups on two workers are not split)."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         clear_result_cache()
-        workloads = ("nutch", "streaming")
+        workloads = ("nutch", "flatstream", "gc", "jit")
         clear_caches()
         programs = {name: build_program(name).program
                     for name in workloads}
