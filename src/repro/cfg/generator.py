@@ -175,66 +175,6 @@ def _draw_block_count(rng: np.random.Generator,
     return min(max(count, 2), 64)
 
 
-def _draw_ninstr(rng: np.random.Generator, params: GeneratorParams) -> int:
-    # Geometric-ish block length with the requested mean, clipped so the
-    # 5-bit BTB size field can encode it.
-    ninstr = 2 + rng.poisson(max(0.1, params.mean_block_instrs - 2))
-    return min(max(ninstr, 2), 15)
-
-
-def _pick_cond(rng: np.random.Generator, params: GeneratorParams,
-               idx: int, nblocks: int,
-               built: List[BasicBlock]) -> BasicBlock:
-    """Build a conditional block at position *idx* of *nblocks*.
-
-    Loop back-edges never span a call or trap block: a loop body that
-    re-descends a call subtree on every iteration would concentrate
-    dynamic execution into a handful of leaf functions, which is neither
-    realistic nor compatible with the paper's wide instruction working
-    sets (loop bodies in server code are small; the deep call chains
-    happen per-request, not per-iteration).
-    """
-    ninstr = _draw_ninstr(rng, params)
-    roll = rng.random()
-    if roll < params.loop_fraction and idx > 0:
-        # Largest backward span ending at this block that crosses neither
-        # a call/trap (see above) nor another loop branch — nested
-        # same-function loops would multiply trip counts (6^k dynamic
-        # iterations for k nested levels) and trap the whole trace window
-        # inside one function.
-        span = 0
-        while span < 4 and idx - 1 - span >= 0:
-            previous = built[idx - 1 - span]
-            if previous.kind in (BranchKind.CALL, BranchKind.TRAP):
-                break
-            if (previous.kind == BranchKind.COND
-                    and previous.behavior == CondBehavior.LOOP):
-                break
-            span += 1
-        if span > 0:
-            target = idx - 1 - int(rng.integers(0, span))
-            trips = max(2.0, rng.exponential(params.mean_loop_trips))
-            return BasicBlock(ninstr=ninstr, kind=BranchKind.COND,
-                              taken_succ=target,
-                              behavior=CondBehavior.LOOP,
-                              behavior_param=float(trips))
-    if roll < params.loop_fraction + params.alternate_fraction:
-        target = min(nblocks - 1, idx + 1 + int(rng.integers(0, 3)))
-        return BasicBlock(ninstr=ninstr, kind=BranchKind.COND,
-                          taken_succ=target,
-                          behavior=CondBehavior.ALTERNATE,
-                          behavior_param=0.5)
-    # Forward short-offset biased branch (if/else, error checks).
-    target = min(nblocks - 1, idx + 1 + int(rng.integers(0, 4)))
-    if rng.random() < params.hot_bias_fraction:
-        bias = params.hot_bias if rng.random() < 0.5 else 1 - params.hot_bias
-    else:
-        bias = float(rng.uniform(0.3, 0.7))
-    return BasicBlock(ninstr=ninstr, kind=BranchKind.COND,
-                      taken_succ=target, behavior=CondBehavior.BIASED,
-                      behavior_param=bias)
-
-
 def _pick_callees(rng: np.random.Generator, params: GeneratorParams,
                   target_pool: Sequence[int], cluster_base: int,
                   indirect: bool,
@@ -288,56 +228,146 @@ def _pick_call_pool(rng: np.random.Generator, params: GeneratorParams,
     return layer_pools[layer + 1 + skip]
 
 
+#: A block's constructor arguments, in :class:`BasicBlock` field order:
+#: ``(ninstr, kind, taken_succ, callees, behavior, behavior_param)``.
+BlockSpec = Tuple[int, BranchKind, int, Tuple[int, ...], CondBehavior, float]
+
+
 def _build_function(rng: np.random.Generator, params: GeneratorParams,
                     fid: int, layer: int, layer_pools: List[List[int]],
                     is_kernel: bool,
-                    cdfs: Dict[int, List[float]]) -> Function:
-    nblocks = _draw_block_count(rng, params)
-    blocks: List[BasicBlock] = []
-    n_layers = len(layer_pools)
+                    cdfs: Dict[int, List[float]]) -> List[BlockSpec]:
+    """Draw one function's blocks as :data:`BlockSpec` tuples.
+
+    Callees are pre-layout fids; :func:`intern_blocks` relabels them.
+    Every draw is made inline, in program order, by the same method:
+    the block-kind roll, then the block length, then the kind's own
+    draws.  A conditional block draws its length a second time (the
+    first draw is discarded), which is part of the pinned stream.
+
+    Loop back-edges never span a call or trap block: a loop body that
+    re-descends a call subtree on every iteration would concentrate
+    dynamic execution into a handful of leaf functions, which is neither
+    realistic nor compatible with the paper's wide instruction working
+    sets (loop bodies in server code are small; the deep call chains
+    happen per-request, not per-iteration).
+    """
+    random = rng.random
+    poisson = rng.poisson
+    integers = rng.integers
+    # Geometric-ish block length with the requested mean: 2 plus a
+    # Poisson draw, clipped to 15 so the 5-bit BTB size field encodes it.
+    mean_extra = max(0.1, params.mean_block_instrs - 2)
+    loop_fraction = params.loop_fraction
+    alternate_bound = loop_fraction + params.alternate_fraction
+    hot_bias_fraction = params.hot_bias_fraction
+    hot_bias = params.hot_bias
+    cold_bias = 1 - hot_bias
     call_fraction = params.call_fraction
     if is_kernel:
         call_fraction *= params.kernel_call_scale
-    kind_roll_calls = call_fraction
-    kind_roll_jumps = kind_roll_calls + params.jump_fraction
-    kind_roll_traps = kind_roll_jumps + params.trap_fraction
+    jump_bound = call_fraction + params.jump_fraction
+    trap_bound = jump_bound + params.trap_fraction
+    can_trap = (layer < len(layer_pools) - 1 and bool(layer_pools[-1])
+                and not is_kernel)
+    CALL, TRAP, COND = BranchKind.CALL, BranchKind.TRAP, BranchKind.COND
+    BIASED, LOOP = CondBehavior.BIASED, CondBehavior.LOOP
 
-    for idx in range(nblocks - 1):
-        roll = rng.random()
-        ninstr = _draw_ninstr(rng, params)
-        can_trap = layer < n_layers - 1 and bool(layer_pools[-1])
-        if roll < kind_roll_calls:
+    nblocks = _draw_block_count(rng, params)
+    last = nblocks - 1
+    specs: List[BlockSpec] = []
+    append = specs.append
+    for idx in range(last):
+        roll = random()
+        ninstr = 2 + poisson(mean_extra)
+        if ninstr > 15:
+            ninstr = 15
+        if roll < call_fraction:
             pool = _pick_call_pool(rng, params, layer, layer_pools, fid,
                                    is_kernel)
             if pool:
-                cluster_base = int(rng.integers(0, len(pool)))
+                cluster_base = int(integers(0, len(pool)))
                 callees = _pick_callees(
                     rng, params, pool, cluster_base,
-                    indirect=rng.random() < params.indirect_fraction,
+                    indirect=random() < params.indirect_fraction,
                     cdfs=cdfs,
                 )
-                blocks.append(BasicBlock(ninstr=ninstr,
-                                         kind=BranchKind.CALL,
-                                         callees=callees))
+                append((ninstr, CALL, -1, callees, BIASED, 0.5))
                 continue
-            blocks.append(_pick_cond(rng, params, idx, nblocks, blocks))
-        elif roll < kind_roll_jumps:
-            target = min(nblocks - 1, idx + 1 + int(rng.integers(0, 6)))
-            blocks.append(BasicBlock(ninstr=ninstr, kind=BranchKind.JUMP,
-                                     taken_succ=target))
-        elif roll < kind_roll_traps and can_trap and not is_kernel:
+        elif roll < jump_bound:
+            target = min(last, idx + 1 + int(integers(0, 6)))
+            append((ninstr, BranchKind.JUMP, target, (), BIASED, 0.5))
+            continue
+        elif roll < trap_bound and can_trap:
             kernel_pool = layer_pools[-1]
-            cluster_base = int(rng.integers(0, len(kernel_pool)))
+            cluster_base = int(integers(0, len(kernel_pool)))
             callees = _pick_callees(rng, params, kernel_pool, cluster_base,
                                     indirect=False, cdfs=cdfs)
-            blocks.append(BasicBlock(ninstr=ninstr, kind=BranchKind.TRAP,
-                                     callees=callees))
+            append((ninstr, TRAP, -1, callees, BIASED, 0.5))
+            continue
+
+        # A conditional block.
+        ninstr = 2 + poisson(mean_extra)
+        if ninstr > 15:
+            ninstr = 15
+        roll = random()
+        if roll < loop_fraction and idx > 0:
+            # Largest backward span ending at this block that crosses
+            # neither a call/trap (see above) nor another loop branch —
+            # nested same-function loops would multiply trip counts (6^k
+            # dynamic iterations for k nested levels) and trap the whole
+            # trace window inside one function.
+            span = 0
+            while span < 4 and idx - 1 - span >= 0:
+                previous = specs[idx - 1 - span]
+                kind = previous[1]
+                if kind is CALL or kind is TRAP:
+                    break
+                if kind is COND and previous[4] is LOOP:
+                    break
+                span += 1
+            if span > 0:
+                target = idx - 1 - int(integers(0, span))
+                trips = max(2.0, rng.exponential(params.mean_loop_trips))
+                append((ninstr, COND, target, (), LOOP, float(trips)))
+                continue
+        if roll < alternate_bound:
+            target = min(last, idx + 1 + int(integers(0, 3)))
+            append((ninstr, COND, target, (), CondBehavior.ALTERNATE, 0.5))
+            continue
+        # Forward short-offset biased branch (if/else, error checks).
+        target = min(last, idx + 1 + int(integers(0, 4)))
+        if random() < hot_bias_fraction:
+            bias = hot_bias if random() < 0.5 else cold_bias
         else:
-            blocks.append(_pick_cond(rng, params, idx, nblocks, blocks))
+            bias = float(rng.uniform(0.3, 0.7))
+        append((ninstr, COND, target, (), BIASED, bias))
     terminator = BranchKind.TRAP_RET if is_kernel else BranchKind.RET
-    blocks.append(BasicBlock(ninstr=_draw_ninstr(rng, params),
-                             kind=terminator))
-    return Function(fid=fid, blocks=blocks, is_kernel=is_kernel)
+    append((min(2 + poisson(mean_extra), 15), terminator, -1, (), BIASED,
+            0.5))
+    return specs
+
+
+def intern_blocks(specs: Sequence[BlockSpec], relabel: Sequence[int],
+                  table: Dict[BlockSpec, BasicBlock]) -> List[BasicBlock]:
+    """One function's blocks, with callees relabelled through *relabel*.
+
+    ``BasicBlock`` is frozen with value equality, so *table* maps every
+    distinct (relabelled) spec of a program to one shared instance; each
+    distinct value is still validated by ``BasicBlock.__post_init__``.
+    """
+    blocks: List[BasicBlock] = []
+    append = blocks.append
+    for spec in specs:
+        callees = spec[3]
+        if callees:
+            spec = (spec[0], spec[1], spec[2],
+                    tuple([relabel[c] for c in callees]), spec[4], spec[5])
+        block = table.get(spec)
+        if block is None:
+            block = table[spec] = BasicBlock(*spec)
+        append(block)
+    return blocks
 
 
 def generate_program(params: GeneratorParams) -> GeneratedProgram:
@@ -357,38 +387,30 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
 
     # Callee-rank CDFs by cluster width, shared by every call site.
     cdfs: Dict[int, List[float]] = {}
-    functions: List[Function] = []
+    specs: List[List[BlockSpec]] = []
     for layer, pool in enumerate(layer_pools):
         is_kernel = layer == len(layer_pools) - 1
         for fid in pool:
-            functions.append(
-                _build_function(rng, params, fid, layer, layer_pools,
-                                is_kernel, cdfs)
-            )
+            specs.append(_build_function(rng, params, fid, layer,
+                                         layer_pools, is_kernel, cdfs))
 
     # Shuffle the *layout order* (not the fids) so that functions that call
     # each other are not artificially adjacent in the address space.
-    order = rng.permutation(len(functions))
-    laid_out = [functions[i] for i in order]
-    relabel = {f.fid: i for i, f in enumerate(laid_out)}
-    rebuilt: List[Function] = []
-    for new_fid, function in enumerate(laid_out):
-        new_blocks: List[BasicBlock] = []
-        for block in function.blocks:
-            if block.callees:
-                new_callees = tuple(relabel[c] for c in block.callees)
-                new_blocks.append(BasicBlock(
-                    ninstr=block.ninstr, kind=block.kind,
-                    taken_succ=block.taken_succ, callees=new_callees,
-                    behavior=block.behavior,
-                    behavior_param=block.behavior_param,
-                ))
-            else:
-                new_blocks.append(block)
-        rebuilt.append(Function(fid=new_fid, blocks=new_blocks,
-                                is_kernel=function.is_kernel))
+    order = rng.permutation(len(specs)).tolist()
+    relabel = [0] * len(order)
+    for new_fid, old_fid in enumerate(order):
+        relabel[old_fid] = new_fid
+    # The kernel layer is last, so it holds the highest pre-layout fids.
+    first_kernel = layer_pools[-1][0]
+    table: Dict[BlockSpec, BasicBlock] = {}
+    functions = [
+        Function(fid=new_fid,
+                 blocks=intern_blocks(specs[old_fid], relabel, table),
+                 is_kernel=old_fid >= first_kernel)
+        for new_fid, old_fid in enumerate(order)
+    ]
 
-    program = Program(rebuilt, seed=params.seed)
+    program = Program(functions, seed=params.seed)
     roots = [relabel[f] for f in layer_pools[0]]
     kernel_fids = [relabel[f] for f in layer_pools[-1]]
     return GeneratedProgram(

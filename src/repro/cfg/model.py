@@ -202,46 +202,40 @@ class Program:
             + last_fn.blocks[-1].ninstr * INSTR_BYTES
         return last - first
 
-    def static_branch(self, fid: int, bidx: int) -> StaticBranch:
-        """Static-branch descriptor for one block (target resolved)."""
-        function = self.functions[fid]
-        block = function.blocks[bidx]
-        return StaticBranch(
-            block_pc=function.block_addr(bidx),
-            ninstr=block.ninstr,
-            kind=block.kind,
-            target=self._resolve_target(function, bidx, block),
-        )
-
-    def _resolve_target(self, function: Function, bidx: int,
-                        block: BasicBlock) -> int:
-        if block.kind in (BranchKind.COND, BranchKind.JUMP):
-            return function.block_addr(block.taken_succ)
-        if block.kind in (BranchKind.CALL, BranchKind.TRAP):
-            # Image records the first candidate; indirect call sites may
-            # go elsewhere dynamically (the BTB then mispredicts).
-            return self.functions[block.callees[0]].base_addr
-        # Returns take their target from the RAS; no static target.
-        return 0
-
     @property
     def image(self) -> Dict[int, List[StaticBranch]]:
         """Cache-line index -> static branches in that line (lazy).
 
-        The build is timed as a ``build_image`` span (a run-manifest
-        phase beside ``build_program``/``build_trace``).
+        One walk of every block in layout order: a conditional or jump
+        targets its taken successor's address, a call or trap its first
+        candidate callee (an indirect site may go elsewhere dynamically,
+        and the BTB then mispredicts), and a return has no static target
+        (the RAS supplies it).  The build is timed as a ``build_image``
+        span (a run-manifest phase beside ``build_program``/
+        ``build_trace``).
         """
         if self._image is None:
             # repro: allow[RPR002] -- observability span; only times it
             from repro.obs import tracing
             image: Dict[int, List[StaticBranch]] = {}
+            functions = self.functions
+            COND, JUMP = BranchKind.COND, BranchKind.JUMP
+            CALL, TRAP = BranchKind.CALL, BranchKind.TRAP
             with tracing.span("build_image", functions=self.nfunctions):
-                for function in self.functions:
-                    for bidx, block in enumerate(function.blocks):
-                        descriptor = self.static_branch(function.fid, bidx)
+                for function in functions:
+                    addrs = function.block_addrs
+                    for block, pc in zip(function.blocks, addrs):
+                        kind = block.kind
+                        if kind is COND or kind is JUMP:
+                            target = addrs[block.taken_succ]
+                        elif kind is CALL or kind is TRAP:
+                            target = functions[block.callees[0]].base_addr
+                        else:
+                            target = 0
+                        ninstr = block.ninstr
                         image.setdefault(
-                            descriptor.branch_pc >> BLOCK_SHIFT, []
-                        ).append(descriptor)
+                            branch_pc(pc, ninstr) >> BLOCK_SHIFT, []
+                        ).append(StaticBranch(pc, ninstr, kind, target))
             self._image = image
         return self._image
 

@@ -2,9 +2,50 @@
 
 import pytest
 
-from repro.cfg.model import BasicBlock, Function, Program
+from repro.cfg.model import BasicBlock, Function, Program, StaticBranch
 from repro.errors import ProgramError
 from repro.isa import BLOCK_SHIFT, INSTR_BYTES, BranchKind
+from repro.workloads.profiles import WORKLOAD_NAMES, build_program
+
+
+def reference_static_branch(program, fid, bidx):
+    """Static-branch descriptor for one block, resolved on its own.
+
+    The per-block reference for ``Program.image``'s single pass.
+    """
+    function = program.functions[fid]
+    block = function.blocks[bidx]
+    if block.kind in (BranchKind.COND, BranchKind.JUMP):
+        target = function.block_addr(block.taken_succ)
+    elif block.kind in (BranchKind.CALL, BranchKind.TRAP):
+        # The first candidate callee.
+        target = program.functions[block.callees[0]].base_addr
+    else:
+        target = 0
+    return StaticBranch(block_pc=function.block_addr(bidx),
+                        ninstr=block.ninstr, kind=block.kind, target=target)
+
+
+def reference_image(program):
+    """Line -> branches, one :func:`reference_static_branch` per block."""
+    image = {}
+    for function in program.functions:
+        for bidx in range(function.nblocks):
+            descriptor = reference_static_branch(program, function.fid, bidx)
+            image.setdefault(descriptor.branch_pc >> BLOCK_SHIFT,
+                             []).append(descriptor)
+    return image
+
+
+def assert_image_matches_reference(program):
+    expected = reference_image(program)
+    # Same keys in the same order, and equal per-line lists.
+    assert list(program.image.items()) == list(expected.items())
+    expected_targets = {branch.block_pc: branch.target
+                        for branches in expected.values()
+                        for branch in branches}
+    assert list(program.static_targets.items()) == \
+        list(expected_targets.items())
 
 
 def _leaf(fid, is_kernel=False):
@@ -101,9 +142,12 @@ class TestProgram:
 
     def test_static_branch_targets_resolved(self, tiny_generated):
         program = tiny_generated.program
+        descriptors = {branch.block_pc: branch
+                       for line in program.image.values() for branch in line}
         for function in program.functions[:10]:
             for bidx, block in enumerate(function.blocks):
-                descriptor = program.static_branch(function.fid, bidx)
+                descriptor = descriptors[function.block_addr(bidx)]
+                assert descriptor.kind == block.kind
                 if block.kind in (BranchKind.COND, BranchKind.JUMP):
                     assert descriptor.target == \
                         function.block_addr(block.taken_succ)
@@ -112,6 +156,13 @@ class TestProgram:
                     assert descriptor.target == callee.base_addr
                 else:
                     assert descriptor.target == 0
+
+    def test_image_matches_reference_walk(self, tiny_generated):
+        assert_image_matches_reference(tiny_generated.program)
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_workload_image_matches_reference_walk(self, name):
+        assert_image_matches_reference(build_program(name).program)
 
     def test_footprint_bytes_positive(self, tiny_generated):
         assert tiny_generated.program.footprint_bytes > 0

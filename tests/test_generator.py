@@ -1,16 +1,19 @@
 """Unit tests for the synthetic server-program generator."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from bisect import bisect_right
 
 from repro.cfg.generator import GeneratorParams, choice_cdf, \
-    generate_program
+    generate_program, intern_blocks
 from repro.cfg.model import CondBehavior
 from repro.errors import ProgramError
 from repro.isa import BranchKind
 from tests.conftest import TINY_PARAMS
+from tests.test_golden_workloads import program_digest
 
 
 class TestGeneratorParams:
@@ -159,3 +162,26 @@ class TestChoiceCdf:
                     == expected.tolist()
         # Both streams are at the same position afterwards.
         assert reference.random() == ours.random()
+
+
+class TestInternedBlocks:
+    def test_equal_blocks_are_one_object(self, medium_generated):
+        blocks = [block for function in medium_generated.program.functions
+                  for block in function.blocks]
+        first = {}
+        for block in blocks:
+            assert first.setdefault(block, block) is block
+        assert len(first) < len(blocks)
+
+    def test_pickle_round_trip_keeps_digest(self, medium_generated):
+        restored = pickle.loads(pickle.dumps(medium_generated))
+        assert program_digest(restored) == program_digest(medium_generated)
+        # Pickle's memo keeps the sharing: still one object per value.
+        blocks = [block for function in restored.program.functions
+                  for block in function.blocks]
+        assert len({id(block) for block in blocks}) == len(set(blocks))
+
+    def test_invalid_spec_still_rejected(self):
+        spec = (4, BranchKind.CALL, -1, (), CondBehavior.BIASED, 0.5)
+        with pytest.raises(ProgramError):
+            intern_blocks([spec], [], {})
