@@ -12,8 +12,10 @@ Three measurements, each asserted and recorded into a machine-readable
 * **disk cache** — a cold simulation vs a cross-process-style hit
   (in-process memo cleared, persistent cache warm).
 * **construction** — ``generate_program`` and ``Program.image`` seconds
-  and ns/block for each Table 2 workload (report-only: no wall-clock
-  gate, since host speed drifts by about ±25%).
+  and ns/block for each Table 2 workload, and the six programs' build
+  seconds through the planned build stage beside their serial sum
+  (report-only: no wall-clock gate, since host speed drifts by about
+  ±25%).
 
 Trace preprocessing (``Trace.hot``, the TAGE fold sequences) is warmed
 before timing: it is computed once per trace and shared by every scheme
@@ -41,7 +43,7 @@ from repro.experiments.spec import RunSpec
 from repro.obs.metrics import counter
 from repro.prefetch.factory import build_scheme
 from repro.workloads.profiles import WORKLOAD_NAMES, build_program, \
-    build_trace, get_profile
+    build_programs, build_trace, clear_caches, get_profile
 
 _ROOT = Path(__file__).resolve().parent.parent
 _BENCH_PATH = _ROOT / "BENCH_engine.json"
@@ -394,8 +396,12 @@ def test_construction_cost_recorded():
 
     Each program is generated afresh (not from the per-process memo),
     then its image is built; both are timed and recorded per block.
-    Report-only: the numbers track the construction layer across
-    changes, and a wall-clock gate would flake on a drifting host.
+    Then the six programs are built again from a cold memo by the
+    planned build stage (``build_programs`` under the default policy:
+    every usable CPU) and the stage's seconds are recorded beside the
+    serial sum.  Report-only: the numbers track the construction layer
+    across changes, and a wall-clock gate would flake on a drifting
+    host.
     """
     workloads = {}
     for workload in WORKLOAD_NAMES:
@@ -417,10 +423,17 @@ def test_construction_cost_recorded():
             "image_seconds": round(image_seconds, 4),
             "image_ns_per_block": round(image_seconds / blocks * 1e9),
         }
+    clear_caches()
+    start = time.perf_counter()
+    build_programs(WORKLOAD_NAMES)
+    for workload in WORKLOAD_NAMES:
+        build_program(workload)  # whatever the stage left to this process
+    staged_seconds = time.perf_counter() - start
     _record("construction", {
         "workloads": workloads,
         "program_seconds": round(sum(
             entry["program_seconds"] for entry in workloads.values()), 4),
+        "staged_program_seconds": round(staged_seconds, 4),
         "image_seconds": round(sum(
             entry["image_seconds"] for entry in workloads.values()), 4),
         "cpu_count": usable_cpus(),

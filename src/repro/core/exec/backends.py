@@ -112,11 +112,25 @@ def _run_unit(specs: Sequence[Any], use_cache: bool) -> UnitResult:
                 raise
     if not in_worker:
         return pairs, [], {}
+    return (pairs, *worker_shipment(before))
+
+
+def worker_shipment(before: Dict[str, dict]) -> Tuple[List[dict],
+                                                      Dict[str, dict]]:
+    """What a process-pool worker ships home with a task's results.
+
+    Its drained span records, and its metric delta since the snapshot
+    *before* without the counters the parent accounts for itself; the
+    parent merges them with :func:`~repro.obs.tracing.adopt` and
+    :func:`~repro.obs.metrics.absorb`.  Shared by :func:`_run_unit` and
+    the planned program build stage
+    (:func:`repro.workloads.profiles.build_programs`).
+    """
     shipped = metrics.delta(before, metrics.snapshot())
     counters = {name: value
                 for name, value in shipped.get("counters", {}).items()
                 if value and name not in _PARENT_ACCOUNTED}
-    return pairs, tracing.drain(), {
+    return tracing.drain(), {
         "counters": counters,
         "histograms": shipped.get("histograms", {}),
     }
@@ -695,4 +709,5 @@ __all__ = [
     "get_backend",
     "CellResult",
     "_ensure_picklable",
+    "worker_shipment",
 ]

@@ -604,8 +604,14 @@ def run_table_spec(spec: TableSpec, n_blocks: Optional[int] = None,
                    post: Optional[Callable[[ExperimentResult],
                                            ExperimentResult]] = None,
                    ) -> ExperimentResult:
-    """Execute a :class:`TableSpec` (traces are memoised per workload)."""
-    from repro.workloads.profiles import build_trace
+    """Execute a :class:`TableSpec` (traces are memoised per workload).
+
+    The rows' programs are built first by the planned build stage
+    (:func:`~repro.workloads.profiles.build_programs`), on every usable
+    CPU when the execution policy in scope allows a process pool.
+    """
+    from repro.workloads.profiles import build_programs, build_trace
+    build_programs(row.workload for row in spec.rows)
     blocks = n_blocks if n_blocks is not None else DEFAULT_TRACE_BLOCKS
     result = ExperimentResult(
         experiment_id=spec.experiment_id,

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.cfg.generator import GeneratedProgram, GeneratorParams, \
     generate_program
 from repro.errors import ConfigError
 # repro: allow[RPR002] -- observability spans; they only time the builders
-from repro.obs import tracing as _obs_tracing
+from repro.obs import metrics as _obs_metrics, tracing as _obs_tracing
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import generate_trace
 
@@ -196,6 +196,102 @@ def build_trace(name: str, n_blocks: int, seed: int = 0) -> Trace:
                 warmup_blocks=profile.warmup_blocks,
             )
     return _TRACE_CACHE[key]
+
+
+# ---------------------------------------------------------------------------
+# The planned build stage: a table's missing programs on every usable CPU
+# (DESIGN.md Section 10.6).
+# ---------------------------------------------------------------------------
+
+#: Cost-proxy weight of a program a builder ships home rather than this
+#: process building it: pickling it there and unpickling it here add
+#: about a quarter to its generation time.
+SHIP_WEIGHT = 1.25
+
+
+def plan_builds(names: Sequence[str], shares: int) -> List[List[str]]:
+    """Split registered workloads *names* into *shares* build lists.
+
+    Longest first on the cost proxy ``n_functions`` (generation time is
+    roughly linear in it), each program goes to the share that would
+    finish it soonest.  Share 0 is this process's own; a program built
+    in any other share costs :data:`SHIP_WEIGHT` times as much.  Ties
+    keep the given order and the lower share.
+    """
+    costs = {name: get_profile(name).gen_params.n_functions
+             for name in names}
+    weights = [1.0] + [SHIP_WEIGHT] * (shares - 1)
+    loads = [0.0] * shares
+    plan: List[List[str]] = [[] for _ in range(shares)]
+    for name in sorted(names, key=lambda name: -costs[name]):
+        share = min(range(shares),
+                    key=lambda i: loads[i] + costs[name] * weights[i])
+        loads[share] += costs[name] * weights[share]
+        plan[share].append(name)
+    return plan
+
+
+def _build_shipped(names: Sequence[str]):
+    """Builder entry point: build *names* in a pool worker and ship the
+    programs home with the spans and metric delta they produced."""
+    # repro: allow[RPR002] -- scheduling only: it moves built programs
+    from repro.core.exec.backends import worker_shipment
+    before = _obs_metrics.snapshot()
+    programs = {name: build_program(name) for name in names}
+    return (programs, *worker_shipment(before))
+
+
+def build_programs(names: Iterable[str]) -> None:
+    """Warm the program memo for *names* on every usable CPU.
+
+    The stage runs only when the :class:`~repro.core.exec.
+    ExecutionPolicy` in scope would run the missing programs on a
+    process pool of k >= 2 workers (the rule ``run_specs`` uses), at
+    least two of them are missing, this process is not itself a pool
+    worker and the pool can be created.  It then forks k - 1 builders,
+    builds its own share (:func:`plan_builds`) while they run, and
+    stores every program they ship home; their spans and metrics join
+    this process's under a ``build_programs`` span.
+
+    It only warms the memo and never raises for a build: whatever it
+    leaves missing — every program when it does not run, a failed
+    builder's share — the caller's :func:`build_program` builds here,
+    bit for bit the same, raising what it always raised.
+    """
+    # repro: allow[RPR002] -- scheduling only: it picks where, not what
+    from repro.core.exec import ProcessBackend, current_policy
+    missing = [key for key in dict.fromkeys(name.lower() for name in names)
+               if key in _PROFILES and key not in _PROGRAM_CACHE]
+    if len(missing) < 2 or _obs_tracing.in_worker():
+        return
+    backend = current_policy().make_backend(len(missing))
+    if not isinstance(backend, ProcessBackend):
+        return
+    plan = plan_builds(missing, backend.max_workers)
+    with _obs_tracing.span("build_programs", programs=len(missing),
+                           workers=len(plan)) as record:
+        try:
+            pool = backend._make_pool(len(plan) - 1)
+        except Exception:
+            return
+        try:
+            futures = [pool.submit(_build_shipped, share)
+                       for share in plan[1:]]
+            for name in plan[0]:
+                build_program(name)
+            for future in futures:
+                programs, spans, shipped = future.result()
+                _obs_tracing.adopt(spans, record and record["span_id"])
+                _obs_metrics.absorb(shipped)
+                for name, generated in programs.items():
+                    _PROGRAM_CACHE.setdefault(name, generated)
+        except Exception:
+            # A builder that could not start, crashed or raised ships
+            # nothing, and neither does a failed build here: the caller
+            # builds what is still missing.
+            pass
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def clear_caches() -> None:

@@ -53,14 +53,14 @@ class TestRenderBarChart:
 
 class TestCli:
     def test_experiments_cli_single(self, capsys):
-        from repro.experiments.__main__ import main
-        assert main(["table1", "--blocks", "3000"]) == 0
+        from repro.cli import main
+        assert main(["run", "table1", "--blocks", "3000"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out and "regenerated" in out
 
     def test_experiments_cli_chart_flag(self, capsys):
-        from repro.experiments.__main__ import main
-        assert main(["figure3", "--blocks", "3000", "--chart"]) == 0
+        from repro.cli import main
+        assert main(["run", "figure3", "--blocks", "3000", "--chart"]) == 0
         out = capsys.readouterr().out
         assert "#" in out
 

@@ -105,14 +105,6 @@ class TestReport:
             assert payload["experiment_id"] == experiment_id
 
 
-class TestLegacyEntryPoint:
-    def test_experiments_main_delegates(self, capsys):
-        from repro.experiments.__main__ import main as legacy_main
-        assert legacy_main(["table1", "--blocks", "3000"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out and "regenerated" in out
-
-
 class TestNoCacheFlag:
     def test_no_cache_disables_disk_cache(self, tmp_path, monkeypatch,
                                           capsys):
