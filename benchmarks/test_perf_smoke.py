@@ -16,6 +16,12 @@ Three measurements, each asserted and recorded into a machine-readable
   seconds through the planned build stage beside their serial sum
   (report-only: no wall-clock gate, since host speed drifts by about
   ±25%).
+* **cell setup** — what one 1,000-block sampled window pays before
+  simulating: ``build_scheme`` and ``FrontEnd`` construction per
+  scheme, the per-program warm-LLC build, and the TAGE fold
+  precompute at 1k and 120k blocks (report-only, like construction).
+* **telemetry** — the telemetry-on overhead gate (< 5%, median of
+  paired off/on runs).
 
 Trace preprocessing (``Trace.hot``, the TAGE fold sequences) is warmed
 before timing: it is computed once per trace and shared by every scheme
@@ -312,57 +318,77 @@ def test_grid_parallel_bit_identical_and_timed(isolated_disk_cache,
     )
 
 
+#: The telemetry-overhead gate's cells, each timed on its own, and how
+#: many off/on pairs each cell gets.
+TELEMETRY_SCHEMES = ("baseline", "fdip", "boomerang", "shotgun")
+TELEMETRY_BLOCKS = 5_000
+TELEMETRY_PAIRS = 12
+
+
 def test_telemetry_overhead_is_bounded(isolated_disk_cache, monkeypatch):
     """The observability layer must be free when off and cheap when on.
 
     Telemetry-off runs pay one env probe per ``span()`` call site —
     within measurement noise of a build without the hooks.  Telemetry-on
     runs additionally allocate span records and observe histograms;
-    the guard allows < 5% over the off timing (min-of-3 each way,
-    alternating off/on, same warmed trace, uncached simulations).
+    the guard allows < 5% over the off timing.
+
+    A shared host's speed moves by tens of percent between runs a
+    tenth of a second apart, in both directions, so neither side's
+    fastest run is a stable floor.  The gate therefore compares runs in
+    pairs: each cell runs in its own ``run_specs`` call (which charges
+    telemetry's per-call cost once per cell), off and on back to back
+    in alternating order, and the overhead is the median over all
+    pairs of on/off.  A burst of host load moves single pairs, not
+    the median.
     """
+    import statistics
+
     from repro.core.sweep import run_specs
     from repro.experiments.spec import RunSpec
     from repro.obs import tracing
 
-    workload, blocks = "nutch", GRID_BLOCKS
+    workload, blocks = "nutch", TELEMETRY_BLOCKS
     trace = build_trace(workload, blocks)
     _ = trace.hot
     _trace_predictor(trace)
     specs = [RunSpec(workload=workload, scheme=scheme, n_blocks=blocks)
-             for scheme in ("baseline", "shotgun")]
+             for scheme in TELEMETRY_SCHEMES]
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     run_specs(specs, backend="serial", use_cache=False)  # warm-up pass
 
-    def measure(enabled: bool) -> float:
+    def measure(spec: RunSpec, enabled: bool) -> float:
         tracing.reset()
         with tracing.enable() if enabled else contextlib.nullcontext():
             start = time.perf_counter()
-            run_specs(specs, backend="serial", use_cache=False)
+            run_specs([spec], backend="serial", use_cache=False)
             elapsed = time.perf_counter() - start
         tracing.reset()
         return elapsed
 
-    # Alternate off/on attempts: host speed drifts over tens of seconds,
-    # and three off runs followed by three on runs would sample the two
-    # sides at systematically different host speeds.
-    off_seconds = on_seconds = float("inf")
-    for _attempt in range(3):
-        off_seconds = min(off_seconds, measure(enabled=False))
-        on_seconds = min(on_seconds, measure(enabled=True))
-    overhead = on_seconds / off_seconds - 1.0
+    off_times, on_times, ratios = [], [], []
+    for pair in range(TELEMETRY_PAIRS):
+        for k, spec in enumerate(specs):
+            order = (False, True) if (pair + k) % 2 == 0 else (True, False)
+            seconds = {enabled: measure(spec, enabled) for enabled in order}
+            off_times.append(seconds[False])
+            on_times.append(seconds[True])
+            ratios.append(seconds[True] / seconds[False])
+    overhead = statistics.median(ratios) - 1.0
 
     _record("telemetry", {
         "workload": workload,
-        "schemes": ["baseline", "shotgun"],
+        "schemes": list(TELEMETRY_SCHEMES),
         "n_blocks": blocks,
-        "off_seconds": round(off_seconds, 4),
-        "on_seconds": round(on_seconds, 4),
+        "pairs": len(ratios),
+        "off_seconds_total": round(sum(off_times), 4),
+        "on_seconds_total": round(sum(on_times), 4),
         "overhead_fraction": round(overhead, 4),
+        "cpu_count": usable_cpus(),
     })
-    assert on_seconds < off_seconds * 1.05, (
-        f"telemetry-on overhead {overhead:.1%} exceeds the 5% budget "
-        f"(on {on_seconds:.3f}s vs off {off_seconds:.3f}s)"
+    assert overhead < 0.05, (
+        f"telemetry-on overhead {overhead:.1%} (median of {len(ratios)} "
+        f"off/on pairs) exceeds the 5% budget"
     )
 
 
@@ -436,5 +462,78 @@ def test_construction_cost_recorded():
         "staged_program_seconds": round(staged_seconds, 4),
         "image_seconds": round(sum(
             entry["image_seconds"] for entry in workloads.values()), 4),
+        "cpu_count": usable_cpus(),
+    })
+
+
+#: The cell-setup section's window: one sampled window of a sampled
+#: workload (``sampled-columnar`` runs 1,000-block windows).
+SETUP_WORKLOAD = "nutch"
+SETUP_BLOCKS = 1_000
+SETUP_SCHEMES = ("baseline", "fdip", "confluence", "boomerang", "shotgun",
+                 "ideal")
+
+
+def _median_ms(action, repeats: int) -> float:
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        action()
+        samples.append(time.perf_counter() - start)
+    samples.sort()
+    return round(samples[len(samples) // 2] * 1e3, 4)
+
+
+def test_cell_setup_recorded():
+    """What one short window pays before its first simulated block.
+
+    Per scheme: ``build_scheme`` and ``FrontEnd`` construction on a
+    1,000-block window, after the program's warm LLC snapshot and the
+    trace's TAGE folds exist (they are built once and shared by every
+    cell).  Also the fold precompute itself at 1k and 120k blocks, and
+    the one-off warm-LLC build per program.  Report-only: medians of
+    repeated runs, no wall-clock gate.
+    """
+    from repro.core.frontend import FrontEnd, _warm_llc_state
+    from repro.isa import BranchKind
+    from repro.uarch.tage import precompute_fold_sequences
+
+    params = MicroarchParams()
+    trace = build_trace(SETUP_WORKLOAD, SETUP_BLOCKS, seed=7)
+    program = trace.generated.program
+    _ = program.image
+    _ = trace.hot
+    _trace_predictor(trace)
+
+    def warm_llc_build():
+        program.derived.clear()
+        _warm_llc_state(trace, params)
+
+    warm_ms = _median_ms(warm_llc_build, 5)
+    schemes = {}
+    for name in SETUP_SCHEMES:
+        scheme = build_scheme(name, params, trace.generated)
+        schemes[name] = {
+            "build_scheme_ms": _median_ms(
+                lambda: build_scheme(name, params, trace.generated), 21),
+            "frontend_ms": _median_ms(
+                lambda: FrontEnd(trace, scheme, params=params), 21),
+        }
+
+    cond = int(BranchKind.COND)
+    long_trace = build_trace(HOT_LOOP_WORKLOAD, HOT_LOOP_BLOCKS)
+    folds = {}
+    for label, window, repeats in (("1k", trace, 21),
+                                   ("120k", long_trace, 5)):
+        folds[label] = _median_ms(
+            lambda: precompute_fold_sequences(window.kind, window.taken,
+                                              cond), repeats)
+    _record("cell_setup", {
+        "workload": SETUP_WORKLOAD,
+        "n_blocks": SETUP_BLOCKS,
+        "schemes": schemes,
+        "warm_llc_build_ms": warm_ms,
+        "warm_llc_lines": len(program.image),
+        "fold_precompute_ms": folds,
         "cpu_count": usable_cpus(),
     })

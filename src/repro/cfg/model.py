@@ -290,6 +290,17 @@ class Program:
         return {branch.block_pc: branch.target
                 for branches in self.image.values() for branch in branches}
 
+    @cached_property
+    def derived(self) -> dict:
+        """Memo for program-derived simulation state shared across cells.
+
+        Keyed by the deriving component and its geometry (the engines
+        keep the warmed LLC state here, see
+        ``repro.core.frontend._warm_llc_state``).  Entries are read-only
+        and never shipped: unpickling rebuilds the program without them.
+        """
+        return {}
+
     def unconditional_count(self) -> int:
         """Number of static unconditional branches (U-BTB + RIB residents)."""
         return sum(

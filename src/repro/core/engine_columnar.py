@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.config import MicroarchParams
 from repro.core.frontend import _CALL_KINDS, _KIND_COND, _KIND_OBJS, \
-    _RET_KINDS, _static_target_map
+    _RET_KINDS, _fold_sequences, _static_target_map, _warm_llc_state
 from repro.core.metrics import EngineStats, SimulationResult
 from repro.errors import SimulationError
 from repro.prefetch.base import Scheme
@@ -59,8 +59,11 @@ from repro.prefetch.baseline import BaselineScheme, IdealScheme
 from repro.uarch.cache import SetAssocCache
 from repro.uarch.interconnect import NocModel
 from repro.uarch.ras import ReturnAddressStack
+# precompute_fold_sequences is not called here (the one fold accessor,
+# frontend._fold_sequences, calls it); the name stays importable from
+# this module because perfbench/layers.py wraps it here by name.
 from repro.uarch.tage import PrecomputedHistoryTage, \
-    precompute_fold_sequences, replay_cond_mispredicts
+    precompute_fold_sequences, replay_cond_mispredicts  # noqa: F401
 from repro.workloads.trace import Trace
 
 #: Clock segments shorter than this advance with scalar Python-float
@@ -94,17 +97,6 @@ def _prefix(flags, n: int) -> np.ndarray:
     out = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.asarray(flags, dtype=np.int64), out=out[1:])
     return out
-
-
-def _fold_sequences(trace: Trace):
-    """The trace's TAGE folded-history sequences (shared with the
-    interpreter via the same ``trace.derived`` slot)."""
-    seqs = trace.derived.get("tage_folds")
-    if seqs is None:
-        hot = trace.hot
-        seqs = precompute_fold_sequences(hot.kind, hot.taken, _KIND_COND)
-        trace.derived["tage_folds"] = seqs
-    return seqs
 
 
 def _cond_prefix(trace: Trace) -> np.ndarray:
@@ -250,9 +242,10 @@ def _memory_events(trace: Trace, params: MicroarchParams) \
 
     Replays the L1-I and LLC LRU state machines over the per-block line
     accesses in trace order (first line, then the terminating branch's
-    line when different), with the warm-LLC image preload the
-    interpreter applies.  Hit/miss outcomes are clock-free; only the
-    NoC latency of each miss is computed in the timing pass.
+    line when different), starting from the program's shared warm-LLC
+    snapshot, as the interpreter does.  Hit/miss outcomes are
+    clock-free; only the NoC latency of each miss is computed in the
+    timing pass.
     """
     key = ("columnar.mem", params.l1i_bytes, params.l1i_assoc,
            params.line_bytes, params.llc_bytes, params.llc_assoc)
@@ -264,10 +257,9 @@ def _memory_events(trace: Trace, params: MicroarchParams) \
                             params.line_bytes)
         llc = SetAssocCache(params.llc_bytes, params.llc_assoc,
                             params.line_bytes)
-        if trace.generated is not None:
-            llc_warm = llc.insert
-            for line in trace.generated.program.image:
-                llc_warm(line)
+        warm = _warm_llc_state(trace, params)
+        if warm is not None:
+            llc.restore(warm)
         l1i_probe = l1i.probe_insert
         llc_probe = llc.probe_insert
         ev_block: List[int] = []

@@ -49,8 +49,8 @@ from repro.prefetch.base import MissPolicy, Scheme
 from repro.uarch.cache import PrefetchBuffer, SetAssocCache
 from repro.uarch.interconnect import NocModel
 from repro.uarch.ras import ReturnAddressStack
-from repro.uarch.tage import PrecomputedHistoryTage, TagePredictor, \
-    precompute_fold_sequences
+from repro.uarch.tage import FoldSequences, PrecomputedHistoryTage, \
+    TagePredictor, precompute_fold_sequences
 from repro.workloads.trace import Trace
 
 #: How many in-flight entries may accumulate before arrived lines are
@@ -77,21 +77,54 @@ _KIND_OBJS: Tuple[BranchKind, ...] = tuple(
 )
 
 
-def _trace_predictor(trace: Trace) -> TagePredictor:
-    """Default TAGE for *trace*, with trace-derived folded histories.
+def _fold_sequences(trace: Trace) -> FoldSequences:
+    """The trace's TAGE folded-history sequences, computed once.
 
-    The engine trains the direction predictor on every conditional block
+    The engines train the direction predictor on every conditional block
     in retire order, so the folded-history sequences are a pure function
-    of the trace; they are computed once, cached on ``trace.derived``,
-    and shared by every scheme simulated on the trace.  Predictions are
-    bit-identical to a plain :class:`TagePredictor`.
+    of the trace; they are cached on ``trace.derived`` and shared by
+    every scheme simulated on the trace, in either engine.
     """
     seqs = trace.derived.get("tage_folds")
     if seqs is None:
-        hot = trace.hot
-        seqs = precompute_fold_sequences(hot.kind, hot.taken, _KIND_COND)
+        seqs = precompute_fold_sequences(trace.kind, trace.taken, _KIND_COND)
         trace.derived["tage_folds"] = seqs
-    return PrecomputedHistoryTage(seqs)
+    return seqs
+
+
+def _trace_predictor(trace: Trace) -> TagePredictor:
+    """Default TAGE for *trace*, replaying its folded histories.
+
+    Predictions are bit-identical to a plain :class:`TagePredictor`.
+    """
+    return PrecomputedHistoryTage(_fold_sequences(trace))
+
+
+def _warm_llc_state(trace: Trace, params: MicroarchParams) \
+        -> Optional[Tuple[tuple, ...]]:
+    """The warmed LLC a cell starts from, or None without a program.
+
+    The state an empty LLC reaches by inserting every line of the
+    program image in image order.  It depends only on the image and the
+    LLC geometry, so it is built once per program and geometry, kept on
+    ``program.derived`` as a read-only :meth:`SetAssocCache.snapshot`,
+    and shared by every cell of every trace of the program in both
+    engines; each cell's cache copies a set only when it first writes
+    to it.
+    """
+    if trace.generated is None:
+        return None
+    program = trace.generated.program
+    key = ("warm_llc", params.llc_bytes, params.llc_assoc, params.line_bytes)
+    state = program.derived.get(key)
+    if state is None:
+        llc = SetAssocCache(params.llc_bytes, params.llc_assoc,
+                            params.line_bytes)
+        insert = llc.insert
+        for line in program.image:
+            insert(line)
+        state = program.derived[key] = llc.snapshot()
+    return state
 
 
 def _static_target_map(trace: Trace) -> Dict[int, int]:
@@ -177,9 +210,10 @@ class FrontEnd:
             else None
 
         self._static_targets: Dict[int, int] = _static_target_map(trace)
-        if warm_llc and trace.generated is not None:
-            for line in trace.generated.program.image:
-                self.llc.insert(line)
+        if warm_llc:
+            warm = _warm_llc_state(trace, p)
+            if warm is not None:
+                self.llc.restore(warm)
 
     def _fill_target(self, pc: int, taken: bool, target: int) -> int:
         """Target to install in a BTB entry for the block at *pc*."""
@@ -272,6 +306,8 @@ class FrontEnd:
         fetch_hook = self._on_fetch_line
         # Inlined ``l1i.lookup`` hit path (same LRU move and counters):
         # the common case is a hit, once per line of every fetched block.
+        # A hit set is always an owned dict: the L1-I starts empty, and
+        # no line is ever found in its shared read-only empty set.
         l1i = self.l1i
         cache_set = l1i._sets[line & l1i._set_mask]
         if line in cache_set:

@@ -24,13 +24,14 @@ through a retire-side call stack mirroring the extended RAS.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional
 
 from repro.config.schemes import ShotgunSizes
 from repro.isa import BLOCK_SHIFT, INSTR_BYTES, BranchKind, is_return_kind
 from repro.prefetch.base import LookupHit, MissPolicy, Scheme
 from repro.prefetch.footprint import FootprintCodec, RegionRecorder
-from repro.uarch.btb import BTBEntry, BTBPrefetchBuffer
+from repro.uarch.btb import EMPTY_SET, BTBEntry, BTBPrefetchBuffer
 from repro.uarch.predecoder import Predecoder
 from repro.uarch.shotgun_btb import CBTB, CBTBEntry, RIB, RIBEntry, UBTB, \
     UBTBEntry
@@ -197,7 +198,8 @@ class ShotgunScheme(Scheme):
         n_sets = cbtb.n_sets
         assoc = cbtb.assoc
         for block_pc, ninstr, target in branches:
-            table_set = sets[(block_pc >> 2) % n_sets]
+            index = (block_pc >> 2) % n_sets
+            table_set = sets[index]
             if block_pc in table_set:
                 entry = table_set[block_pc]
                 if entry.valid_from <= ready:
@@ -207,7 +209,11 @@ class ShotgunScheme(Scheme):
                 entry.valid_from = valid_from
                 table_set.move_to_end(block_pc)
                 continue
-            if len(table_set) >= assoc:
+            if table_set is EMPTY_SET:
+                # First insert into this set (SetAssocTable.insert's
+                # allocation, inlined with the rest of the fill).
+                table_set = sets[index] = OrderedDict()
+            elif len(table_set) >= assoc:
                 table_set.popitem(last=False)
             table_set[block_pc] = CBTBEntry(ninstr=ninstr, target=target,
                                             valid_from=valid_from)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Generic, List, Optional, TypeVar
+from types import MappingProxyType
+from typing import Generic, List, Mapping, Optional, TypeVar, Union
 
 from repro.config.schemes import CONVENTIONAL_ENTRY_BITS
 from repro.errors import ConfigError
@@ -19,12 +20,20 @@ from repro.isa import BranchKind
 
 E = TypeVar("E")
 
+#: The read-only empty set every :class:`SetAssocTable` set starts as.
+#: Writers replace it with an owned ``OrderedDict`` on first insert, so
+#: building a table costs O(1) in its set count.
+EMPTY_SET: Mapping = MappingProxyType({})
+
 
 class SetAssocTable(Generic[E]):
     """Generic set-associative, LRU table keyed by block start address.
 
     The index is derived from the block address in instruction-word
-    granularity so that consecutive blocks spread across sets.
+    granularity so that consecutive blocks spread across sets.  Sets are
+    allocated on first insert: until then a set is the shared read-only
+    :data:`EMPTY_SET`, which no lookup can hit.  Code that writes into
+    ``_sets`` directly must make the same first-insert check.
     """
 
     __slots__ = ("entries", "assoc", "n_sets", "_sets", "lookups",
@@ -40,9 +49,8 @@ class SetAssocTable(Generic[E]):
         self.entries = entries
         self.assoc = assoc
         self.n_sets = entries // assoc
-        self._sets: List["OrderedDict[int, E]"] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
+        self._sets: List[Union["OrderedDict[int, E]", Mapping]] = \
+            [EMPTY_SET] * self.n_sets
         self.lookups = 0
         self.hit_count = 0
 
@@ -62,7 +70,10 @@ class SetAssocTable(Generic[E]):
 
     def insert(self, pc: int, entry: E) -> None:
         """Install or replace the entry for block *pc* (LRU victim)."""
-        table_set = self._sets[(pc >> 2) % self.n_sets]
+        index = (pc >> 2) % self.n_sets
+        table_set = self._sets[index]
+        if table_set is EMPTY_SET:
+            table_set = self._sets[index] = OrderedDict()
         if pc in table_set:
             table_set[pc] = entry
             table_set.move_to_end(pc)

@@ -6,12 +6,20 @@ guarantee of Python dicts: a hit deletes and re-inserts the key (moving
 it to the back), so the least-recently-used line is always the first
 key and eviction is O(1) — measurably cheaper in the simulation hot
 loop than the previous per-set access-stamp scan.
+
+Sets are allocated on first write.  A new cache shares one read-only
+empty set (the empty tuple) across all of its sets, so building it costs
+O(1) in the set count; a cache restored from a snapshot shares the
+snapshot's per-set tuples the same way.  A read-only set holds its lines
+in LRU order, exactly as the dict it stands for, and becomes an owned
+dict the first time the cache writes to it, so no write ever reaches
+shared state (DESIGN.md Section 7.1).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 
@@ -42,15 +50,42 @@ class SetAssocCache:
                               f"got {self.n_sets}")
         self.assoc = assoc
         self._set_mask = self.n_sets - 1
-        # Per set: {line_index: None}, ordered least- to most-recently used.
-        self._sets: List[Dict[int, None]] = [{} for _ in range(self.n_sets)]
+        # Per set: {line_index: None}, ordered least- to most-recently
+        # used, or a read-only tuple of the same lines in the same order
+        # until the set is first written (see _own).
+        self._sets: List[Union[Dict[int, None], tuple]] = \
+            [()] * self.n_sets
         self.hits = 0
         self.misses = 0
 
+    def _own(self, index: int) -> Dict[int, None]:
+        """Replace read-only set *index* with an owned dict, same order."""
+        cache_set = self._sets[index] = dict.fromkeys(self._sets[index])
+        return cache_set
+
+    def snapshot(self) -> Tuple[tuple, ...]:
+        """The LRU state as one read-only tuple per set, LRU line first."""
+        return tuple(map(tuple, self._sets))
+
+    def restore(self, state: Tuple[tuple, ...]) -> None:
+        """Start from *state* (a :meth:`snapshot` of an equal geometry).
+
+        The tuples are shared, not copied: each set is copied into an
+        owned dict only when this cache first writes to it, so one
+        snapshot can seed any number of caches.
+        """
+        if len(state) != self.n_sets:
+            raise ConfigError(f"snapshot has {len(state)} sets, cache has "
+                              f"{self.n_sets}")
+        self._sets = list(state)
+
     def lookup(self, line: int) -> bool:
         """Probe for *line*; updates LRU and hit/miss counters."""
-        cache_set = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        cache_set = self._sets[index]
         if line in cache_set:
+            if cache_set.__class__ is tuple:
+                cache_set = self._own(index)
             # Move to the back (most recently used).
             del cache_set[line]
             cache_set[line] = None
@@ -65,7 +100,10 @@ class SetAssocCache:
 
     def insert(self, line: int) -> Optional[int]:
         """Install *line*; returns the evicted line index, if any."""
-        cache_set = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        cache_set = self._sets[index]
+        if cache_set.__class__ is tuple:
+            cache_set = self._own(index)
         if line in cache_set:
             del cache_set[line]
             cache_set[line] = None
@@ -86,7 +124,10 @@ class SetAssocCache:
         engine's clock-free replay passes, where the hit/miss *sequence*
         is the output and the counters are reconstructed from it.
         """
-        cache_set = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        cache_set = self._sets[index]
+        if cache_set.__class__ is tuple:
+            cache_set = self._own(index)
         if line in cache_set:
             del cache_set[line]
             cache_set[line] = None
@@ -98,8 +139,11 @@ class SetAssocCache:
 
     def invalidate(self, line: int) -> bool:
         """Remove *line* if present; returns whether it was present."""
-        cache_set = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        cache_set = self._sets[index]
         if line in cache_set:
+            if cache_set.__class__ is tuple:
+                cache_set = self._own(index)
             del cache_set[line]
             return True
         return False

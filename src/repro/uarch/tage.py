@@ -27,16 +27,19 @@ bit-identical.
 simulation: because the engine trains the predictor on every conditional
 branch in retire order, the global-history bit stream — and therefore
 every folded-history value — is a pure function of the trace.
-:func:`precompute_fold_sequences` replays the fold recurrence once per
-trace (cached on the :class:`~repro.workloads.trace.Trace`, shared by
-every scheme simulated on it) and packs each table's index fold and
-combined tag fold into one integer per step, so the per-branch cost
-drops from twelve shift/xor/mask updates to a single list index.
+:func:`precompute_fold_sequences` computes every fold value once per
+trace in a numpy pass (cached on the
+:class:`~repro.workloads.trace.Trace`, shared by every scheme simulated
+on it) and packs each table's index fold and combined tag fold into one
+integer per step, so the per-branch cost drops from twelve
+shift/xor/mask updates to a single list index.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError
 
@@ -369,12 +372,12 @@ class FoldSequences(NamedTuple):
 
 
 def precompute_fold_sequences(
-    kinds: List[int], takens: List[bool],
+    kinds, takens,
     cond_kind: int,
     histories: Tuple[int, ...] = TagePredictor.DEFAULT_HISTORIES,
     index_bits: int = 10, tag_bits: int = 9,
 ) -> FoldSequences:
-    """Replay the folded-history recurrence over a trace's branch stream.
+    """Every packed folded-history value the engine's TAGE will read.
 
     The engine trains TAGE on every conditional block in retire order, so
     the predictor's global-history stream equals the trace's conditional
@@ -385,55 +388,41 @@ def precompute_fold_sequences(
 
     i.e. exactly the two quantities a lookup needs (the index xor-term
     and the combined tag xor-term), one list entry per conditional plus
-    the initial state.  The recurrence is the same circular-shift folding
-    as :meth:`TagePredictor._push_history`, so replaying it yields
-    bit-identical predictions.
-    """
-    n_tables = len(histories)
-    index_mask = (1 << index_bits) - 1
-    tag_a_mask = (1 << tag_bits) - 1
-    tag_b_mask = (1 << (tag_bits - 1)) - 1
-    index_bits_1 = index_bits - 1
-    tag_bits_1 = tag_bits - 1
-    tag_bits_2 = tag_bits - 2
-    max_history = histories[-1]
-    geom = [(h, h % index_bits, h % tag_bits, h % (tag_bits - 1))
-            for h in histories]
-    folds = [[0, 0, 0] for _ in range(n_tables)]
-    seqs: List[List[int]] = [[0] for _ in range(n_tables)]
-    appends = [seq.append for seq in seqs]
-    history = [0] * max_history
-    pos = 0
+    the initial state.
 
-    for kind, taken in zip(kinds, takens):
-        if kind != cond_kind:
-            continue
-        new_bit = 1 if taken else 0
-        for t in range(n_tables):
-            hist, idx_out, a_out, b_out = geom[t]
-            fold = folds[t]
-            drop_pos = pos - hist
-            if drop_pos < 0:
-                drop_pos += max_history
-            dropped = history[drop_pos]
-            value = fold[0]
-            fold[0] = f0 = (((value << 1) | new_bit) & index_mask) \
-                ^ ((value >> index_bits_1) & 1) \
-                ^ ((dropped << idx_out) & index_mask)
-            value = fold[1]
-            fold[1] = f1 = (((value << 1) | new_bit) & tag_a_mask) \
-                ^ ((value >> tag_bits_1) & 1) \
-                ^ ((dropped << a_out) & tag_a_mask)
-            value = fold[2]
-            fold[2] = f2 = (((value << 1) | new_bit) & tag_b_mask) \
-                ^ ((value >> tag_bits_2) & 1) \
-                ^ ((dropped << b_out) & tag_b_mask)
-            appends[t](f0 | ((f1 ^ (f2 << 1)) << index_bits))
-        history[pos] = new_bit
-        pos += 1
-        if pos == max_history:
-            pos = 0
-    return FoldSequences(seqs=seqs, histories=tuple(histories),
+    This is the closed form of :meth:`TagePredictor._push_history`'s
+    circular-shift recurrence, so the values are the same integers and
+    predictions are bit-identical.  A fold of width *w* holds the XOR of
+    every in-window history bit shifted to ``age % w`` (the recurrence
+    rotates each bit one place per step and cancels it at
+    ``history_length % w`` once it leaves the window), so a taken
+    outcome *age* steps old adds a fixed packed weight.  The value
+    after step ``s`` is the XOR of those weights over the last ``h``
+    outcomes.  The weights do not depend on ``h``, so one running XOR
+    over ages ``0 .. max(histories) - 1`` serves every table: a numpy
+    pass of one shifted XOR per age.  *kinds* and *takens* are
+    per-block sequences (lists or arrays).
+    """
+    kinds = np.asarray(kinds)
+    bits = np.asarray(takens, dtype=bool)[kinds == cond_kind]
+    m = len(bits)
+    dtype = np.int64
+    # Taken outcomes as 0/-1, so ``outcome & weight`` is the weight or 0.
+    outcomes = -bits.astype(dtype)
+    folds = np.zeros(m + 1, dtype=dtype)
+    by_history = {}
+    for age in range(histories[-1]):
+        if age < m:
+            weight = (1 << age % index_bits) ^ (
+                ((1 << age % tag_bits) ^ (1 << (age % (tag_bits - 1) + 1)))
+                << index_bits)
+            # After step s (slot s + 1) the outcome of step s - age is
+            # ``age`` steps old.
+            folds[age + 1:] ^= outcomes[:m - age] & weight
+        if age + 1 in histories:
+            by_history[age + 1] = folds.tolist()
+    return FoldSequences(seqs=[by_history[h] for h in histories],
+                         histories=tuple(histories),
                          index_bits=index_bits, tag_bits=tag_bits)
 
 
@@ -447,10 +436,13 @@ class PrecomputedHistoryTage(TagePredictor):
     updating twelve fold registers, and lookups unpack the index/tag
     xor-terms with one shift each.
 
-    The counter/useful/allocate logic here intentionally mirrors
-    :class:`TagePredictor`'s (fused and split paths); the equivalence
-    tests in ``tests/test_tage.py`` pin all copies together and fail on
-    any drift.
+    Only the two calls the engines make exist: the fused
+    :meth:`predict_update`, and :meth:`update` for a cold train (which
+    never follows a prediction).  The split ``predict``/``update``
+    protocol belongs to :class:`TagePredictor`.  The counter/useful/
+    allocate logic here intentionally mirrors
+    :meth:`TagePredictor.predict_update`; the equivalence tests in
+    ``tests/test_tage.py`` pin the copies together and fail on any drift.
     """
 
     def __init__(self, fold_sequences: FoldSequences,
@@ -478,96 +470,22 @@ class PrecomputedHistoryTage(TagePredictor):
         self._step = 0
 
     def predict(self, pc: int) -> bool:
-        key = pc >> 2
-        index_bits = self._index_bits
-        index_mask = self._index_mask
-        tag_mask = self._tag_mask
-        pc_idx = key ^ (key >> index_bits)
-        step = self._step
-
-        provider = -1
-        provider_entry = None
-        alt_entry = None
-        i = 0
-        for table, seq in zip(self._tables, self._seqs):
-            packed = seq[step]
-            entry = table[(pc_idx ^ packed) & index_mask]
-            if entry is not None and entry[_TAG] == (
-                    (key ^ (packed >> index_bits)) & tag_mask):
-                alt_entry = provider_entry
-                provider_entry = entry
-                provider = i
-            i += 1
-
-        bimodal_pred = self._bimodal[key & self._bimodal_mask] >= 2
-        if provider_entry is not None:
-            provider_pred = provider_entry[_CTR] >= 0
-            alt_pred = alt_entry[_CTR] >= 0 if alt_entry is not None \
-                else bimodal_pred
-        else:
-            provider_pred = alt_pred = bimodal_pred
-        self._pending = (pc, provider, provider_pred, alt_pred,
-                         provider_entry)
-        self.predictions += 1
-        return provider_pred
+        raise NotImplementedError(
+            "PrecomputedHistoryTage replays trace-order training only: "
+            "use predict_update (and update for a cold train)")
 
     def update(self, pc: int, taken: bool) -> None:
-        pending = self._pending
-        if pending is None or pending[0] != pc:
-            bimodal = self._bimodal
-            idx = (pc >> 2) & self._bimodal_mask
-            value = bimodal[idx]
-            bimodal[idx] = (value + 1 if value < 3 else 3) if taken \
-                else (value - 1 if value > 0 else 0)
-            self._step += 1
-            return
-        _, provider, provider_pred, alt_pred, entry = pending
-        self._pending = None
-        if provider_pred != taken:
-            self.mispredictions += 1
-
-        if entry is not None:
-            ctr = entry[_CTR]
-            entry[_CTR] = (ctr + 1 if ctr < 3 else 3) if taken \
-                else (ctr - 1 if ctr > -4 else -4)
-            if provider_pred != alt_pred:
-                useful = entry[_USEFUL]
-                if provider_pred == taken:
-                    entry[_USEFUL] = useful + 1 if useful < 3 else 3
-                elif useful > 0:
-                    entry[_USEFUL] = useful - 1
-        else:
-            bimodal = self._bimodal
-            idx = (pc >> 2) & self._bimodal_mask
-            value = bimodal[idx]
-            bimodal[idx] = (value + 1 if value < 3 else 3) if taken \
-                else (value - 1 if value > 0 else 0)
-
-        if provider_pred != taken and provider < self._n_tables - 1:
-            key = pc >> 2
-            index_bits = self._index_bits
-            pc_idx = key ^ (key >> index_bits)
-            index_mask = self._index_mask
-            tag_mask = self._tag_mask
-            step = self._step
-            seqs = self._seqs
-            tables = self._tables
-            for i in range(provider + 1, self._n_tables):
-                packed = seqs[i][step]
-                idx = (pc_idx ^ packed) & index_mask
-                table = tables[i]
-                victim = table[idx]
-                if victim is not None and victim[_USEFUL] > 0:
-                    victim[_USEFUL] -= 1
-                    continue
-                tag = (key ^ (packed >> index_bits)) & tag_mask
-                table[idx] = [tag, 0 if taken else -1, 0]
-                break
-
+        """Cold train: a conditional resolved without a prediction (the
+        baseline's BTB-miss path) trains the bimodal table and advances
+        the history like any other conditional."""
+        bimodal = self._bimodal
+        idx = (pc >> 2) & self._bimodal_mask
+        value = bimodal[idx]
+        bimodal[idx] = (value + 1 if value < 3 else 3) if taken \
+            else (value - 1 if value > 0 else 0)
         self._step += 1
 
     def predict_update(self, pc: int, taken: bool) -> bool:
-        self._pending = None
         key = pc >> 2
         bimodal = self._bimodal
         bimodal_idx = key & self._bimodal_mask

@@ -1,11 +1,15 @@
 """Unit tests for the conventional BTB and generic table machinery."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.isa import BranchKind
 from repro.uarch.btb import (
+    EMPTY_SET,
     BTBEntry,
     BTBPrefetchBuffer,
     ConventionalBTB,
@@ -66,6 +70,77 @@ class TestSetAssocTable:
         for pc in pcs:
             table.insert(pc * 4, pc)
         assert table.occupancy() <= 8
+
+
+class _EagerTable:
+    """Reference table: every set an allocated OrderedDict from the start."""
+
+    def __init__(self, entries, assoc):
+        self.n_sets = entries // assoc
+        self.assoc = assoc
+        self.sets = [OrderedDict() for _ in range(self.n_sets)]
+        self.lookups = self.hit_count = 0
+
+    def lookup(self, pc):
+        table_set = self.sets[(pc >> 2) % self.n_sets]
+        self.lookups += 1
+        entry = table_set.get(pc)
+        if entry is not None:
+            table_set.move_to_end(pc)
+            self.hit_count += 1
+        return entry
+
+    def peek(self, pc):
+        return self.sets[(pc >> 2) % self.n_sets].get(pc)
+
+    def insert(self, pc, entry):
+        table_set = self.sets[(pc >> 2) % self.n_sets]
+        if pc in table_set:
+            table_set[pc] = entry
+            table_set.move_to_end(pc)
+            return
+        if len(table_set) >= self.assoc:
+            table_set.popitem(last=False)
+        table_set[pc] = entry
+
+    def occupancy(self):
+        return sum(len(s) for s in self.sets)
+
+
+class TestSetsAllocatedOnFirstInsert:
+    """Tables whose sets are allocated on first insert behave exactly
+    like eagerly allocated ones."""
+
+    @pytest.mark.parametrize("entries,assoc", [(4, 4), (8, 2), (16, 4),
+                                               (12, 3)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_eager_reference(self, entries, assoc, seed):
+        rng = random.Random(seed)
+        table = SetAssocTable(entries=entries, assoc=assoc)
+        reference = _EagerTable(entries, assoc)
+        for step in range(400):
+            op = rng.choice(("lookup", "insert", "peek", "occupancy"))
+            pc = rng.randrange(3 * entries) * 4
+            if op == "insert":
+                table.insert(pc, step)
+                reference.insert(pc, step)
+            elif op == "occupancy":
+                assert table.occupancy() == reference.occupancy()
+            else:
+                assert getattr(table, op)(pc) == getattr(reference, op)(pc)
+        assert (table.lookups, table.hit_count) \
+            == (reference.lookups, reference.hit_count)
+        assert [list(s.items()) for s in table._sets] \
+            == [list(s.items()) for s in reference.sets]
+
+    def test_new_table_shares_one_empty_set(self):
+        table = SetAssocTable(entries=16384, assoc=4)
+        assert all(s is EMPTY_SET for s in table._sets)
+        table.insert(0x1000, "x")
+        assert sum(s is EMPTY_SET for s in table._sets) == 4095
+        assert len(EMPTY_SET) == 0
+        with pytest.raises(TypeError):
+            EMPTY_SET[0x2000] = "y"  # read-only: a missed check fails loudly
 
 
 class TestConventionalBTB:

@@ -1,5 +1,7 @@
 """Unit tests for caches and the prefetch buffer."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +82,121 @@ class TestSetAssocCache:
                 if len(reference) == 4:
                     reference.pop(0)
                 reference.append(line)
+
+
+class _EagerCache:
+    """Reference LRU cache: every set an allocated dict from the start."""
+
+    def __init__(self, n_sets, assoc):
+        self.sets = [{} for _ in range(n_sets)]
+        self.assoc = assoc
+        self.mask = n_sets - 1
+        self.hits = self.misses = 0
+
+    def lookup(self, line):
+        cache_set = self.sets[line & self.mask]
+        if line in cache_set:
+            del cache_set[line]
+            cache_set[line] = None
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def insert(self, line):
+        cache_set = self.sets[line & self.mask]
+        if line in cache_set:
+            del cache_set[line]
+            cache_set[line] = None
+            return None
+        victim = None
+        if len(cache_set) >= self.assoc:
+            victim = next(iter(cache_set))
+            del cache_set[victim]
+        cache_set[line] = None
+        return victim
+
+    def probe_insert(self, line):
+        hit = line in self.sets[line & self.mask]
+        self.insert(line)
+        return hit
+
+    def invalidate(self, line):
+        return self.sets[line & self.mask].pop(line, 0) is None
+
+    def contains(self, line):
+        return line in self.sets[line & self.mask]
+
+    def occupancy(self):
+        return sum(len(s) for s in self.sets)
+
+    def state(self):
+        return [list(s) for s in self.sets]
+
+
+_OPS = ("lookup", "insert", "probe_insert", "invalidate", "contains",
+        "occupancy")
+
+
+def _replay(cache, reference, rng, n_ops, max_line):
+    for _ in range(n_ops):
+        op = rng.choice(_OPS)
+        if op == "occupancy":
+            assert cache.occupancy() == reference.occupancy()
+            continue
+        line = rng.randrange(max_line)
+        assert getattr(cache, op)(line) == getattr(reference, op)(line), op
+    assert (cache.hits, cache.misses) == (reference.hits, reference.misses)
+    assert [list(s) for s in cache.snapshot()] == reference.state()
+
+
+class TestSetsAllocatedOnFirstInsert:
+    """Sets allocated on first write, and caches restored from a shared
+    snapshot, behave exactly like eagerly allocated dict sets."""
+
+    @pytest.mark.parametrize("capacity,assoc", [
+        (64, 1), (4 * 64, 2), (8 * 64, 4), (16 * 64, 2)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_eager_reference(self, capacity, assoc, seed):
+        cache = SetAssocCache(capacity, assoc, 64)
+        reference = _EagerCache(cache.n_sets, assoc)
+        # Few more distinct lines than ways: evictions in every set.
+        _replay(cache, reference, random.Random(seed), 400,
+                3 * cache.n_sets * assoc)
+
+    def test_new_cache_shares_one_empty_set(self):
+        cache = SetAssocCache(8 * 1024 * 1024, 16, 64)
+        assert cache.n_sets == 8192
+        empty = cache._sets[0]
+        assert empty == () and all(s is empty for s in cache._sets)
+        cache.insert(5)
+        assert type(cache._sets[5]) is dict
+        assert sum(s is empty for s in cache._sets) == 8191
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_restored_cache_matches_reference(self, seed):
+        rng = random.Random(seed)
+        warm = SetAssocCache(8 * 64, 4, 64)
+        reference = _EagerCache(warm.n_sets, 4)
+        for _ in range(40):
+            line = rng.randrange(48)
+            warm.insert(line)
+            reference.insert(line)
+        state = warm.snapshot()
+        frozen = [list(s) for s in state]
+        assert all(type(s) is tuple for s in state)
+        for _ in range(3):  # several caches share one snapshot
+            cache = SetAssocCache(8 * 64, 4, 64)
+            cache.restore(state)
+            twin = _EagerCache(cache.n_sets, 4)
+            twin.sets = [dict.fromkeys(s) for s in frozen]
+            _replay(cache, twin, rng, 300, 48)
+        assert [list(s) for s in state] == frozen
+
+    def test_restore_rejects_other_geometry(self):
+        state = SetAssocCache(8 * 64, 4, 64).snapshot()
+        with pytest.raises(ConfigError):
+            SetAssocCache(16 * 64, 4, 64).restore(state)
 
 
 class TestPrefetchBuffer:

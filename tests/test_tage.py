@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.isa import BranchKind
-from repro.uarch.tage import BimodalPredictor, PrecomputedHistoryTage, \
-    TagePredictor, _FoldedHistory, precompute_fold_sequences
+from repro.uarch.tage import BimodalPredictor, FoldSequences, \
+    PrecomputedHistoryTage, TagePredictor, _FoldedHistory, \
+    precompute_fold_sequences
 
 
 def _run(predictor, outcomes, pc=0x4000):
@@ -152,18 +153,32 @@ class TestFusedAndPrecomputed:
             assert replay.predict_update(pc, taken) == expected
         assert replay.mispredictions == dynamic.mispredictions
 
-    def test_precomputed_split_protocol_matches_dynamic(self):
+    def test_precomputed_rejects_split_protocol(self):
+        pcs, kinds, takens = self._stream()
+        replay = PrecomputedHistoryTage(
+            precompute_fold_sequences(kinds, takens, self.COND))
+        with pytest.raises(NotImplementedError):
+            replay.predict(pcs[0])
+
+    def test_cold_update_matches_dynamic(self):
+        """A cold train (update without predict) advances the replay's
+        history exactly like the dynamic predictor's."""
         pcs, kinds, takens = self._stream(seed=11)
         seqs = precompute_fold_sequences(kinds, takens, self.COND)
         dynamic = TagePredictor()
         replay = PrecomputedHistoryTage(seqs)
+        step = 0
         for pc, kind, taken in zip(pcs, kinds, takens):
             if kind != self.COND:
                 continue
-            expected = dynamic.predict(pc)
-            dynamic.update(pc, taken)
-            assert replay.predict(pc) == expected
-            replay.update(pc, taken)
+            step += 1
+            if step % 5 == 0:
+                dynamic.update(pc, taken)
+                replay.update(pc, taken)
+                continue
+            assert replay.predict_update(pc, taken) \
+                == dynamic.predict_update(pc, taken)
+        assert replay.mispredictions == dynamic.mispredictions
 
     def test_rejects_mismatched_sequences(self):
         pcs, kinds, takens = self._stream()
@@ -174,6 +189,115 @@ class TestFusedAndPrecomputed:
             PrecomputedHistoryTage(seqs, tagged_entries=2048)
         with pytest.raises(ConfigError):
             PrecomputedHistoryTage(seqs._replace(seqs=seqs.seqs[:2]))
+
+
+def _reference_fold_sequences(kinds, takens, cond_kind,
+                              histories=TagePredictor.DEFAULT_HISTORIES,
+                              index_bits=10, tag_bits=9) -> FoldSequences:
+    """The scalar fold recurrence, step by step (the reference).
+
+    Replays :meth:`TagePredictor._push_history`'s circular-shift folds
+    over the conditional outcomes and packs each table's index fold and
+    combined tag fold before every training step.
+    """
+    n_tables = len(histories)
+    index_mask = (1 << index_bits) - 1
+    tag_a_mask = (1 << tag_bits) - 1
+    tag_b_mask = (1 << (tag_bits - 1)) - 1
+    max_history = histories[-1]
+    geom = [(h, h % index_bits, h % tag_bits, h % (tag_bits - 1))
+            for h in histories]
+    folds = [[0, 0, 0] for _ in range(n_tables)]
+    seqs = [[0] for _ in range(n_tables)]
+    history = [0] * max_history
+    pos = 0
+    for kind, taken in zip(kinds, takens):
+        if kind != cond_kind:
+            continue
+        new_bit = 1 if taken else 0
+        for t in range(n_tables):
+            hist, idx_out, a_out, b_out = geom[t]
+            fold = folds[t]
+            dropped = history[(pos - hist) % max_history]
+            value = fold[0]
+            fold[0] = f0 = (((value << 1) | new_bit) & index_mask) \
+                ^ ((value >> (index_bits - 1)) & 1) \
+                ^ ((dropped << idx_out) & index_mask)
+            value = fold[1]
+            fold[1] = f1 = (((value << 1) | new_bit) & tag_a_mask) \
+                ^ ((value >> (tag_bits - 1)) & 1) \
+                ^ ((dropped << a_out) & tag_a_mask)
+            value = fold[2]
+            fold[2] = f2 = (((value << 1) | new_bit) & tag_b_mask) \
+                ^ ((value >> (tag_bits - 2)) & 1) \
+                ^ ((dropped << b_out) & tag_b_mask)
+            seqs[t].append(f0 | ((f1 ^ (f2 << 1)) << index_bits))
+        history[pos] = new_bit
+        pos = (pos + 1) % max_history
+    return FoldSequences(seqs=seqs, histories=tuple(histories),
+                         index_bits=index_bits, tag_bits=tag_bits)
+
+
+class TestFoldSequences:
+    """The numpy fold pass equals the scalar recurrence, value for value."""
+
+    COND = int(BranchKind.COND)
+    JUMP = int(BranchKind.JUMP)
+
+    def _check(self, kinds, takens, **geometry):
+        expected = _reference_fold_sequences(kinds, takens, self.COND,
+                                             **geometry)
+        got = precompute_fold_sequences(kinds, takens, self.COND,
+                                        **geometry)
+        assert got == expected
+        assert all(type(value) is int for seq in got.seqs for value in seq)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 700),
+           cond_share=st.sampled_from([0.0, 0.1, 0.8, 1.0]),
+           taken_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_streams(self, seed, n, cond_share, taken_share):
+        rng = np.random.default_rng(seed)
+        kinds = [self.COND if r < cond_share else self.JUMP
+                 for r in rng.random(n)]
+        takens = [bool(r < taken_share) for r in rng.random(n)]
+        self._check(kinds, takens)
+
+    def test_no_conditionals(self):
+        got = precompute_fold_sequences([self.JUMP] * 50, [True] * 50,
+                                        self.COND)
+        assert got.seqs == [[0]] * 4
+        self._check([self.JUMP] * 50, [True] * 50)
+
+    def test_fewer_conditionals_than_longest_history(self):
+        kinds = [self.COND] * 100  # 100 < 128
+        takens = [i % 3 != 0 for i in range(100)]
+        self._check(kinds, takens)
+
+    def test_all_taken(self):
+        self._check([self.COND] * 600, [True] * 600)
+
+    @pytest.mark.parametrize("geometry", [
+        dict(histories=(4, 9, 17), index_bits=8, tag_bits=7),
+        dict(histories=(5, 12, 40, 90, 200), index_bits=11, tag_bits=12),
+        dict(histories=(3,), index_bits=6, tag_bits=5),
+    ])
+    def test_non_default_geometry(self, geometry):
+        rng = np.random.default_rng(3)
+        n = 900
+        kinds = [self.COND if r < 0.7 else self.JUMP for r in rng.random(n)]
+        takens = [bool(r < 0.6) for r in rng.random(n)]
+        self._check(kinds, takens, **geometry)
+
+    def test_accepts_numpy_columns(self):
+        rng = np.random.default_rng(4)
+        kinds = np.where(rng.random(500) < 0.8, self.COND,
+                         self.JUMP).astype(np.int8)
+        takens = rng.random(500) < 0.5
+        expected = _reference_fold_sequences(kinds.tolist(),
+                                             takens.tolist(), self.COND)
+        assert precompute_fold_sequences(kinds, takens, self.COND) \
+            == expected
 
 
 class TestBimodal:
