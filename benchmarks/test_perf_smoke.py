@@ -12,7 +12,9 @@ Three measurements, each asserted and recorded into a machine-readable
 * **disk cache** — a cold simulation vs a cross-process-style hit
   (in-process memo cleared, persistent cache warm).
 * **construction** — ``generate_program`` and ``Program.image`` seconds
-  and ns/block for each Table 2 workload, and the six programs' build
+  and ns/block for each Table 2 workload, each under the collector
+  pause the memo uses, with its full collections and frozen-object
+  count, and the six programs' build
   seconds through the planned build stage beside their serial sum
   (report-only: no wall-clock gate, since host speed drifts by about
   ±25%).
@@ -31,6 +33,7 @@ simulated on it, so it is experiment setup, not per-run cost.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import time
 from dataclasses import asdict
@@ -38,6 +41,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import heap
 from repro.cfg.generator import generate_program
 from repro.config import MicroarchParams, SchemeConfig
 from repro.core import diskcache
@@ -420,8 +424,11 @@ def test_disk_cache_skips_simulation(isolated_disk_cache):
 def test_construction_cost_recorded():
     """Program generation and image build per Table 2 workload.
 
-    Each program is generated afresh (not from the per-process memo),
-    then its image is built; both are timed and recorded per block.
+    Each program is generated afresh (not from the per-process memo)
+    under the collector pause the memo uses (``repro.heap.building``),
+    then its image is built (under its own pause); both are timed,
+    including the closing collect-and-freeze, and recorded per block
+    with the full collections they ran and the objects they froze.
     Then the six programs are built again from a cold memo by the
     planned build stage (``build_programs`` under the default policy:
     every usable CPU) and the stage's seconds are recorded beside the
@@ -430,9 +437,13 @@ def test_construction_cost_recorded():
     host.
     """
     workloads = {}
+    heap.settle()  # count only each workload's own objects as frozen
     for workload in WORKLOAD_NAMES:
+        full_collections = gc.get_stats()[2]["collections"]
+        frozen = gc.get_freeze_count()
         start = time.perf_counter()
-        generated = generate_program(get_profile(workload).gen_params)
+        with heap.building():
+            generated = generate_program(get_profile(workload).gen_params)
         program_seconds = time.perf_counter() - start
         program = generated.program
         start = time.perf_counter()
@@ -448,7 +459,11 @@ def test_construction_cost_recorded():
             "program_ns_per_block": round(program_seconds / blocks * 1e9),
             "image_seconds": round(image_seconds, 4),
             "image_ns_per_block": round(image_seconds / blocks * 1e9),
+            "gen2_collections":
+                gc.get_stats()[2]["collections"] - full_collections,
+            "frozen_objects": gc.get_freeze_count() - frozen,
         }
+        del generated, program, image  # frozen, yet freed by refcount
     clear_caches()
     start = time.perf_counter()
     build_programs(WORKLOAD_NAMES)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
+from repro import heap
 from repro.errors import ProgramError
 from repro.isa import (
     BLOCK_SHIFT,
@@ -250,7 +251,9 @@ class Program:
         and the BTB then mispredicts), and a return has no static target
         (the RAS supplies it).  The build is timed as a ``build_image``
         span (a run-manifest phase beside ``build_program``/
-        ``build_trace``).
+        ``build_trace``) and runs under a collector pause
+        (:func:`repro.heap.building`), so the image is frozen once
+        built.
         """
         if self._image is None:
             # repro: allow[RPR002] -- observability span; only times it
@@ -259,7 +262,8 @@ class Program:
             functions = self.functions
             COND, JUMP = BranchKind.COND, BranchKind.JUMP
             CALL, TRAP = BranchKind.CALL, BranchKind.TRAP
-            with tracing.span("build_image", functions=self.nfunctions):
+            with tracing.span("build_image", functions=self.nfunctions), \
+                    heap.building():
                 for function in functions:
                     addrs = function.block_addrs
                     for block, pc in zip(function.blocks, addrs):

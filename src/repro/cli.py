@@ -320,7 +320,7 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     """
     from repro.core import sweep
     from repro.core.exec import current_policy
-    from repro.obs import export, metrics, profile, tracing
+    from repro.obs import export, gcstats, metrics, profile, tracing
     tracing.drain()  # drop spans left over from earlier in-process work
     before = metrics.snapshot()
     # repro: allow[RPR003] -- observability timing on stderr/manifest only
@@ -332,6 +332,7 @@ def _cell_accounting(label: str, command: Optional[str] = None,
         yield
     # repro: allow[RPR003] -- observability timing on stderr/manifest only
     elapsed = time.perf_counter() - started
+    gcstats.note_frozen()
     delta = metrics.delta(before, metrics.snapshot())
     if emit_line:
         print(export.render_accounting(label, delta), file=sys.stderr)

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, \
     Tuple, Type
 
+from repro import heap
 from repro.core.exec import faults
 from repro.core.exec.chunking import WorkUnit
 from repro.core.exec.supervisor import DEFAULT_BACKOFF_BASE, \
@@ -662,6 +663,9 @@ class ProcessBackend(Backend):
 
     def _make_pool(self, workers: int):
         from repro.workloads.profiles import iter_profiles
+        # Forked workers inherit this heap: collected and frozen first,
+        # they never rescan it, nor copy its pages on write by doing so.
+        heap.settle()
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_process_worker_init,

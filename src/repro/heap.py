@@ -1,0 +1,83 @@
+"""Keep the cyclic garbage collector off long-lived built state.
+
+A workload's program and its binary image are built once, kept for the
+whole run and never form reference cycles: hundreds of thousands of
+blocks, functions and static branches that CPython's cyclic collector
+would otherwise rescan at every full collection, in the parent and in
+every pool worker that inherits them (DESIGN.md Section 7).
+
+:func:`building` pauses automatic collection while such state is built.
+When the outermost pause ends it runs one full collection and then
+:func:`gc.freeze`, which moves every surviving object into the
+permanent generation the collector never scans.  Collecting first means
+no garbage cycle is ever frozen; frozen objects are still freed by
+reference counting, so a program evicted from a memo dies as before.
+:func:`settle` is the same collect-then-freeze on its own, for a
+process about to fork workers that should never rescan (or copy on
+write) the heap they inherit.  A process forked inside a pause inherits
+it: it never collects at all.
+
+If the caller has turned automatic collection off, neither changes
+anything.  Nothing here changes what is built, only when the collector
+looks at it.  This module imports nothing from ``repro``, so any layer
+may use it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import gc
+import threading
+from typing import Iterator
+
+#: Guards the pause depth and what the outermost pause restores.
+#: Reentrant, so a build started by a finalizer during the closing
+#: collection nests instead of deadlocking.
+_LOCK = threading.RLock()
+
+#: Pauses open in this process, across threads.
+_depth = 0
+
+#: Whether the outermost open pause turned automatic collection off
+#: (and so must collect, freeze and turn it back on when it ends).
+_resume = False
+
+
+@contextlib.contextmanager
+def building() -> Iterator[None]:
+    """Pause automatic collection while long-lived state is built.
+
+    Re-entrant and thread-safe: nested or concurrent pauses share one,
+    and the last to end collects, freezes and resumes collection.
+    """
+    global _depth, _resume
+    with _LOCK:
+        if _depth == 0:
+            _resume = gc.isenabled()
+            gc.disable()
+        _depth += 1
+    try:
+        yield
+    finally:
+        with _LOCK:
+            if _depth == 1 and _resume:
+                gc.collect()
+                gc.freeze()
+                gc.enable()
+            _depth -= 1
+
+
+def settle() -> None:
+    """Collect, then freeze everything still alive.
+
+    Does nothing when the caller has turned automatic collection off,
+    nor inside a pause: the pause settles when it ends, and a process
+    forked inside it inherits the pause and never collects.
+    """
+    with _LOCK:
+        if _depth == 0 and gc.isenabled():
+            gc.collect()
+            gc.freeze()
+
+
+__all__ = ["building", "settle"]

@@ -302,6 +302,9 @@ class RunReport:
                 f"{name} {seconds:.2f}s"
                 for name, seconds in sorted(self.phases.items()))
             lines.append(f"  phases:   {breakdown}")
+        gc_line = _gc_line(self.metrics)
+        if gc_line:
+            lines.append(gc_line)
         for title, table in (("scheme", self.cells.get("by_scheme", {})),
                              ("workload", self.cells.get("by_workload", {}))):
             for key, bucket in table.items():
@@ -316,6 +319,25 @@ class RunReport:
         if self.journal:
             lines.append(f"  journal:  {self.journal}")
         return "\n".join(lines)
+
+
+def _gc_line(delta: Dict[str, Dict]) -> Optional[str]:
+    """The ``gc:`` line of a manifest: collections per generation and
+    pause seconds, summed over the parent and its pool workers, and the
+    parent's frozen-object count (:mod:`repro.obs.gcstats`).  None when
+    the run recorded no collection."""
+    counters = delta.get("counters", {})
+    collections = [counters.get(f"gc.collections.gen{gen}", 0)
+                   for gen in range(3)]
+    if not any(collections):
+        return None
+    line = (f"  gc:       gen0 {collections[0]}, gen1 {collections[1]}, "
+            f"gen2 {collections[2]} collections, "
+            f"{counters.get('gc.pause_s', 0.0):.2f}s paused")
+    frozen = delta.get("gauges", {}).get("gc.frozen")
+    if frozen is not None:
+        line += f", {frozen} objects frozen"
+    return line
 
 
 def build_report(run_id: str, label: str, command: str,
@@ -449,27 +471,29 @@ def load_manifest(path: str) -> Dict[str, Any]:
     (one stream can carry several invocations).
     """
     with open(path, "r", encoding="utf-8") as handle:
-        first = handle.read(1)
-        handle.seek(0)
-        if first == "{":
-            payload = json.load(handle)
-            if isinstance(payload, dict) and payload.get("kind") == "manifest":
-                return payload
-            raise ValueError(f"{path} is not a run manifest")
-        manifest = None
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and record.get("kind") == "manifest":
-                manifest = record
-        if manifest is None:
-            raise ValueError(f"{path} contains no manifest record")
-        return manifest
+        text = handle.read()
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        payload = None  # not one JSON document: a JSONL stream
+    if payload is not None:
+        if isinstance(payload, dict) and payload.get("kind") == "manifest":
+            return payload
+        raise ValueError(f"{path} is not a run manifest")
+    manifest = None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict) and record.get("kind") == "manifest":
+            manifest = record
+    if manifest is None:
+        raise ValueError(f"{path} contains no manifest record")
+    return manifest
 
 
 def list_manifests(directory: Optional[str] = None) -> List[str]:

@@ -16,6 +16,9 @@ switch (the CLI's ``--telemetry``, inherited by pool workers) or a
 scoped :func:`enable` (tests).  Results are bit-identical either way;
 tracing only ever *reads* the engine.
 
+The first span a telemetry-enabled process opens also installs the
+collector accounting hook (:mod:`repro.obs.gcstats`).
+
 Cross-process merge: a :class:`~repro.core.exec.backends.ProcessBackend`
 worker buffers its spans in its own interpreter; the shared worker
 entry point (``_run_unit``) drains that buffer and ships the records
@@ -32,6 +35,8 @@ import os
 import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from repro.obs import gcstats
 
 #: Environment switch: any non-empty value enables collection (the CLI
 #: sets it to the JSONL event-stream path).
@@ -114,6 +119,7 @@ def span(name: str, anchor: bool = False,
     if not enabled():
         yield None
         return
+    gcstats.watch(enabled)
     frames = _frames()
     parent = frames[-1] if frames else current_anchor()
     span_id = f"{os.getpid()}-{next(_SEQ)}"

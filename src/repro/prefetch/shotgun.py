@@ -269,18 +269,26 @@ class ShotgunScheme(Scheme):
             self.recorder.open(target >> BLOCK_SHIFT,
                                self._ret_footprint_store(call_pc))
 
+    # The stores close over the U-BTB, not ``self``: the recorder keeps
+    # the latest one, and a closure over the scheme would make a cycle
+    # that only the cyclic collector could free.
+
     def _call_footprint_store(self, pc: int):
+        ubtb = self.ubtb
+
         def store(mask: int) -> None:
-            entry = self.ubtb.peek(pc)
+            entry = ubtb.peek(pc)
             if entry is not None:
                 entry.call_footprint = mask
         return store
 
     def _ret_footprint_store(self, call_pc: int):
+        ubtb = self.ubtb
+
         def store(mask: int) -> None:
             if call_pc == 0:
                 return
-            entry = self.ubtb.peek(call_pc)
+            entry = ubtb.peek(call_pc)
             if entry is not None:
                 entry.ret_footprint = mask
         return store

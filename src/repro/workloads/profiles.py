@@ -46,6 +46,7 @@ import sys
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro import heap
 from repro.cfg.generator import GeneratedProgram, GeneratorParams, \
     generate_program
 from repro.errors import ConfigError
@@ -165,7 +166,10 @@ def get_profile(name: str) -> WorkloadProfile:
 # functions of (profile, length, seed), so experiments share one copy.
 # A memo miss is timed as a ``build_program`` / ``build_trace`` span
 # (run-manifest phases of the same names); the generators are called
-# through this module's attributes, inside those spans.
+# through this module's attributes, inside those spans.  A program is
+# built under a collector pause (:func:`repro.heap.building`), so it is
+# frozen once built and never rescanned; traces are not, since sampled
+# runs interleave their builds with cells.
 # ---------------------------------------------------------------------------
 
 def build_program(name: str) -> GeneratedProgram:
@@ -173,7 +177,8 @@ def build_program(name: str) -> GeneratedProgram:
     key = name.lower()
     if key not in _PROGRAM_CACHE:
         gen_params = get_profile(key).gen_params
-        with _obs_tracing.span("build_program", workload=key):
+        with _obs_tracing.span("build_program", workload=key), \
+                heap.building():
             _PROGRAM_CACHE[key] = generate_program(gen_params)
     return _PROGRAM_CACHE[key]
 
@@ -251,7 +256,10 @@ def build_programs(names: Iterable[str]) -> None:
     worker and the pool can be created.  It then forks k - 1 builders,
     builds its own share (:func:`plan_builds`) while they run, and
     stores every program they ship home; their spans and metrics join
-    this process's under a ``build_programs`` span.
+    this process's under a ``build_programs`` span.  The whole stage is
+    one collector pause (:func:`repro.heap.building`): the builders fork
+    into it, so they never collect, and the programs they ship home
+    unpickle under it.
 
     It only warms the memo and never raises for a build: whatever it
     leaves missing — every program when it does not run, a failed
@@ -269,7 +277,7 @@ def build_programs(names: Iterable[str]) -> None:
         return
     plan = plan_builds(missing, backend.max_workers)
     with _obs_tracing.span("build_programs", programs=len(missing),
-                           workers=len(plan)) as record:
+                           workers=len(plan)) as record, heap.building():
         try:
             pool = backend._make_pool(len(plan) - 1)
         except Exception:

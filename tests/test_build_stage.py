@@ -188,6 +188,24 @@ class TestStage:
         assert len(stage) == 1
         assert all(s["parent_id"] == stage[0]["span_id"] for s in builds)
 
+    def test_table_leaves_every_program_frozen(self, cold_programs):
+        """Programs built here and programs shipped home by the builders
+        all end up out of the collectable generations, and still equal
+        the pinned serial build."""
+        with scoped_policy(TWO_WORKERS):
+            run_table_spec(table1.SPEC, n_blocks=1000)
+        assert sorted(profiles._PROGRAM_CACHE) == sorted(WORKLOAD_NAMES)
+        collectable = {id(obj) for obj in gc.get_objects()}
+        for name, generated in profiles._PROGRAM_CACHE.items():
+            program = generated.program
+            built = [generated, program, program.functions,
+                     *program.functions,
+                     *(block for function in program.functions
+                       for block in function.blocks)]
+            assert not [obj for obj in built if id(obj) in collectable], \
+                name
+        _assert_golden(WORKLOAD_NAMES)
+
 
 class TestShippedPrograms:
     def test_round_trip_keeps_digest_sharing_and_footprint(self):

@@ -190,6 +190,24 @@ class TestStatsCommand:
         assert main(["stats", run_id[:6]]) == 0
         assert run_id in capsys.readouterr().out
 
+    def test_telemetry_stream_renders_with_a_gc_line(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """A multi-line telemetry stream resolves to its manifest, and
+        a telemetry run's summary says what the collector cost."""
+        _fresh(tmp_path, monkeypatch)
+        stream = tmp_path / "tel.jsonl"
+        assert main(_sweep_args(["--telemetry", str(stream)])) == 0
+        assert len(stream.read_text().splitlines()) > 1
+        capsys.readouterr()
+        assert main(["stats", str(stream)]) == 0
+        out = capsys.readouterr().out
+        assert "2 total = 2 simulated + 0 cached + 0 quarantined" in out
+        gc_line = [line for line in out.splitlines()
+                   if line.strip().startswith("gc:")]
+        assert len(gc_line) == 1
+        assert "collections" in gc_line[0] and "paused" in gc_line[0]
+        assert "objects frozen" in gc_line[0]
+
     def test_no_manifest_fails_cleanly(self, tmp_path, monkeypatch,
                                        capsys):
         _fresh(tmp_path, monkeypatch)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 
-from repro.obs import metrics
+from repro.obs import gcstats, metrics, tracing
 
 
 class TestInstruments:
@@ -147,3 +148,50 @@ class TestCounterResets:
         sweep.reset_simulation_counter()
         assert metrics.counter("sweep.simulations").value == 0
         assert metrics.counter("sweep.quarantines").value == 0
+
+
+class TestGcAccounting:
+    """The collector hook (repro.obs.gcstats) counts while telemetry is
+    on, and its counters ship home from workers like any other."""
+
+    @staticmethod
+    def _install():
+        with tracing.enable(), tracing.span("gc-probe"):
+            pass
+        tracing.reset()
+
+    def test_counts_collections_and_pause_while_on(self):
+        self._install()
+        with tracing.enable():
+            before = metrics.snapshot()
+            gc.collect()
+            delta = metrics.delta(before, metrics.snapshot())
+        counters = delta["counters"]
+        assert counters["gc.collections.gen2"] >= 1
+        assert counters["gc.pause_s"] > 0
+        assert delta["gauges"]["gc.frozen"] == gc.get_freeze_count()
+
+    def test_counts_nothing_while_off(self, monkeypatch):
+        self._install()
+        monkeypatch.delenv(tracing.TELEMETRY_ENV, raising=False)
+        before = metrics.snapshot()
+        gc.collect()
+        delta = metrics.delta(before, metrics.snapshot())
+        assert delta["counters"].get("gc.collections.gen2", 0) == 0
+        assert delta["counters"].get("gc.pause_s", 0) == 0
+
+    def test_hook_is_installed_once(self):
+        self._install()
+        self._install()
+        assert sum(callback is gcstats._watch
+                   for callback in gc.callbacks) == 1
+
+    def test_worker_shipment_carries_gc_counters(self):
+        from repro.core.exec.backends import worker_shipment
+        self._install()
+        with tracing.enable():
+            before = metrics.snapshot()
+            gc.collect()
+            _, shipped = worker_shipment(before)
+        assert shipped["counters"]["gc.collections.gen2"] >= 1
+        assert shipped["counters"]["gc.pause_s"] > 0

@@ -4,12 +4,14 @@ Every cell of a program starts from one warm LLC snapshot kept on the
 program, and every cell of a trace replays one set of TAGE fold
 sequences kept on the trace.  Running each scheme twice on one trace,
 interleaved, must give equal statistics both times, and must leave the
-shared state exactly as a fresh build makes it.
+shared state exactly as a fresh build makes it.  And a cell, once
+dropped, must leave nothing for the cyclic collector to free.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -75,3 +77,34 @@ def test_no_program_means_cold_llc():
     trace = Trace(built.pc, built.ninstr, built.kind, built.taken,
                   built.target)
     assert _warm_llc_state(trace, MicroarchParams()) is None
+
+
+@pytest.mark.parametrize("engine", ["interpreter", "columnar"])
+def test_cells_leave_no_cyclic_garbage(engine, monkeypatch):
+    """A simulated cell is freed by reference counting alone.
+
+    Every scheme, on both engines: once the cell's scheme and result
+    are dropped, a full collection finds nothing to free.  A cycle here
+    (Shotgun's footprint stores once closed over the scheme) keeps a
+    cell's BTBs and buffers alive until the collector runs.
+    """
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    params = MicroarchParams()
+    trace = build_trace("nutch", 1000, seed=44)
+    _warm_llc_state(trace, params)
+    _fold_sequences(trace)
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name in sorted(SCHEME_FACTORIES):
+            scheme = build_scheme(name, params, trace.generated)
+            result = engine_select.simulate(trace, scheme, params=params)
+            del scheme, result
+            gc.collect()
+            assert gc.garbage == [], (
+                f"{name} on {engine} left {len(gc.garbage)} objects "
+                "in reference cycles")
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
