@@ -12,12 +12,14 @@ Three measurements, each asserted and recorded into a machine-readable
 * **disk cache** — a cold simulation vs a cross-process-style hit
   (in-process memo cleared, persistent cache warm).
 * **construction** — ``generate_program`` and ``Program.image`` seconds
-  and ns/block for each Table 2 workload, each under the collector
-  pause the memo uses, with its full collections and frozen-object
-  count, and the six programs' build
-  seconds through the planned build stage beside their serial sum
-  (report-only: no wall-clock gate, since host speed drifts by about
-  ±25%).
+  and ns/block for each Table 2 workload, the program under the
+  collector pause the memo uses, with its full collections and
+  frozen-object count; the pickled bytes and unpickle milliseconds of
+  each program (what the build stage ships); the executor's
+  milliseconds for one sampled window with its warm-up; and the six
+  programs' build seconds through the planned build stage beside their
+  serial sum (report-only: no wall-clock gate, since host speed drifts
+  by about ±25%).
 * **cell setup** — what one 1,000-block sampled window pays before
   simulating: ``build_scheme`` and ``FrontEnd`` construction per
   scheme, the per-program warm-LLC build, and the TAGE fold
@@ -35,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import pickle
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -54,6 +57,7 @@ from repro.obs.metrics import counter
 from repro.prefetch.factory import build_scheme
 from repro.workloads.profiles import WORKLOAD_NAMES, build_program, \
     build_programs, build_trace, clear_caches, get_profile
+from repro.workloads.tracegen import generate_trace
 
 _ROOT = Path(__file__).resolve().parent.parent
 _BENCH_PATH = _ROOT / "BENCH_engine.json"
@@ -422,36 +426,53 @@ def test_disk_cache_skips_simulation(isolated_disk_cache):
 
 
 def test_construction_cost_recorded():
-    """Program generation and image build per Table 2 workload.
+    """Program generation, image, shipping and tracing per workload.
 
     Each program is generated afresh (not from the per-process memo)
     under the collector pause the memo uses (``repro.heap.building``),
-    then its image is built (under its own pause); both are timed,
-    including the closing collect-and-freeze, and recorded per block
-    with the full collections they ran and the objects they froze.
-    Then the six programs are built again from a cold memo by the
-    planned build stage (``build_programs`` under the default policy:
-    every usable CPU) and the stage's seconds are recorded beside the
-    serial sum.  Report-only: the numbers track the construction layer
-    across changes, and a wall-clock gate would flake on a drifting
-    host.
+    then its image is built; both are timed, the first including its
+    closing collect-and-freeze, and recorded per block with the full
+    collections they ran and the objects they froze.  What the build
+    stage ships is recorded too: the pickled program's bytes and the
+    milliseconds to unpickle it (under the stage's pause), and what a
+    sampled window costs the executor: one 1,000-block window after the
+    profile's 8,000-block warm-up.  Then the six programs are built
+    again from a cold memo by the planned build stage
+    (``build_programs`` under the default policy: every usable CPU) and
+    the stage's seconds are recorded beside the serial sum.
+    Report-only: the numbers track the construction layer across
+    changes, and a wall-clock gate would flake on a drifting host.
     """
     workloads = {}
     heap.settle()  # count only each workload's own objects as frozen
     for workload in WORKLOAD_NAMES:
+        profile = get_profile(workload)
         full_collections = gc.get_stats()[2]["collections"]
         frozen = gc.get_freeze_count()
         start = time.perf_counter()
         with heap.building():
-            generated = generate_program(get_profile(workload).gen_params)
+            generated = generate_program(profile.gen_params)
         program_seconds = time.perf_counter() - start
         program = generated.program
         start = time.perf_counter()
         image = program.image
         image_seconds = time.perf_counter() - start
+        collections = gc.get_stats()[2]["collections"] - full_collections
+        frozen = gc.get_freeze_count() - frozen
+
+        blob = pickle.dumps(generated)
+        start = time.perf_counter()
+        with heap.building():
+            pickle.loads(blob)
+        unpickle_seconds = time.perf_counter() - start
+        generate_trace(generated, SETUP_BLOCKS, seed=1,
+                       warmup_blocks=profile.warmup_blocks)  # list columns
+        window_ms = _median_ms(lambda: generate_trace(
+            generated, SETUP_BLOCKS, seed=2,
+            warmup_blocks=profile.warmup_blocks), 5)
 
         blocks = program.total_blocks
-        assert sum(len(line) for line in image.values()) == blocks
+        assert image.bounds[-1] == blocks
         workloads[workload] = {
             "functions": program.nfunctions,
             "blocks": blocks,
@@ -459,9 +480,11 @@ def test_construction_cost_recorded():
             "program_ns_per_block": round(program_seconds / blocks * 1e9),
             "image_seconds": round(image_seconds, 4),
             "image_ns_per_block": round(image_seconds / blocks * 1e9),
-            "gen2_collections":
-                gc.get_stats()[2]["collections"] - full_collections,
-            "frozen_objects": gc.get_freeze_count() - frozen,
+            "gen2_collections": collections,
+            "frozen_objects": frozen,
+            "pickled_bytes": len(blob),
+            "unpickle_ms": round(unpickle_seconds * 1e3, 3),
+            "tracegen_window_ms": window_ms,
         }
         del generated, program, image  # frozen, yet freed by refcount
     clear_caches()
@@ -477,6 +500,11 @@ def test_construction_cost_recorded():
         "staged_program_seconds": round(staged_seconds, 4),
         "image_seconds": round(sum(
             entry["image_seconds"] for entry in workloads.values()), 4),
+        "pickled_bytes": sum(
+            entry["pickled_bytes"] for entry in workloads.values()),
+        "unpickle_ms": round(sum(
+            entry["unpickle_ms"] for entry in workloads.values()), 3),
+        "tracegen_window_blocks": SETUP_BLOCKS,
         "cpu_count": usable_cpus(),
     })
 

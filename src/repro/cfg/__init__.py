@@ -13,7 +13,7 @@ from repro.cfg.model import (
     CondBehavior,
     Function,
     Program,
-    StaticBranch,
+    ProgramImage,
 )
 from repro.cfg.generator import GeneratorParams, generate_program
 
@@ -22,7 +22,7 @@ __all__ = [
     "CondBehavior",
     "Function",
     "Program",
-    "StaticBranch",
+    "ProgramImage",
     "GeneratorParams",
     "generate_program",
 ]

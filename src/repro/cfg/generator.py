@@ -26,9 +26,20 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cfg.model import BasicBlock, CondBehavior, Function, Program
+from repro.cfg.model import CondBehavior, Program
 from repro.errors import ProgramError
 from repro.isa import BranchKind
+
+# Plain-int column values of the kinds and outcome models drawn here.
+_COND = int(BranchKind.COND)
+_JUMP = int(BranchKind.JUMP)
+_CALL = int(BranchKind.CALL)
+_RET = int(BranchKind.RET)
+_TRAP = int(BranchKind.TRAP)
+_TRAP_RET = int(BranchKind.TRAP_RET)
+_BIASED = int(CondBehavior.BIASED)
+_LOOP = int(CondBehavior.LOOP)
+_ALTERNATE = int(CondBehavior.ALTERNATE)
 
 
 @dataclass(frozen=True)
@@ -228,18 +239,19 @@ def _pick_call_pool(rng: np.random.Generator, params: GeneratorParams,
     return layer_pools[layer + 1 + skip]
 
 
-#: A block's constructor arguments, in :class:`BasicBlock` field order:
-#: ``(ninstr, kind, taken_succ, callees, behavior, behavior_param)``.
-BlockSpec = Tuple[int, BranchKind, int, Tuple[int, ...], CondBehavior, float]
+#: One block in generation order: ``(ninstr, kind, taken_succ, callees,
+#: behavior, behavior_param)``, with a function-local successor (-1
+#: where unused) and pre-layout callee fids.
+BlockRow = Tuple[int, int, int, Tuple[int, ...], int, float]
 
 
 def _build_function(rng: np.random.Generator, params: GeneratorParams,
                     fid: int, layer: int, layer_pools: List[List[int]],
-                    is_kernel: bool,
-                    cdfs: Dict[int, List[float]]) -> List[BlockSpec]:
-    """Draw one function's blocks as :data:`BlockSpec` tuples.
+                    is_kernel: bool, cdfs: Dict[int, List[float]],
+                    rows: List[BlockRow]) -> int:
+    """Draw one function's blocks onto the end of *rows*; returns how
+    many it drew.
 
-    Callees are pre-layout fids; :func:`intern_blocks` relabels them.
     Every draw is made inline, in program order, by the same method:
     the block-kind roll, then the block length, then the kind's own
     draws.  A conditional block draws its length a second time (the
@@ -270,13 +282,13 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
     trap_bound = jump_bound + params.trap_fraction
     can_trap = (layer < len(layer_pools) - 1 and bool(layer_pools[-1])
                 and not is_kernel)
-    CALL, TRAP, COND = BranchKind.CALL, BranchKind.TRAP, BranchKind.COND
-    BIASED, LOOP = CondBehavior.BIASED, CondBehavior.LOOP
+    CALL, TRAP, COND = _CALL, _TRAP, _COND
+    BIASED, LOOP = _BIASED, _LOOP
+    append = rows.append
+    base = len(rows)
 
     nblocks = _draw_block_count(rng, params)
     last = nblocks - 1
-    specs: List[BlockSpec] = []
-    append = specs.append
     for idx in range(last):
         roll = random()
         ninstr = 2 + poisson(mean_extra)
@@ -296,7 +308,7 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
                 continue
         elif roll < jump_bound:
             target = min(last, idx + 1 + int(integers(0, 6)))
-            append((ninstr, BranchKind.JUMP, target, (), BIASED, 0.5))
+            append((ninstr, _JUMP, target, (), BIASED, 0.5))
             continue
         elif roll < trap_bound and can_trap:
             kernel_pool = layer_pools[-1]
@@ -319,11 +331,11 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
             # trace window inside one function.
             span = 0
             while span < 4 and idx - 1 - span >= 0:
-                previous = specs[idx - 1 - span]
+                previous = rows[base + idx - 1 - span]
                 kind = previous[1]
-                if kind is CALL or kind is TRAP:
+                if kind == CALL or kind == TRAP:
                     break
-                if kind is COND and previous[4] is LOOP:
+                if kind == COND and previous[4] == LOOP:
                     break
                 span += 1
             if span > 0:
@@ -333,7 +345,7 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
                 continue
         if roll < alternate_bound:
             target = min(last, idx + 1 + int(integers(0, 3)))
-            append((ninstr, COND, target, (), CondBehavior.ALTERNATE, 0.5))
+            append((ninstr, COND, target, (), _ALTERNATE, 0.5))
             continue
         # Forward short-offset biased branch (if/else, error checks).
         target = min(last, idx + 1 + int(integers(0, 4)))
@@ -342,32 +354,17 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
         else:
             bias = float(rng.uniform(0.3, 0.7))
         append((ninstr, COND, target, (), BIASED, bias))
-    terminator = BranchKind.TRAP_RET if is_kernel else BranchKind.RET
-    append((min(2 + poisson(mean_extra), 15), terminator, -1, (), BIASED,
-            0.5))
-    return specs
+    append((min(2 + poisson(mean_extra), 15),
+            _TRAP_RET if is_kernel else _RET, -1, (), BIASED, 0.5))
+    return nblocks
 
 
-def intern_blocks(specs: Sequence[BlockSpec], relabel: Sequence[int],
-                  table: Dict[BlockSpec, BasicBlock]) -> List[BasicBlock]:
-    """One function's blocks, with callees relabelled through *relabel*.
-
-    ``BasicBlock`` is frozen with value equality, so *table* maps every
-    distinct (relabelled) spec of a program to one shared instance; each
-    distinct value is still validated by ``BasicBlock.__post_init__``.
-    """
-    blocks: List[BasicBlock] = []
-    append = blocks.append
-    for spec in specs:
-        callees = spec[3]
-        if callees:
-            spec = (spec[0], spec[1], spec[2],
-                    tuple([relabel[c] for c in callees]), spec[4], spec[5])
-        block = table.get(spec)
-        if block is None:
-            block = table[spec] = BasicBlock(*spec)
-        append(block)
-    return blocks
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges ``starts[i]:starts[i] + lengths[i]``."""
+    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) \
+        + np.arange(total)
 
 
 def generate_program(params: GeneratorParams) -> GeneratedProgram:
@@ -387,30 +384,48 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
 
     # Callee-rank CDFs by cluster width, shared by every call site.
     cdfs: Dict[int, List[float]] = {}
-    specs: List[List[BlockSpec]] = []
-    for layer, pool in enumerate(layer_pools):
-        is_kernel = layer == len(layer_pools) - 1
-        for fid in pool:
-            specs.append(_build_function(rng, params, fid, layer,
-                                         layer_pools, is_kernel, cdfs))
+    rows: List[BlockRow] = []
+    nblocks = [
+        _build_function(rng, params, fid, layer, layer_pools,
+                        layer == len(layer_pools) - 1, cdfs, rows)
+        for layer, pool in enumerate(layer_pools) for fid in pool]
 
     # Shuffle the *layout order* (not the fids) so that functions that call
     # each other are not artificially adjacent in the address space.
-    order = rng.permutation(len(specs)).tolist()
-    relabel = [0] * len(order)
-    for new_fid, old_fid in enumerate(order):
-        relabel[old_fid] = new_fid
+    order = rng.permutation(len(nblocks))
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(len(order))
+
+    # Layout block j is generation block ``blocks[j]``: each function's
+    # run, taken in layout order.  Local successors become global.
+    ninstr, kind, local_succ, callee_sets, behavior, param = zip(*rows)
+    sizes = np.array(nblocks, dtype=np.int64)
+    lengths = sizes[order]
+    func_start = np.concatenate(([0], np.cumsum(lengths)))
+    blocks = _runs(np.concatenate(([0], np.cumsum(sizes)))[order], lengths)
+    local_succ = np.array(local_succ, dtype=np.int64)[blocks]
+    taken_succ = np.where(local_succ >= 0, local_succ
+                          + np.repeat(func_start[:-1], lengths), -1)
+    ncallees = np.array([len(c) for c in callee_sets], dtype=np.int64)
+    callee_lengths = ncallees[blocks]
+    callees = relabel[np.array(
+        [fid for c in callee_sets for fid in c], dtype=np.int64)[_runs(
+            np.concatenate(([0], np.cumsum(ncallees)))[blocks],
+            callee_lengths)]]
     # The kernel layer is last, so it holds the highest pre-layout fids.
     first_kernel = layer_pools[-1][0]
-    table: Dict[BlockSpec, BasicBlock] = {}
-    functions = [
-        Function(fid=new_fid,
-                 blocks=intern_blocks(specs[old_fid], relabel, table),
-                 is_kernel=old_fid >= first_kernel)
-        for new_fid, old_fid in enumerate(order)
-    ]
-
-    program = Program(functions, seed=params.seed)
+    program = Program(
+        ninstr=np.array(ninstr, dtype=np.int8)[blocks],
+        kind=np.array(kind, dtype=np.int8)[blocks],
+        taken_succ=taken_succ,
+        callee_start=np.concatenate(([0], np.cumsum(callee_lengths))),
+        callees=callees,
+        behavior=np.array(behavior, dtype=np.int8)[blocks],
+        behavior_param=np.array(param, dtype=np.float64)[blocks],
+        func_start=func_start,
+        is_kernel=order >= first_kernel,
+    )
+    relabel = relabel.tolist()
     roots = [relabel[f] for f in layer_pools[0]]
     kernel_fids = [relabel[f] for f in layer_pools[-1]]
     return GeneratedProgram(

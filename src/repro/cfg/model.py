@@ -1,28 +1,34 @@
-"""Static program model: functions, basic blocks and the binary image.
+"""Static program model: flat block and function columns, and the image.
 
-A :class:`Program` is a list of :class:`Function` objects laid out in a
-flat 48-bit virtual address space (functions are placed sequentially,
-aligned to cache lines, with small random gaps so that set-index conflicts
-resemble a real binary).  The model is *static*; execution semantics live
-in :mod:`repro.workloads.tracegen`.
+A :class:`Program` holds a synthetic program as flat numpy columns in
+*layout order*: blocks are numbered globally in address order, each
+function owns a contiguous run of them (CSR offsets ``func_start``), and
+every cross-reference is an index — a conditional's or jump's taken
+successor is a global block index, a call's candidate callees are
+function ids (CSR offsets ``callee_start``).  Functions are placed
+sequentially in a flat 48-bit virtual address space, aligned to cache
+lines, with small gaps so that set-index conflicts resemble a real
+binary; the placement is one cumulative sum.  The model is *static*;
+execution semantics live in :mod:`repro.workloads.tracegen`.
+
+:class:`BasicBlock` and :class:`Function` are plain records: the input
+of a hand-built program (:meth:`Program.from_functions`) and read-only
+views of a built one (:meth:`Program.function`).  Nothing on the
+simulation path builds or reads them.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro import heap
+import numpy as np
+
 from repro.errors import ProgramError
-from repro.isa import (
-    BLOCK_SHIFT,
-    INSTR_BYTES,
-    BranchKind,
-    branch_pc,
-    is_unconditional,
-)
+from repro.isa import BLOCK_SHIFT, INSTR_BYTES, BranchKind
 
 
 class CondBehavior(enum.IntEnum):
@@ -43,10 +49,20 @@ class CondBehavior(enum.IntEnum):
 _TARGETED = (BranchKind.COND, BranchKind.JUMP)
 _CALLING = (BranchKind.CALL, BranchKind.TRAP)
 
+#: ``BranchKind`` members indexed by raw kind value.
+_KINDS: Tuple[BranchKind, ...] = tuple(sorted(BranchKind))
+
+#: A program's stored columns, in constructor order.
+_COLUMNS = ("ninstr", "kind", "taken_succ", "callee_start", "callees",
+            "behavior", "behavior_param", "func_start", "is_kernel")
+
+#: One static branch of the image: ``(block_pc, ninstr, kind, target)``.
+Branch = Tuple[int, int, BranchKind, int]
+
 
 @dataclass(frozen=True)
 class BasicBlock:
-    """One static basic block inside a function.
+    """One static basic block: a record, not part of a built program.
 
     Attributes:
         ninstr: instruction count, including the terminating branch.
@@ -79,32 +95,22 @@ class BasicBlock:
         if kind in _TARGETED and self.taken_succ < 0:
             raise ProgramError(f"{kind.name} block needs taken_succ")
 
-    def __reduce__(self):
-        # Unpickle through the constructor: a shipped block re-validates
-        # and is stored like a built one (the default path restores a
-        # larger, unshared instance dict).  The pickle memo keeps
-        # interned blocks shared; a default outcome model is left to the
-        # constructor, so its float stays one shared constant too.
-        args = (self.ninstr, self.kind, self.taken_succ, self.callees,
-                self.behavior, self.behavior_param)
-        if args[4:] == (CondBehavior.BIASED, 0.5):
-            args = args[:4]
-        return BasicBlock, args
 
-
-@dataclass
+@dataclass(frozen=True)
 class Function:
-    """A function: contiguous basic blocks, entered at block 0.
+    """A function record: contiguous basic blocks, entered at block 0.
 
-    ``base_addr`` is assigned by :meth:`Program.layout`; block start
-    addresses are the cumulative instruction offsets from it.
+    ``base_addr`` is -1 for a hand-built record and the laid-out address
+    for a view of a built program; block start addresses are the
+    cumulative instruction offsets from it.
     """
 
     fid: int
-    blocks: List[BasicBlock]
+    blocks: Sequence[BasicBlock]
     is_kernel: bool = False
     base_addr: int = -1
-    _block_addrs: List[int] = field(default_factory=list, repr=False)
+    _block_addrs: Tuple[int, ...] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
         blocks = self.blocks
@@ -125,14 +131,13 @@ class Function:
                     f"function {self.fid} block {idx}: taken_succ "
                     f"{block.taken_succ} out of range"
                 )
-
-    def __reduce__(self):
-        # Through the constructor, like BasicBlock: re-validated on
-        # unpickling, and no bigger than a built function.  Addresses
-        # belong to the program, whose constructor lays its functions
-        # out again, so they are not shipped: a function unpickled on
-        # its own comes back not laid out.
-        return Function, (self.fid, self.blocks, self.is_kernel)
+        addrs: List[int] = []
+        if self.base_addr >= 0:
+            addr = self.base_addr
+            for block in blocks:
+                addrs.append(addr)
+                addr += block.ninstr * INSTR_BYTES
+        object.__setattr__(self, "_block_addrs", tuple(addrs))
 
     @property
     def nblocks(self) -> int:
@@ -143,58 +148,130 @@ class Function:
         return sum(b.ninstr for b in self.blocks) * INSTR_BYTES
 
     def block_addr(self, idx: int) -> int:
-        """Start address of block *idx* (requires a laid-out program)."""
+        """Start address of block *idx* (requires a laid-out function)."""
         return self.block_addrs[idx]
 
     @property
-    def block_addrs(self) -> List[int]:
-        """Start address of every block (requires a laid-out program)."""
+    def block_addrs(self) -> Tuple[int, ...]:
+        """Start address of every block (requires a laid-out function)."""
         if self.base_addr < 0:
             raise ProgramError(f"function {self.fid} has not been laid out")
         return self._block_addrs
 
-    def _layout(self, base: int) -> int:
-        """Assign addresses from *base*; returns the end address."""
-        self.base_addr = base
-        self._block_addrs = []
-        addr = base
-        for block in self.blocks:
-            self._block_addrs.append(addr)
-            addr += block.ninstr * INSTR_BYTES
-        return addr
 
-
-@dataclass(frozen=True, slots=True)
-class StaticBranch:
-    """Predecoder's view of one static branch in the binary image.
+class ProgramImage(Mapping):
+    """The binary image: cache-line index -> static branches in the line.
 
     The predecoder (Section 4.2.3) extracts branch metadata from fetched
-    cache lines to fill BTBs, so it needs, per branch: the basic block it
-    terminates, its kind and its taken target address.  An image holds
-    one per static block, so the class is slotted: the six Table 2
-    images take 27.6 MB instead of 36.5 MB with instance dicts.
+    cache lines to fill BTBs, so it needs, per branch: the block it
+    terminates, its kind and its static taken target.  The image is the
+    program's block columns plus one ``target`` column — a conditional
+    or jump targets its taken successor's address, a call or trap its
+    first candidate callee (an indirect site may go elsewhere
+    dynamically, and the BTB then mispredicts), and a return has no
+    static target (the RAS supplies it) — and per-line bounds: the
+    branches whose branch instruction lies in ``lines[i]`` are blocks
+    ``bounds[i]:bounds[i + 1]``.  Blocks are in address order, so the
+    lines come out ascending and no sort is needed.
+
+    As a mapping it holds every line with a branch, in ascending order.
+    A line's :data:`Branch` tuples are built on first use and cached;
+    the image is shared by every predecoder of the program.
     """
 
-    block_pc: int
-    ninstr: int
-    kind: BranchKind
-    target: int
+    def __init__(self, block_pc: np.ndarray, ninstr: np.ndarray,
+                 kind: np.ndarray, target: np.ndarray) -> None:
+        self.block_pc = block_pc
+        self.ninstr = ninstr
+        self.kind = kind
+        self.target = target
+        branch_line = (block_pc + (ninstr.astype(np.int64) - 1)
+                       * INSTR_BYTES) >> BLOCK_SHIFT
+        starts = np.flatnonzero(np.diff(branch_line)) + 1
+        #: Distinct lines holding a branch, ascending.
+        self.lines = branch_line[np.concatenate(([0], starts))]
+        #: ``len(lines) + 1`` block offsets, one run per line.
+        self.bounds = np.concatenate(([0], starts, [len(branch_line)]))
+        self._branches: Dict[int, Tuple[Branch, ...]] = {}
+        self._cond: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
 
-    @property
-    def branch_pc(self) -> int:
-        return branch_pc(self.block_pc, self.ninstr)
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.lines.tolist())
+
+    def __getitem__(self, line: int) -> Tuple[Branch, ...]:
+        branches = self.branches(line)
+        if not branches:
+            raise KeyError(line)
+        return branches
+
+    def branches(self, line: int) -> Tuple[Branch, ...]:
+        """Every static branch whose branch instruction is in *line*."""
+        cached = self._branches.get(line)
+        if cached is None:
+            lines = self.lines
+            index = int(np.searchsorted(lines, line))
+            if index < len(lines) and lines[index] == line:
+                lo, hi = self.bounds[index], self.bounds[index + 1]
+                cached = tuple(zip(
+                    self.block_pc[lo:hi].tolist(),
+                    self.ninstr[lo:hi].tolist(),
+                    [_KINDS[k] for k in self.kind[lo:hi].tolist()],
+                    self.target[lo:hi].tolist()))
+            else:
+                cached = ()
+            self._branches[line] = cached
+        return cached
+
+    def cond_triples(self, line: int) -> Tuple[Tuple[int, int, int], ...]:
+        """Conditional branches in *line* as (block_pc, ninstr, target)."""
+        cached = self._cond.get(line)
+        if cached is None:
+            cached = self._cond[line] = tuple(
+                (pc, ninstr, target)
+                for pc, ninstr, kind, target in self.branches(line)
+                if kind is BranchKind.COND)
+        return cached
 
 
 class Program:
-    """A laid-out synthetic program.
+    """A laid-out synthetic program as flat, layout-ordered columns.
 
-    Provides the *binary image* view needed by the predecoder: a mapping
-    from cache-line index to the static branches whose branch instruction
-    lies in that line.
+    Per block (global index, address order): ``ninstr``, ``kind``,
+    ``taken_succ`` (global block index, -1 where unused), ``behavior``,
+    ``behavior_param`` and candidate callees in CSR form (function ids
+    ``callees[callee_start[b]:callee_start[b + 1]]``).  Per function:
+    ``func_start`` (``nfunctions + 1`` block offsets) and ``is_kernel``.
+    The layout adds ``func_base`` and ``block_pc``.
+
+    Built by the generator, or from records by :meth:`from_functions`;
+    the constructor validates the columns either way, and so does
+    unpickling, which ships the columns only.
     """
 
-    def __init__(self, functions: List[Function], base_addr: int = 0x10000,
-                 gap_lines: int = 1, seed: Optional[int] = None) -> None:
+    def __init__(self, *, ninstr, kind, taken_succ, callee_start, callees,
+                 behavior, behavior_param, func_start, is_kernel,
+                 base_addr: int = 0x10000, gap_lines: int = 1) -> None:
+        self.ninstr = np.asarray(ninstr, dtype=np.int8)
+        self.kind = np.asarray(kind, dtype=np.int8)
+        self.taken_succ = np.asarray(taken_succ, dtype=np.int32)
+        self.callee_start = np.asarray(callee_start, dtype=np.int32)
+        self.callees = np.asarray(callees, dtype=np.int32)
+        self.behavior = np.asarray(behavior, dtype=np.int8)
+        self.behavior_param = np.asarray(behavior_param, dtype=np.float64)
+        self.func_start = np.asarray(func_start, dtype=np.int64)
+        self.is_kernel = np.asarray(is_kernel, dtype=bool)
+        self._placement = (base_addr, gap_lines)
+        self._validate()
+        self._layout(base_addr, gap_lines)
+
+    @classmethod
+    def from_functions(cls, functions: Sequence[Function],
+                       base_addr: int = 0x10000,
+                       gap_lines: int = 1) -> "Program":
+        """A program from function records (their addresses are ignored)."""
         if not functions:
             raise ProgramError("program needs at least one function")
         for idx, function in enumerate(functions):
@@ -203,83 +280,172 @@ class Program:
                     f"function ids must be dense: index {idx} has fid "
                     f"{function.fid}"
                 )
-        self.functions = functions
-        self._placement = (base_addr, gap_lines)
-        self._layout(base_addr, gap_lines)
-        self._image: Optional[Dict[int, List[StaticBranch]]] = None
+        sizes = [function.nblocks for function in functions]
+        blocks = [block for function in functions
+                  for block in function.blocks]
+        first = np.repeat(np.cumsum([0] + sizes[:-1]), sizes).tolist()
+        return cls(
+            ninstr=[block.ninstr for block in blocks],
+            kind=[block.kind for block in blocks],
+            taken_succ=[start + block.taken_succ
+                        if block.kind in _TARGETED else -1
+                        for block, start in zip(blocks, first)],
+            callee_start=np.cumsum([0] + [len(b.callees) for b in blocks]),
+            callees=[fid for block in blocks for fid in block.callees],
+            behavior=[block.behavior for block in blocks],
+            behavior_param=[block.behavior_param for block in blocks],
+            func_start=np.cumsum([0] + sizes),
+            is_kernel=[function.is_kernel for function in functions],
+            base_addr=base_addr, gap_lines=gap_lines)
 
-    def __reduce__(self):
-        # Through the constructor, like its functions: unpickling makes
-        # the generator's own constructor calls, so it re-checks the
-        # function ids and lays the functions out as a build does.  The
-        # lazy image is not shipped.
-        return Program, (self.functions, *self._placement)
+    def __getstate__(self) -> dict:
+        # Only the columns and the placement travel: the layout, the
+        # image and the derived memo are rebuilt where they are used.
+        state = {name: getattr(self, name) for name in _COLUMNS}
+        state["base_addr"], state["gap_lines"] = self._placement
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+    def _validate(self) -> None:
+        """Reject columns no generated program could have."""
+        func_start, kind = self.func_start, self.kind
+        nblocks = len(kind)
+        nfunctions = len(func_start) - 1
+        if nfunctions < 1:
+            raise ProgramError("program needs at least one function")
+        columns = (self.ninstr, self.taken_succ, self.behavior,
+                   self.behavior_param)
+        if any(len(column) != nblocks for column in columns) \
+                or len(self.callee_start) != nblocks + 1 \
+                or len(self.is_kernel) != nfunctions:
+            raise ProgramError("program columns differ in length")
+        if func_start[0] != 0 or func_start[-1] != nblocks:
+            raise ProgramError("function offsets do not span the blocks")
+        sizes = np.diff(func_start)
+        if (sizes < 1).any():
+            raise ProgramError(
+                f"function {int(np.argmax(sizes < 1))} has no blocks")
+        bad = (self.ninstr < 1) | (self.ninstr > 31)
+        if bad.any():
+            # 31 is the largest value the 5-bit BTB size field can encode.
+            raise ProgramError(f"block ninstr must be in [1, 31], got "
+                               f"{int(self.ninstr[bad][0])}")
+        if ((kind < 0) | (kind > max(BranchKind))).any():
+            raise ProgramError("unknown branch kind")
+        callee_start = self.callee_start
+        if callee_start[0] != 0 or callee_start[-1] != len(self.callees) \
+                or (np.diff(callee_start) < 0).any():
+            raise ProgramError("malformed callee offsets")
+        if ((self.callees < 0) | (self.callees >= nfunctions)).any():
+            raise ProgramError("callee out of range")
+        calling = np.isin(kind, _CALLING)
+        bad = calling & (np.diff(callee_start) == 0)
+        if bad.any():
+            raise ProgramError(
+                f"{_KINDS[kind[bad][0]].name} block needs callees")
+        owner = np.repeat(np.arange(nfunctions), sizes)
+        succ = self.taken_succ
+        bad = np.isin(kind, _TARGETED) & ((succ < func_start[owner])
+                                          | (succ >= func_start[owner + 1]))
+        if bad.any():
+            block = int(np.argmax(bad))
+            fid = int(owner[block])
+            raise ProgramError(
+                f"function {fid} block {block - int(func_start[fid])}: "
+                f"taken_succ out of range")
+        last = kind[func_start[1:] - 1]
+        expected = np.where(self.is_kernel, int(BranchKind.TRAP_RET),
+                            int(BranchKind.RET))
+        bad = last != expected
+        if bad.any():
+            fid = int(np.argmax(bad))
+            raise ProgramError(
+                f"function {fid} must end with {_KINDS[expected[fid]].name}, "
+                f"ends with {_KINDS[last[fid]].name}")
 
     def _layout(self, base_addr: int, gap_lines: int) -> None:
+        """Place functions in order, each aligned to a cache line.
+
+        An aligned function's successor starts at its base plus its
+        size rounded up to whole lines plus the gap, so the bases are
+        one cumulative sum; block addresses are the instruction offsets
+        from their function's base.
+        """
         line = 1 << BLOCK_SHIFT
-        addr = base_addr
-        for function in self.functions:
-            # Align each function to a cache line, as linkers commonly do.
-            addr = (addr + line - 1) & ~(line - 1)
-            addr = function._layout(addr)
-            addr += gap_lines * line
+        offsets = np.concatenate(
+            ([0], np.cumsum(self.ninstr, dtype=np.int64))) * INSTR_BYTES
+        first = offsets[self.func_start]
+        size = first[1:] - first[:-1]
+        stride = ((size + line - 1) & ~(line - 1)) + gap_lines * line
+        start = (base_addr + line - 1) & ~(line - 1)
+        #: Start address of every function.
+        self.func_base = start + np.concatenate(
+            ([0], np.cumsum(stride[:-1])))
+        #: Start address of every block.
+        self.block_pc = offsets[:-1] + np.repeat(
+            self.func_base - first[:-1], np.diff(self.func_start))
 
     @property
     def nfunctions(self) -> int:
-        return len(self.functions)
+        return len(self.func_start) - 1
 
     @property
     def total_blocks(self) -> int:
-        return sum(f.nblocks for f in self.functions)
+        return len(self.kind)
 
     @property
     def footprint_bytes(self) -> int:
         """Static code footprint: last byte minus first byte of code."""
-        first = self.functions[0].base_addr
-        last_fn = self.functions[-1]
-        last = last_fn.block_addr(last_fn.nblocks - 1) \
-            + last_fn.blocks[-1].ninstr * INSTR_BYTES
-        return last - first
+        end = int(self.block_pc[-1]) + int(self.ninstr[-1]) * INSTR_BYTES
+        return end - int(self.func_base[0])
+
+    def function(self, fid: int) -> Function:
+        """A read-only record view of function *fid*."""
+        lo, hi = int(self.func_start[fid]), int(self.func_start[fid + 1])
+        offsets = self.callee_start[lo:hi + 1].tolist()
+        callees = self.callees[offsets[0]:offsets[-1]].tolist()
+        offsets = [offset - offsets[0] for offset in offsets]
+        blocks = [
+            BasicBlock(ninstr, _KINDS[kind],
+                       succ - lo if kind in _TARGETED else succ,
+                       tuple(callees[offsets[i]:offsets[i + 1]]),
+                       CondBehavior(behavior), param)
+            for i, (ninstr, kind, succ, behavior, param) in enumerate(zip(
+                self.ninstr[lo:hi].tolist(), self.kind[lo:hi].tolist(),
+                self.taken_succ[lo:hi].tolist(),
+                self.behavior[lo:hi].tolist(),
+                self.behavior_param[lo:hi].tolist()))]
+        return Function(fid, tuple(blocks), bool(self.is_kernel[fid]),
+                        int(self.func_base[fid]))
 
     @property
-    def image(self) -> Dict[int, List[StaticBranch]]:
-        """Cache-line index -> static branches in that line (lazy).
+    def functions(self) -> List[Function]:
+        """Read-only record views of every function (built per access)."""
+        return [self.function(fid) for fid in range(self.nfunctions)]
 
-        One walk of every block in layout order: a conditional or jump
-        targets its taken successor's address, a call or trap its first
-        candidate callee (an indirect site may go elsewhere dynamically,
-        and the BTB then mispredicts), and a return has no static target
-        (the RAS supplies it).  The build is timed as a ``build_image``
-        span (a run-manifest phase beside ``build_program``/
-        ``build_trace``) and runs under a collector pause
-        (:func:`repro.heap.building`), so the image is frozen once
-        built.
+    @cached_property
+    def image(self) -> ProgramImage:
+        """The predecoder's line-indexed view of the program (lazy).
+
+        A few vector operations over the columns, timed as a
+        ``build_image`` span (a run-manifest phase beside
+        ``build_program``/``build_trace``).
         """
-        if self._image is None:
-            # repro: allow[RPR002] -- observability span; only times it
-            from repro.obs import tracing
-            image: Dict[int, List[StaticBranch]] = {}
-            functions = self.functions
-            COND, JUMP = BranchKind.COND, BranchKind.JUMP
-            CALL, TRAP = BranchKind.CALL, BranchKind.TRAP
-            with tracing.span("build_image", functions=self.nfunctions), \
-                    heap.building():
-                for function in functions:
-                    addrs = function.block_addrs
-                    for block, pc in zip(function.blocks, addrs):
-                        kind = block.kind
-                        if kind is COND or kind is JUMP:
-                            target = addrs[block.taken_succ]
-                        elif kind is CALL or kind is TRAP:
-                            target = functions[block.callees[0]].base_addr
-                        else:
-                            target = 0
-                        ninstr = block.ninstr
-                        image.setdefault(
-                            branch_pc(pc, ninstr) >> BLOCK_SHIFT, []
-                        ).append(StaticBranch(pc, ninstr, kind, target))
-            self._image = image
-        return self._image
+        # repro: allow[RPR002] -- observability span; only times it
+        from repro.obs import tracing
+        with tracing.span("build_image", functions=self.nfunctions):
+            kind = self.kind
+            first_callee = self.callees[
+                np.minimum(self.callee_start[:-1], len(self.callees) - 1)] \
+                if len(self.callees) else np.zeros(len(kind), np.int32)
+            target = np.where(
+                np.isin(kind, _TARGETED),
+                self.block_pc[np.maximum(self.taken_succ, 0)],
+                np.where(np.isin(kind, _CALLING),
+                         self.func_base[first_callee], 0))
+            return ProgramImage(self.block_pc, self.ninstr, kind, target)
 
     @cached_property
     def static_targets(self) -> Dict[int, int]:
@@ -291,8 +457,8 @@ class Program:
         function of the program, so every trace of it (and both engines)
         share one copy.
         """
-        return {branch.block_pc: branch.target
-                for branches in self.image.values() for branch in branches}
+        return dict(zip(self.block_pc.tolist(),
+                        self.image.target.tolist()))
 
     @cached_property
     def derived(self) -> dict:
@@ -307,9 +473,4 @@ class Program:
 
     def unconditional_count(self) -> int:
         """Number of static unconditional branches (U-BTB + RIB residents)."""
-        return sum(
-            1
-            for function in self.functions
-            for block in function.blocks
-            if is_unconditional(block.kind)
-        )
+        return int((self.kind != int(BranchKind.COND)).sum())

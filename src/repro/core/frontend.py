@@ -105,7 +105,8 @@ def _warm_llc_state(trace: Trace, params: MicroarchParams) \
     """The warmed LLC a cell starts from, or None without a program.
 
     The state an empty LLC reaches by inserting every line of the
-    program image in image order.  It depends only on the image and the
+    program image in image order (:meth:`SetAssocCache.preload`, from
+    the image's line column).  It depends only on the image and the
     LLC geometry, so it is built once per program and geometry, kept on
     ``program.derived`` as a read-only :meth:`SetAssocCache.snapshot`,
     and shared by every cell of every trace of the program in both
@@ -120,9 +121,7 @@ def _warm_llc_state(trace: Trace, params: MicroarchParams) \
     if state is None:
         llc = SetAssocCache(params.llc_bytes, params.llc_assoc,
                             params.line_bytes)
-        insert = llc.insert
-        for line in program.image:
-            insert(line)
+        llc.preload(program.image.lines)
         state = program.derived[key] = llc.snapshot()
     return state
 

@@ -1,10 +1,11 @@
 """Keep the cyclic garbage collector off long-lived built state.
 
-A workload's program and its binary image are built once, kept for the
-whole run and never form reference cycles: hundreds of thousands of
-blocks, functions and static branches that CPython's cyclic collector
-would otherwise rescan at every full collection, in the parent and in
-every pool worker that inherits them (DESIGN.md Section 7).
+A workload's program is built once, kept for the whole run and never
+forms reference cycles, and so is most of what a process holds when a
+program is built or a pool forks (modules, registries, memos).
+CPython's cyclic collector would otherwise rescan all of it at every
+full collection, in the parent and in every pool worker that inherits
+it (DESIGN.md Section 7).
 
 :func:`building` pauses automatic collection while such state is built.
 When the outermost pause ends it runs one full collection and then

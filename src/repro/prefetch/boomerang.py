@@ -58,13 +58,14 @@ class BoomerangScheme(Scheme):
         """Install the missing branch; stage the line's other branches."""
         self.reactive_fills += 1
         self.btb.insert_branch(pc, ninstr, kind, target)
-        for branch in self.predecoder.branches_in_line(line):
-            if branch.block_pc == pc:
+        for block_pc, block_ninstr, block_kind, block_target \
+                in self.predecoder.branches_in_line(line):
+            if block_pc == pc:
                 continue
             self.prefetch_buffer.insert(
-                branch.block_pc,
-                BTBEntry(ninstr=branch.ninstr, kind=branch.kind,
-                         target=branch.target),
+                block_pc,
+                BTBEntry(ninstr=block_ninstr, kind=block_kind,
+                         target=block_target),
             )
 
     def storage_bits(self) -> int:

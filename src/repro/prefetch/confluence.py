@@ -137,13 +137,13 @@ class ConfluenceScheme(Scheme):
 
     def on_prefetch_arrival(self, line: int, ready: float) -> None:
         """Predecode an arriving stream line into the BTB (unified fill)."""
-        for branch in self.predecoder.branches_in_line(line):
-            existing = self.btb.peek(branch.block_pc)
+        for block_pc, ninstr, kind, target \
+                in self.predecoder.branches_in_line(line):
+            existing = self.btb.peek(block_pc)
             if existing is not None and existing.valid_from <= ready:
                 continue
-            self.btb.insert(branch.block_pc, TimedBTBEntry(
-                ninstr=branch.ninstr, kind=branch.kind,
-                target=branch.target,
+            self.btb.insert(block_pc, TimedBTBEntry(
+                ninstr=ninstr, kind=kind, target=target,
                 valid_from=ready + self.predecode_latency,
             ))
 

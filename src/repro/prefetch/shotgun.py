@@ -168,13 +168,14 @@ class ShotgunScheme(Scheme):
         """Boomerang-style fill: missing branch installed, rest staged."""
         self.reactive_fills += 1
         self._install(pc, ninstr, kind, target, now)
-        for branch in self.predecoder.branches_in_line(line):
-            if branch.block_pc == pc:
+        for block_pc, block_ninstr, block_kind, block_target \
+                in self.predecoder.branches_in_line(line):
+            if block_pc == pc:
                 continue
             self.prefetch_buffer.insert(
-                branch.block_pc,
-                BTBEntry(ninstr=branch.ninstr, kind=branch.kind,
-                         target=branch.target),
+                block_pc,
+                BTBEntry(ninstr=block_ninstr, kind=block_kind,
+                         target=block_target),
             )
 
     def on_prefetch_arrival(self, line: int, ready: float) -> None:

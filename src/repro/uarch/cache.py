@@ -21,6 +21,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 
@@ -78,6 +80,24 @@ class SetAssocCache:
             raise ConfigError(f"snapshot has {len(state)} sets, cache has "
                               f"{self.n_sets}")
         self._sets = list(state)
+
+    def preload(self, lines: np.ndarray) -> None:
+        """Insert distinct *lines*, in order, into this empty cache.
+
+        The state :meth:`insert` reaches line by line, in bulk: with no
+        line repeated nothing hits, so each set holds the last ``assoc``
+        of its lines in arrival order — a stable group-by on the set
+        index, then a tail.  Sets are left read-only, like a restored
+        snapshot's.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
+        sets = lines & self._set_mask
+        grouped = lines[np.argsort(sets, kind="stable")].tolist()
+        counts = np.bincount(sets, minlength=self.n_sets)
+        ends = np.cumsum(counts)
+        starts = ends - np.minimum(counts, self.assoc)
+        self._sets = [tuple(grouped[lo:hi])
+                      for lo, hi in zip(starts.tolist(), ends.tolist())]
 
     def lookup(self, line: int) -> bool:
         """Probe for *line*; updates LRU and hit/miss counters."""

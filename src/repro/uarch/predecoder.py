@@ -10,65 +10,44 @@ that line — the same information a hardware scanner would recover.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.cfg.model import StaticBranch
+from repro.cfg.model import Branch, ProgramImage
 from repro.errors import ProgramError
-from repro.isa import BranchKind
 
 
 class Predecoder:
-    """Line-indexed view of the program's static branches."""
+    """Line-indexed view of the program's static branches.
 
-    def __init__(self, image: Dict[int, List[StaticBranch]]) -> None:
+    Each line's branches are built from the image's columns the first
+    time any predecoder of the program asks for them, and then shared.
+    Branches are ``(block_pc, ninstr, kind, target)`` tuples.
+    """
+
+    def __init__(self, image: ProgramImage) -> None:
         if image is None:
             raise ProgramError("predecoder needs a program image")
         self._image = image
-        #: Per-line conditional branches flattened to
-        #: ``(block_pc, ninstr, target)`` triples.  The image is
-        #: immutable, so the filter runs once per line; Shotgun's
-        #: proactive C-BTB fill hits this on every prefetch, and
-        #: attribute access off the dataclass is the dominant cost once
-        #: the filter itself is cached.
-        self._cond_triple_cache: Dict[int, Tuple[Tuple[int, int, int], ...]] \
-            = {}
         self.lines_decoded = 0
 
-    def branches_in_line(self, line: int) -> Sequence[StaticBranch]:
+    def branches_in_line(self, line: int) -> Tuple[Branch, ...]:
         """All static branches whose branch instruction is in *line*."""
         self.lines_decoded += 1
-        return self._image.get(line, ())
-
-    def conditional_branches(self, line: int) -> Sequence[StaticBranch]:
-        """Conditional branches in *line* (convenience view)."""
-        self.lines_decoded += 1
-        return tuple(
-            branch for branch in self._image.get(line, ())
-            if branch.kind == BranchKind.COND
-        )
+        return self._image.branches(line)
 
     def cond_triples(self, line: int) -> Tuple[Tuple[int, int, int], ...]:
         """Conditional branches in *line* as (block_pc, ninstr, target).
 
-        Equivalent to :meth:`conditional_branches` with the fields
-        pre-extracted; counts as one decoded line per call, like the
-        other views.
+        Shotgun's proactive C-BTB fill hits this on every prefetch;
+        counts as one decoded line per call, like the other views.
         """
         self.lines_decoded += 1
-        cached = self._cond_triple_cache.get(line)
-        if cached is None:
-            cached = tuple(
-                (branch.block_pc, branch.ninstr, branch.target)
-                for branch in self._image.get(line, ())
-                if branch.kind == BranchKind.COND
-            )
-            self._cond_triple_cache[line] = cached
-        return cached
+        return self._image.cond_triples(line)
 
-    def find_block(self, line: int, block_pc: int) -> Optional[StaticBranch]:
+    def find_block(self, line: int, block_pc: int) -> Optional[Branch]:
         """The static branch terminating the block at *block_pc*, if its
         branch instruction lies in *line* (Boomerang's reactive fill)."""
         for branch in self.branches_in_line(line):
-            if branch.block_pc == block_pc:
+            if branch[0] == block_pc:
                 return branch
         return None

@@ -208,37 +208,31 @@ def build_trace(name: str, n_blocks: int, seed: int = 0) -> Trace:
 # (DESIGN.md Section 10.6).
 # ---------------------------------------------------------------------------
 
-#: Cost-proxy weight of a program a builder ships home rather than this
-#: process building it: pickling it there and unpickling it here add
-#: about a quarter to its generation time.
-SHIP_WEIGHT = 1.25
-
-
 def plan_builds(names: Sequence[str], shares: int) -> List[List[str]]:
     """Split registered workloads *names* into *shares* build lists.
 
     Longest first on the cost proxy ``n_functions`` (generation time is
-    roughly linear in it), each program goes to the share that would
-    finish it soonest.  Share 0 is this process's own; a program built
-    in any other share costs :data:`SHIP_WEIGHT` times as much.  Ties
-    keep the given order and the lower share.
+    roughly linear in it), each program goes to the share with the
+    least work so far.  Share 0 is this process's own; shipping a
+    program home costs about 1% of building it (its columns pickle
+    and unpickle in milliseconds), so no share is weighted.  Ties keep
+    the given order and the lower share.
     """
     costs = {name: get_profile(name).gen_params.n_functions
              for name in names}
-    weights = [1.0] + [SHIP_WEIGHT] * (shares - 1)
-    loads = [0.0] * shares
+    loads = [0] * shares
     plan: List[List[str]] = [[] for _ in range(shares)]
     for name in sorted(names, key=lambda name: -costs[name]):
-        share = min(range(shares),
-                    key=lambda i: loads[i] + costs[name] * weights[i])
-        loads[share] += costs[name] * weights[share]
+        share = loads.index(min(loads))
+        loads[share] += costs[name]
         plan[share].append(name)
     return plan
 
 
 def _build_shipped(names: Sequence[str]):
     """Builder entry point: build *names* in a pool worker and ship the
-    programs home with the spans and metric delta they produced."""
+    programs home (as their columns) with the spans and metric delta
+    they produced."""
     # repro: allow[RPR002] -- scheduling only: it moves built programs
     from repro.core.exec.backends import worker_shipment
     before = _obs_metrics.snapshot()
@@ -258,8 +252,7 @@ def build_programs(names: Iterable[str]) -> None:
     stores every program they ship home; their spans and metrics join
     this process's under a ``build_programs`` span.  The whole stage is
     one collector pause (:func:`repro.heap.building`): the builders fork
-    into it, so they never collect, and the programs they ship home
-    unpickle under it.
+    into it, so they never collect, and it ends with one collection.
 
     It only warms the memo and never raises for a build: whatever it
     leaves missing — every program when it does not run, a failed

@@ -18,21 +18,59 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.cfg.generator import GeneratedProgram, choice_cdf
-from repro.cfg.model import CondBehavior
+from repro.cfg.model import CondBehavior, Program
 from repro.errors import TraceError
 from repro.isa import BranchKind
 from repro.workloads.trace import Trace
 
-# Plain-int views of the enum members the executor's loop compares.
-_COND = int(BranchKind.COND)
-_JUMP = int(BranchKind.JUMP)
-_CALL = int(BranchKind.CALL)
-_TRAP = int(BranchKind.TRAP)
-_BIASED = int(CondBehavior.BIASED)
-_LOOP = int(CondBehavior.LOOP)
+#: The executor's per-block operations.  A conditional's is its
+#: ``CondBehavior`` value; the others say how the next block is found.
+_OP_BIASED, _OP_LOOP, _OP_ALTERNATE = map(int, CondBehavior)
+_OP_JUMP, _OP_CALL, _OP_INDIRECT, _OP_RET = range(3, 7)
 
 #: ``Generator.choice``'s tolerance on the sum of its probabilities.
 _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _walk_columns(program: Program) -> Tuple[list, list, list, list]:
+    """The columns the executor walks, as lists (built once).
+
+    ``(op, arg, next, indirect)``, the first three indexed by global
+    block.  ``op`` is the block's ``_OP_*`` operation.  ``next`` is a
+    conditional's or jump's taken successor, a direct call's (one
+    candidate callee) entry block, and an indirect call's offset into
+    ``indirect``, the entry blocks of its candidates.  ``arg`` is a
+    biased conditional's taken probability, a loop's trip count
+    (``max(2, int(param))``) and an indirect call's candidate count.
+    Kept on ``program.derived`` and shared by every trace of the
+    program.
+    """
+    columns = program.derived.get("tracegen.columns")
+    if columns is None:
+        kind, start = program.kind, program.callee_start
+        count = np.diff(start)
+        entry = program.func_start[program.callees]
+        calling = (kind == BranchKind.CALL) | (kind == BranchKind.TRAP)
+        op = np.select(
+            [kind == BranchKind.COND, kind == BranchKind.JUMP,
+             calling & (count == 1), calling],
+            [program.behavior, _OP_JUMP, _OP_CALL, _OP_INDIRECT], _OP_RET)
+        nxt = program.taken_succ.astype(np.int64)
+        direct = op == _OP_CALL
+        nxt[direct] = entry[start[:-1][direct]]
+        indirect = op == _OP_INDIRECT
+        nxt[indirect] = start[:-1][indirect]
+        param = program.behavior_param
+        arg = np.where(op == _OP_BIASED, param, 0.0).tolist()
+        loops = np.flatnonzero(op == _OP_LOOP)
+        for block, trips in zip(loops.tolist(), np.maximum(
+                2, param[loops].astype(np.int64)).tolist()):
+            arg[block] = trips
+        for block in np.flatnonzero(indirect).tolist():
+            arg[block] = int(count[block])
+        columns = program.derived["tracegen.columns"] = (
+            op.tolist(), arg, nxt.tolist(), entry.tolist())
+    return columns
 
 
 class TraceGenerator:
@@ -40,17 +78,18 @@ class TraceGenerator:
 
     The generator can be advanced incrementally (``run(n)``), which the
     experiment layer uses to produce warm-up prefixes and measurement
-    windows from a single deterministic stream.
+    windows from a single deterministic stream.  Its position is a
+    global block index of the program's columns.
     """
 
     def __init__(self, generated: GeneratedProgram, seed: int = 1) -> None:
         self.generated = generated
         self.program = generated.program
         self._rng = np.random.default_rng(seed)
-        # (fid, block-index) resume points for returns.
-        self._stack: List[Tuple[int, int]] = []
-        # Loop/alternate per-branch counters, keyed by (fid, block index).
-        self._counters: Dict[Tuple[int, int], int] = {}
+        # Global block indices to resume at on return.
+        self._stack: List[int] = []
+        # Loop/alternate per-branch counters, keyed by global block.
+        self._counters: Dict[int, int] = {}
         roots = generated.roots
         weights = np.asarray(generated.root_weights, dtype=np.float64)
         if (weights.shape != (len(roots),) or not (weights >= 0).all()
@@ -60,100 +99,82 @@ class TraceGenerator:
                 f"probabilities summing to 1"
             )
         self._root_cdf = choice_cdf(weights)
-        self._fid = self._pick_root()
-        self._bidx = 0
+        self._root_blocks = self.program.func_start[
+            np.asarray(roots, dtype=np.int64)].tolist()
+        self._block = self._pick_root()
 
     def _pick_root(self) -> int:
-        # The draw of rng.choice(len(roots), p=root_weights).
-        index = bisect_right(self._root_cdf, self._rng.random())
-        return int(self.generated.roots[index])
+        # The draw of rng.choice(len(roots), p=root_weights): the entry
+        # block of the chosen root.
+        return self._root_blocks[bisect_right(self._root_cdf,
+                                              self._rng.random())]
 
     def run(self, n_blocks: int) -> Trace:
         """Execute *n_blocks* dynamic basic blocks and return the trace."""
         if n_blocks < 1:
             raise TraceError(f"n_blocks must be >= 1, got {n_blocks}")
-        pcs = [0] * n_blocks
-        ninstrs = [0] * n_blocks
-        kinds = [0] * n_blocks
-        # Only conditionals can fall through; they overwrite their entry.
+        # The block executed at each step; only conditionals can fall
+        # through, and they overwrite their taken entry.
+        blocks = [0] * n_blocks
         takens = [True] * n_blocks
-        targets = [0] * n_blocks
 
+        op_of, arg_of, next_of, indirect = _walk_columns(self.program)
         random = self._rng.random
         integers = self._rng.integers
         stack = self._stack
         counters = self._counters
-        functions = self.program.functions
-        fid = self._fid
-        bidx = self._bidx
-        # The current function's blocks and block addresses; refreshed
-        # only when control enters another function.
-        function = functions[fid]
-        blocks = function.blocks
-        addrs = function.block_addrs
+        b = self._block
         for i in range(n_blocks):
-            block = blocks[bidx]
-            kind = int(block.kind)
-            pcs[i] = addrs[bidx]
-            ninstrs[i] = block.ninstr
-            kinds[i] = kind
+            blocks[i] = b
+            op = op_of[b]
+            if op == _OP_BIASED:
+                if random() < arg_of[b]:
+                    b = next_of[b]
+                else:
+                    takens[i] = False
+                    b += 1
+            elif op == _OP_LOOP:
+                count = counters.get(b, 0) + 1
+                if count < arg_of[b]:
+                    counters[b] = count
+                    b = next_of[b]
+                else:
+                    counters[b] = 0
+                    takens[i] = False
+                    b += 1
+            elif op == _OP_ALTERNATE:
+                count = counters.get(b, 0)
+                counters[b] = count ^ 1
+                if count == 0:
+                    b = next_of[b]
+                else:
+                    takens[i] = False
+                    b += 1
+            elif op == _OP_JUMP:
+                b = next_of[b]
+            elif op == _OP_CALL:
+                stack.append(b + 1)
+                b = next_of[b]
+            elif op == _OP_INDIRECT:
+                stack.append(b + 1)
+                b = indirect[next_of[b] + int(integers(0, arg_of[b]))]
+            elif stack:  # RET or TRAP_RET
+                b = stack.pop()
+            else:
+                # Request complete: dispatch the next request type.
+                b = self._pick_root()
+        self._block = b
 
-            if kind == _COND:
-                behavior = block.behavior
-                if behavior == _BIASED:
-                    taken = random() < block.behavior_param
-                else:
-                    key = (fid, bidx)
-                    count = counters.get(key, 0)
-                    if behavior == _LOOP:
-                        if count + 1 < max(2, int(block.behavior_param)):
-                            counters[key] = count + 1
-                            taken = True
-                        else:
-                            counters[key] = 0
-                            taken = False
-                    else:  # ALTERNATE
-                        counters[key] = count ^ 1
-                        taken = count == 0
-                bidx = block.taken_succ if taken else bidx + 1
-                takens[i] = taken
-                targets[i] = addrs[bidx]
-            elif kind == _JUMP:
-                bidx = block.taken_succ
-                targets[i] = addrs[bidx]
-            elif kind == _CALL or kind == _TRAP:
-                callees = block.callees
-                if len(callees) == 1:
-                    callee = callees[0]
-                else:
-                    callee = callees[int(integers(0, len(callees)))]
-                stack.append((fid, bidx + 1))
-                fid = callee
-                bidx = 0
-                function = functions[fid]
-                blocks = function.blocks
-                addrs = function.block_addrs
-                targets[i] = function.base_addr
-            else:  # RET or TRAP_RET
-                if stack:
-                    fid, bidx = stack.pop()
-                else:
-                    # Request complete: dispatch the next request type.
-                    fid = self._pick_root()
-                    bidx = 0
-                function = functions[fid]
-                blocks = function.blocks
-                addrs = function.block_addrs
-                targets[i] = addrs[bidx]
-        self._fid = fid
-        self._bidx = bidx
-
-        return Trace(np.array(pcs, dtype=np.int64),
-                     np.array(ninstrs, dtype=np.int16),
-                     np.array(kinds, dtype=np.int8),
-                     np.array(takens, dtype=bool),
-                     np.array(targets, dtype=np.int64),
-                     self.generated)
+        # Each block's target is where control went next.
+        program = self.program
+        executed = np.array(blocks, dtype=np.int64)
+        pc = program.block_pc[executed]
+        target = np.empty_like(pc)
+        target[:-1] = pc[1:]
+        target[-1] = program.block_pc[b]
+        return Trace(pc, program.ninstr[executed].astype(np.int16),
+                     program.kind[executed], np.array(takens, dtype=bool),
+                     target, self.generated)
 
 
 def generate_trace(generated: GeneratedProgram, n_blocks: int,

@@ -17,10 +17,10 @@ import pickle
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.cfg.generator import generate_program
-from repro.cfg.model import BasicBlock, Function
 from repro.core.exec import ExecutionPolicy, ProcessBackend, scoped_policy
 from repro.core.exec import faults, policy as policy_module
 from repro.errors import ProgramError
@@ -29,7 +29,7 @@ from repro.experiments.spec import run_table_spec
 from repro.isa import BranchKind
 from repro.obs import tracing
 from repro.workloads import profiles
-from repro.workloads.profiles import WORKLOAD_NAMES, SHIP_WEIGHT, \
+from repro.workloads.profiles import WORKLOAD_NAMES, \
     build_program, build_programs, clear_caches, get_profile, plan_builds
 from tests.test_golden_workloads import _pinned, program_digest
 
@@ -61,11 +61,12 @@ def _assert_golden(names):
 
 
 class TestPlan:
-    def test_longest_first_with_ship_weight(self):
-        assert SHIP_WEIGHT == 1.25
+    def test_longest_first_on_function_count(self):
+        """Shipping is cheap, so no share is weighted: 10000/9800
+        functions on two shares."""
         plan = plan_builds(list(WORKLOAD_NAMES), 2)
-        assert plan == [["oracle", "apache", "nutch"],
-                        ["db2", "zeus", "streaming"]]
+        assert plan == [["oracle", "zeus", "nutch"],
+                        ["db2", "apache", "streaming"]]
 
     def test_every_program_planned_once(self):
         plan = plan_builds(list(WORKLOAD_NAMES), 4)
@@ -197,54 +198,47 @@ class TestStage:
         assert sorted(profiles._PROGRAM_CACHE) == sorted(WORKLOAD_NAMES)
         collectable = {id(obj) for obj in gc.get_objects()}
         for name, generated in profiles._PROGRAM_CACHE.items():
-            program = generated.program
-            built = [generated, program, program.functions,
-                     *program.functions,
-                     *(block for function in program.functions
-                       for block in function.blocks)]
+            built = [generated, generated.program, generated.roots,
+                     generated.kernel_fids]
             assert not [obj for obj in built if id(obj) in collectable], \
                 name
         _assert_golden(WORKLOAD_NAMES)
 
 
 class TestShippedPrograms:
-    def test_round_trip_keeps_digest_sharing_and_footprint(self):
-        """(e) A shipped program equals the built one, keeps its interned
-        blocks shared and holds no more memory (tracemalloc, 5%)."""
+    def test_round_trip_keeps_digest_and_footprint(self):
+        """(e) A shipped program equals the built one, travels as its
+        columns (a few bytes per block) and holds no more memory
+        (tracemalloc, 5%)."""
         params = get_profile("zeus").gen_params
         generate_program(params)  # warm the generator's own state
         fresh, fresh_bytes = _traced(lambda: generate_program(params))
         blob = pickle.dumps(fresh)
         shipped, shipped_bytes = _traced(lambda: pickle.loads(blob))
         assert program_digest(shipped) == program_digest(fresh)
-        assert _distinct_blocks(shipped) == _distinct_blocks(fresh)
+        assert len(blob) < 24 * fresh.program.total_blocks
         assert shipped_bytes <= 1.05 * fresh_bytes, (
             shipped_bytes, fresh_bytes)
 
     def test_round_trip_revalidates(self):
-        """Blocks and functions unpickle through their constructors, so
-        a corrupt one is rejected as it arrives."""
+        """Programs unpickle through their constructor, so corrupt
+        columns are rejected as they arrive."""
         program = build_program("nutch").program
         restored = pickle.loads(pickle.dumps(program))
-        assert [(f.fid, f.is_kernel, f.blocks, f.block_addrs)
-                for f in restored.functions] \
-            == [(f.fid, f.is_kernel, f.blocks, f.block_addrs)
-                for f in program.functions]
-        # A function's addresses belong to its program.
-        function = program.functions[0]
-        alone = pickle.loads(pickle.dumps(function))
-        assert alone == Function(function.fid, function.blocks,
-                                 function.is_kernel)
-        with pytest.raises(ProgramError, match="not been laid out"):
-            alone.block_addrs
-        block = BasicBlock(ninstr=4, kind=BranchKind.RET)
-        object.__setattr__(block, "ninstr", 40)
+        state, again = program.__getstate__(), restored.__getstate__()
+        assert state.keys() == again.keys()
+        assert all(np.array_equal(state[key], again[key]) for key in state)
+        assert np.array_equal(restored.block_pc, program.block_pc)
+
+        broken = pickle.loads(pickle.dumps(program))
+        broken.ninstr = broken.ninstr.copy()
+        broken.ninstr[0] = 40
         with pytest.raises(ProgramError, match="ninstr"):
-            pickle.loads(pickle.dumps(block))
-        broken = Function(fid=0, blocks=[BasicBlock(ninstr=4,
-                                                    kind=BranchKind.RET)])
-        broken.blocks.append(BasicBlock(ninstr=2, kind=BranchKind.JUMP,
-                                        taken_succ=0))
+            pickle.loads(pickle.dumps(broken))
+        broken = pickle.loads(pickle.dumps(program))
+        broken.kind = broken.kind.copy()
+        user = int(np.flatnonzero(~program.is_kernel)[0])
+        broken.kind[program.func_start[user + 1] - 1] = BranchKind.TRAP_RET
         with pytest.raises(ProgramError, match="must end with RET"):
             pickle.loads(pickle.dumps(broken))
 
@@ -272,9 +266,3 @@ def _traced(build):
     finally:
         tracemalloc.stop()
     return value, held
-
-
-def _distinct_blocks(generated):
-    blocks = [block for function in generated.program.functions
-              for block in function.blocks]
-    return len({id(block) for block in blocks}), len(set(blocks))

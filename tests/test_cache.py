@@ -27,6 +27,24 @@ class TestSetAssocCache:
         assert cache.lookup(5)
         assert cache.hits == 1 and cache.misses == 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.sets(st.integers(0, 4095), max_size=200),
+           assoc=st.sampled_from([1, 2, 4]), shuffle=st.randoms())
+    def test_preload_equals_inserting_in_order(self, lines, assoc,
+                                               shuffle):
+        lines = list(lines)
+        shuffle.shuffle(lines)
+        inserted = SetAssocCache(16 * 64 * assoc, assoc, 64)
+        for line in lines:
+            inserted.insert(line)
+        preloaded = SetAssocCache(16 * 64 * assoc, assoc, 64)
+        preloaded.preload(lines)
+        assert preloaded.snapshot() == inserted.snapshot()
+        # Read-only sets still become owned on the first write.
+        for line in lines[:5]:
+            assert preloaded.lookup(line) == inserted.lookup(line)
+        assert preloaded.snapshot() == inserted.snapshot()
+
     def test_lru_eviction_within_set(self):
         cache = SetAssocCache(2 * 64, 2, 64)  # 1 set, 2 ways
         cache.insert(0)

@@ -2,46 +2,44 @@
 
 import pytest
 
-from repro.cfg.model import BasicBlock, Function, Program, StaticBranch
+from repro.cfg.model import BasicBlock, Function, Program
 from repro.errors import ProgramError
-from repro.isa import BLOCK_SHIFT, INSTR_BYTES, BranchKind
+from repro.isa import BLOCK_SHIFT, INSTR_BYTES, BranchKind, branch_pc
 from repro.workloads.profiles import WORKLOAD_NAMES, build_program
 
 
-def reference_static_branch(program, fid, bidx):
-    """Static-branch descriptor for one block, resolved on its own.
-
-    The per-block reference for ``Program.image``'s single pass.
-    """
-    function = program.functions[fid]
-    block = function.blocks[bidx]
-    if block.kind in (BranchKind.COND, BranchKind.JUMP):
-        target = function.block_addr(block.taken_succ)
-    elif block.kind in (BranchKind.CALL, BranchKind.TRAP):
-        # The first candidate callee.
-        target = program.functions[block.callees[0]].base_addr
-    else:
-        target = 0
-    return StaticBranch(block_pc=function.block_addr(bidx),
-                        ninstr=block.ninstr, kind=block.kind, target=target)
-
-
 def reference_image(program):
-    """Line -> branches, one :func:`reference_static_branch` per block."""
+    """Line -> branches, resolved block by block over the record views.
+
+    The per-block reference for ``Program.image``'s vector build.
+    """
     image = {}
-    for function in program.functions:
-        for bidx in range(function.nblocks):
-            descriptor = reference_static_branch(program, function.fid, bidx)
-            image.setdefault(descriptor.branch_pc >> BLOCK_SHIFT,
-                             []).append(descriptor)
+    functions = program.functions
+    for function in functions:
+        for bidx, block in enumerate(function.blocks):
+            pc = function.block_addr(bidx)
+            if block.kind in (BranchKind.COND, BranchKind.JUMP):
+                target = function.block_addr(block.taken_succ)
+            elif block.kind in (BranchKind.CALL, BranchKind.TRAP):
+                target = functions[block.callees[0]].base_addr
+            else:
+                target = 0
+            image.setdefault(branch_pc(pc, block.ninstr) >> BLOCK_SHIFT,
+                             []).append((pc, block.ninstr, block.kind,
+                                         target))
     return image
+
+
+def image_items(image):
+    """``(line, branches)`` for every line of *image*, in image order."""
+    return [(line, list(branches)) for line, branches in image.items()]
 
 
 def assert_image_matches_reference(program):
     expected = reference_image(program)
-    # Same keys in the same order, and equal per-line lists.
-    assert list(program.image.items()) == list(expected.items())
-    expected_targets = {branch.block_pc: branch.target
+    # Same lines in the same order, and equal per-line branches.
+    assert image_items(program.image) == list(expected.items())
+    expected_targets = {branch[0]: branch[3]
                         for branches in expected.values()
                         for branch in branches}
     assert list(program.static_targets.items()) == \
@@ -109,53 +107,54 @@ class TestFunction:
 
 class TestProgram:
     def test_layout_is_line_aligned_and_ordered(self):
-        program = Program([_leaf(0), _leaf(1), _leaf(2)])
+        program = Program.from_functions([_leaf(0), _leaf(1), _leaf(2)])
         addresses = [f.base_addr for f in program.functions]
         assert addresses == sorted(addresses)
         for address in addresses:
             assert address % (1 << BLOCK_SHIFT) == 0
 
     def test_block_addresses_are_cumulative(self):
-        program = Program([_leaf(0)])
+        program = Program.from_functions([_leaf(0)])
         function = program.functions[0]
         assert function.block_addr(1) == \
             function.block_addr(0) + 4 * INSTR_BYTES
 
     def test_fids_must_be_dense(self):
         with pytest.raises(ProgramError):
-            Program([_leaf(1)])
+            Program.from_functions([_leaf(1)])
 
     def test_empty_program_rejected(self):
         with pytest.raises(ProgramError):
-            Program([])
+            Program.from_functions([])
 
     def test_image_covers_every_block(self):
-        program = Program([_leaf(0), _leaf(1)])
-        branches = [b for line in program.image.values() for b in line]
+        program = Program.from_functions([_leaf(0), _leaf(1)])
+        branches = [b for _, line in image_items(program.image)
+                    for b in line]
         assert len(branches) == program.total_blocks
 
     def test_image_keyed_by_branch_line(self):
-        program = Program([_leaf(0)])
-        for line, branches in program.image.items():
-            for branch in branches:
-                assert branch.branch_pc >> BLOCK_SHIFT == line
+        program = Program.from_functions([_leaf(0)])
+        for line, branches in image_items(program.image):
+            for block_pc, ninstr, _, _ in branches:
+                assert branch_pc(block_pc, ninstr) >> BLOCK_SHIFT == line
 
     def test_static_branch_targets_resolved(self, tiny_generated):
         program = tiny_generated.program
-        descriptors = {branch.block_pc: branch
-                       for line in program.image.values() for branch in line}
+        descriptors = {branch[0]: branch
+                       for _, line in image_items(program.image)
+                       for branch in line}
         for function in program.functions[:10]:
             for bidx, block in enumerate(function.blocks):
-                descriptor = descriptors[function.block_addr(bidx)]
-                assert descriptor.kind == block.kind
+                _, _, kind, target = descriptors[function.block_addr(bidx)]
+                assert kind == block.kind
                 if block.kind in (BranchKind.COND, BranchKind.JUMP):
-                    assert descriptor.target == \
-                        function.block_addr(block.taken_succ)
+                    assert target == function.block_addr(block.taken_succ)
                 elif block.kind in (BranchKind.CALL, BranchKind.TRAP):
                     callee = program.functions[block.callees[0]]
-                    assert descriptor.target == callee.base_addr
+                    assert target == callee.base_addr
                 else:
-                    assert descriptor.target == 0
+                    assert target == 0
 
     def test_image_matches_reference_walk(self, tiny_generated):
         assert_image_matches_reference(tiny_generated.program)
@@ -168,5 +167,5 @@ class TestProgram:
         assert tiny_generated.program.footprint_bytes > 0
 
     def test_unconditional_count(self):
-        program = Program([_leaf(0)])
+        program = Program.from_functions([_leaf(0)])
         assert program.unconditional_count() == 1  # the RET

@@ -99,11 +99,11 @@ class TestConfluenceBTB:
 
     def test_prefill_gated_by_arrival(self, scheme, tiny_generated):
         line, branches = next(iter(tiny_generated.program.image.items()))
-        victim = branches[0]
+        victim = branches[0][0]
         scheme.on_prefetch_arrival(line, ready=100.0)
-        assert scheme.lookup(victim.block_pc, 50.0) is None
+        assert scheme.lookup(victim, 50.0) is None
         assert scheme.lookup(
-            victim.block_pc, 100.0 + scheme.predecode_latency
+            victim, 100.0 + scheme.predecode_latency
         ) is not None
 
     def test_storage_accounts_history_and_index(self, scheme):

@@ -8,8 +8,8 @@ import pytest
 from bisect import bisect_right
 
 from repro.cfg.generator import GeneratorParams, choice_cdf, \
-    generate_program, intern_blocks
-from repro.cfg.model import CondBehavior
+    generate_program
+from repro.cfg.model import CondBehavior, Program
 from repro.errors import ProgramError
 from repro.isa import BranchKind
 from tests.conftest import TINY_PARAMS
@@ -164,24 +164,23 @@ class TestChoiceCdf:
         assert reference.random() == ours.random()
 
 
-class TestInternedBlocks:
-    def test_equal_blocks_are_one_object(self, medium_generated):
-        blocks = [block for function in medium_generated.program.functions
-                  for block in function.blocks]
-        first = {}
-        for block in blocks:
-            assert first.setdefault(block, block) is block
-        assert len(first) < len(blocks)
-
+class TestProgramColumns:
     def test_pickle_round_trip_keeps_digest(self, medium_generated):
         restored = pickle.loads(pickle.dumps(medium_generated))
         assert program_digest(restored) == program_digest(medium_generated)
-        # Pickle's memo keeps the sharing: still one object per value.
-        blocks = [block for function in restored.program.functions
-                  for block in function.blocks]
-        assert len({id(block) for block in blocks}) == len(set(blocks))
+        # Only the columns travel: the layout is rebuilt, equal.
+        program = restored.program
+        assert "image" not in vars(program)
+        assert (program.block_pc
+                == medium_generated.program.block_pc).all()
 
-    def test_invalid_spec_still_rejected(self):
-        spec = (4, BranchKind.CALL, -1, (), CondBehavior.BIASED, 0.5)
-        with pytest.raises(ProgramError):
-            intern_blocks([spec], [], {})
+    def test_invalid_column_rejected(self, medium_generated):
+        """The constructor validates columns, as unpickling does."""
+        state = medium_generated.program.__getstate__()
+        call = np.flatnonzero(state["kind"] == int(BranchKind.CALL))[0]
+        lo, hi = state["callee_start"][call:call + 2]
+        state["callees"] = np.delete(state["callees"], np.s_[lo:hi])
+        state["callee_start"] = state["callee_start"].copy()
+        state["callee_start"][call + 1:] -= hi - lo
+        with pytest.raises(ProgramError, match="CALL block needs callees"):
+            Program(**state)

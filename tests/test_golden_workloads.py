@@ -3,11 +3,12 @@
 Every registered paper workload (the six Table 2 profiles) and scenario
 family has two SHA-256 digests pinned in ``tests/golden/workloads.json``:
 
-* ``program`` — a canonical walk of the generated program: each
-  function's fid, kernel flag and ``base_addr``, every block field, then
-  the roots, the bytes of the root weights and the kernel fids.  It is
-  not a pickle, so it does not depend on pickle protocol or object
-  layout — only on what the generator produced.
+* ``program`` — a canonical walk of the generated program's columns:
+  each function's fid, kernel flag and base address, every block field
+  (successors function-local), then the roots, the bytes of the root
+  weights and the kernel fids.  It is not a pickle, so it does not
+  depend on pickle protocol or storage layout — only on what the
+  generator produced.
 * ``trace`` — one sampled-style window trace (``WINDOW_BLOCKS`` blocks,
   seed ``WINDOW_SEED``, the profile's own warm-up): each column's dtype
   and raw bytes.
@@ -50,16 +51,31 @@ def pinned_workloads():
 
 
 def program_digest(generated) -> str:
-    """SHA-256 over a canonical walk of a generated program."""
+    """SHA-256 over a canonical walk of a generated program's columns.
+
+    Per function, in fid order: its fid, kernel flag and base address,
+    then each block's fields with the taken successor function-local
+    (-1 where unused) and the candidate callees as a list.
+    """
+    program = generated.program
     digest = hashlib.sha256()
-    for function in generated.program.functions:
-        digest.update(f"F {function.fid} {int(function.is_kernel)} "
-                      f"{function.base_addr}\n".encode())
-        for block in function.blocks:
+    func_start = program.func_start.tolist()
+    callee_start = program.callee_start.tolist()
+    callees = program.callees.tolist()
+    blocks = list(zip(program.ninstr.tolist(), program.kind.tolist(),
+                      program.taken_succ.tolist(),
+                      program.behavior.tolist(),
+                      program.behavior_param.tolist()))
+    for fid, (is_kernel, base) in enumerate(zip(
+            program.is_kernel.tolist(), program.func_base.tolist())):
+        digest.update(f"F {fid} {int(is_kernel)} {base}\n".encode())
+        first = func_start[fid]
+        for b in range(first, func_start[fid + 1]):
+            ninstr, kind, succ, behavior, param = blocks[b]
             digest.update(
-                f"B {block.ninstr} {int(block.kind)} {block.taken_succ} "
-                f"{list(block.callees)} {int(block.behavior)} "
-                f"{block.behavior_param!r}\n".encode())
+                f"B {ninstr} {kind} {succ - first if succ >= 0 else -1} "
+                f"{callees[callee_start[b]:callee_start[b + 1]]} "
+                f"{behavior} {param!r}\n".encode())
     digest.update(f"R {list(generated.roots)}\n".encode())
     weights = generated.root_weights
     digest.update(f"W {weights.dtype.str}\n".encode())

@@ -16,6 +16,7 @@ import time
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import heap
@@ -185,18 +186,23 @@ class TestPause:
 
 
 class TestPrograms:
-    def test_built_program_and_image_are_frozen(self, small_profile):
+    def test_built_program_is_frozen_and_image_is_arrays(self,
+                                                         small_profile):
         generated = build_program(small_profile.name)
-        image = generated.program.image
+        program = generated.program
         collectable = _collectable_ids()
-        for obj in (generated, generated.program,
-                    generated.program.functions, image,
-                    *generated.program.functions,
-                    *next(iter(image.values()))):
+        for obj in (generated, program, generated.roots,
+                    generated.kernel_fids):
             assert id(obj) not in collectable
-        oldest = {id(obj) for obj in gc.get_objects(2)}
-        assert not [block for function in generated.program.functions
-                    for block in function.blocks if id(block) in oldest]
+        # Columns, layout and image columns are arrays, which the
+        # collector never tracks; the image needs no pause of its own.
+        image = program.image
+        arrays = [*vars(program).values(), image.lines, image.bounds,
+                  image.target]
+        arrays = [value for value in arrays
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) >= 14
+        assert not [array for array in arrays if gc.is_tracked(array)]
 
     def test_evicted_program_dies_by_refcount(self, small_profile,
                                               collection_off):

@@ -162,6 +162,6 @@ class TestReRegistration:
                         if s["name"] == "build_image")
         assert images == sorted(program.nfunctions
                                 for program in programs.values())
-        assert all(program._image is None
+        assert all("image" not in vars(program)
                    for program in programs.values())
         clear_result_cache()

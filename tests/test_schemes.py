@@ -70,12 +70,11 @@ class TestBoomerangScheme:
                                                    tiny_generated):
         image = tiny_generated.program.image
         line, branches = next(iter(image.items()))
-        victim = branches[0]
-        scheme.reactive_fill_install(victim.block_pc, victim.ninstr,
-                                     victim.kind, victim.target, line, 0.0)
-        hit = scheme.lookup(victim.block_pc, 1.0)
+        pc, ninstr, kind, target = branches[0]
+        scheme.reactive_fill_install(pc, ninstr, kind, target, line, 0.0)
+        hit = scheme.lookup(pc, 1.0)
         assert hit is not None
-        assert hit.kind == victim.kind
+        assert hit.kind == kind
         assert scheme.reactive_fills == 1
 
     def test_reactive_fill_stages_neighbours(self, scheme,
@@ -86,16 +85,13 @@ class TestBoomerangScheme:
         line, branches = next(
             (l, b) for l, b in image.items() if len(b) >= 2
         )
-        scheme.reactive_fill_install(branches[0].block_pc,
-                                     branches[0].ninstr,
-                                     branches[0].kind,
-                                     branches[0].target, line, 0.0)
-        neighbour = branches[1]
+        scheme.reactive_fill_install(*branches[0], line, 0.0)
+        neighbour = branches[1][0]
         assert len(scheme.prefetch_buffer) >= 1
-        hit = scheme.lookup(neighbour.block_pc, 1.0)
+        hit = scheme.lookup(neighbour, 1.0)
         assert hit is not None and hit.source == "btb"
         # It was moved into the BTB: a second lookup also hits.
-        assert scheme.lookup(neighbour.block_pc, 2.0) is not None
+        assert scheme.lookup(neighbour, 2.0) is not None
 
 
 class TestFactory:

@@ -21,7 +21,8 @@ from repro.core.frontend import _fold_sequences, _warm_llc_state
 from repro.prefetch.factory import SCHEME_FACTORIES, build_scheme
 from repro.uarch.btb import EMPTY_SET
 from repro.uarch.cache import SetAssocCache
-from repro.workloads.profiles import build_trace
+from repro.workloads.profiles import WORKLOAD_NAMES, build_program, \
+    build_trace
 from repro.workloads.trace import Trace
 
 
@@ -70,6 +71,22 @@ def test_warm_state_is_keyed_on_llc_geometry():
     small_state = _warm_llc_state(trace, small)
     assert len(small_state) == len(big_state) // 4
     assert small_state == _fresh_warm_state(trace.generated.program, small)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_warm_state_from_columns_equals_inserting_image_lines(name):
+    """The warm LLC a cell starts from, built from the image's line
+    column in bulk, is the state inserting every image line in order
+    reaches: at the Table 3 geometry and at one small enough that most
+    sets overflow and keep only their last lines."""
+    program = build_program(name).program
+    default = MicroarchParams()
+    for params in (default, dataclasses.replace(
+            default, llc_bytes=64 * 1024, llc_assoc=4)):
+        llc = SetAssocCache(params.llc_bytes, params.llc_assoc,
+                            params.line_bytes)
+        llc.preload(program.image.lines)
+        assert llc.snapshot() == _fresh_warm_state(program, params)
 
 
 def test_no_program_means_cold_llc():

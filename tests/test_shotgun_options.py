@@ -59,11 +59,11 @@ class TestReactiveOnlyCBTB:
         image = tiny_generated.program.image
         line, branches = next(
             (l, b) for l, b in image.items()
-            if any(br.kind == BranchKind.COND for br in b)
+            if any(br[2] == BranchKind.COND for br in b)
         )
-        cond = next(b for b in branches if b.kind == BranchKind.COND)
+        cond = next(b[0] for b in branches if b[2] == BranchKind.COND)
         scheme.on_prefetch_arrival(line, ready=10.0)
-        assert scheme.lookup(cond.block_pc, 100.0) is None
+        assert scheme.lookup(cond, 100.0) is None
 
     def test_reactive_fill_still_works(self, tiny_generated):
         scheme = _scheme(tiny_generated, proactive_cbtb=False)

@@ -64,14 +64,14 @@ class TestProactiveCBTBFill:
         image = tiny_generated.program.image
         line, branches = next(
             (l, b) for l, b in image.items()
-            if any(br.kind == BranchKind.COND for br in b)
+            if any(br[2] == BranchKind.COND for br in b)
         )
-        cond = next(b for b in branches if b.kind == BranchKind.COND)
+        cond = next(b[0] for b in branches if b[2] == BranchKind.COND)
         scheme.on_prefetch_arrival(line, ready=100.0)
         # Not visible before arrival + predecode.
-        assert scheme.lookup(cond.block_pc, 50.0) is None
+        assert scheme.lookup(cond, 50.0) is None
         assert scheme.lookup(
-            cond.block_pc, 100.0 + scheme.predecode_latency
+            cond, 100.0 + scheme.predecode_latency
         ) is not None
 
     def test_arrival_does_not_delay_existing_entry(self, scheme):
@@ -164,7 +164,5 @@ class TestPolicyAndStorage:
     def test_reactive_fill_routes_by_kind(self, scheme, tiny_generated):
         image = tiny_generated.program.image
         line, branches = next(iter(image.items()))
-        victim = branches[0]
-        scheme.reactive_fill_install(victim.block_pc, victim.ninstr,
-                                     victim.kind, victim.target, line, 5.0)
-        assert scheme.lookup(victim.block_pc, 10.0) is not None
+        scheme.reactive_fill_install(*branches[0], line, 5.0)
+        assert scheme.lookup(branches[0][0], 10.0) is not None

@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cfg.generator import GeneratorParams, generate_program
 from repro.cfg.model import CondBehavior
 from repro.errors import TraceError
 from repro.isa import BranchKind, fallthrough_pc
+from repro.workloads.profiles import build_program
 from repro.workloads.tracegen import TraceGenerator, generate_trace
+from tests.test_golden_workloads import pinned_workloads
 
 
 class TestExecutionSemantics:
@@ -110,56 +113,84 @@ class TestExecutionSemantics:
         assert counts.max() < 0.3 * len(trace)
 
 
-def _reference_trace(generated, n_blocks, seed, warmup_blocks):
-    """Straightforward executor: one ``rng.choice`` per dispatched root.
+class ObjectExecutor:
+    """The per-block object executor the column executor replaced.
 
-    The production executor hoists state into locals, fills lists and
-    inverts a cached root CDF; this per-block loop over the program's
-    accessors must produce the same columns bit for bit.
+    Walks the program's :class:`Function`/:class:`BasicBlock` record
+    views by (fid, block index), one ``rng.choice`` per dispatched root,
+    and can be advanced incrementally like :class:`TraceGenerator`.
+    The production executor walks global block indices over list
+    columns and inverts a cached root CDF; it must produce the same
+    columns bit for bit, resumed runs included.
     """
-    rng = np.random.default_rng(seed)
-    functions = generated.program.functions
-    counters = {}
-    stack = []
 
-    def pick_root():
-        index = rng.choice(len(generated.roots), p=generated.root_weights)
-        return int(generated.roots[index])
+    def __init__(self, generated, seed, functions=None):
+        self.generated = generated
+        self.functions = functions if functions is not None \
+            else generated.program.functions
+        self.rng = np.random.default_rng(seed)
+        self.counters = {}
+        self.stack = []
+        self.fid, self.bidx = self.pick_root(), 0
 
-    fid, bidx = pick_root(), 0
-    rows = []
-    for _ in range(warmup_blocks + n_blocks):
-        function = functions[fid]
-        block = function.blocks[bidx]
-        pc, taken = function.block_addr(bidx), True
-        if block.kind == BranchKind.COND:
-            if block.behavior == CondBehavior.BIASED:
-                taken = bool(rng.random() < block.behavior_param)
-            else:
-                count = counters.get((fid, bidx), 0)
-                if block.behavior == CondBehavior.LOOP:
-                    taken = count + 1 < max(2, int(block.behavior_param))
-                    counters[(fid, bidx)] = count + 1 if taken else 0
+    def pick_root(self):
+        index = self.rng.choice(len(self.generated.roots),
+                                p=self.generated.root_weights)
+        return int(self.generated.roots[index])
+
+    def run(self, n_blocks):
+        """The next *n_blocks* rows ``(pc, ninstr, kind, taken, target)``."""
+        rng, functions = self.rng, self.functions
+        counters, stack = self.counters, self.stack
+        fid, bidx = self.fid, self.bidx
+        rows = []
+        for _ in range(n_blocks):
+            function = functions[fid]
+            block = function.blocks[bidx]
+            pc, taken = function.block_addr(bidx), True
+            if block.kind == BranchKind.COND:
+                if block.behavior == CondBehavior.BIASED:
+                    taken = bool(rng.random() < block.behavior_param)
                 else:
-                    counters[(fid, bidx)] = count ^ 1
-                    taken = count == 0
-            bidx = block.taken_succ if taken else bidx + 1
-            target = function.block_addr(bidx)
-        elif block.kind == BranchKind.JUMP:
-            bidx = block.taken_succ
-            target = function.block_addr(bidx)
-        elif block.kind in (BranchKind.CALL, BranchKind.TRAP):
-            callees = block.callees
-            callee = callees[0] if len(callees) == 1 \
-                else callees[int(rng.integers(0, len(callees)))]
-            stack.append((fid, bidx + 1))
-            fid, bidx = callee, 0
-            target = functions[fid].base_addr
-        else:
-            fid, bidx = stack.pop() if stack else (pick_root(), 0)
-            target = functions[fid].block_addr(bidx)
-        rows.append((pc, block.ninstr, int(block.kind), taken, target))
-    return rows[warmup_blocks:]
+                    count = counters.get((fid, bidx), 0)
+                    if block.behavior == CondBehavior.LOOP:
+                        taken = count + 1 < max(2,
+                                                int(block.behavior_param))
+                        counters[(fid, bidx)] = count + 1 if taken else 0
+                    else:
+                        counters[(fid, bidx)] = count ^ 1
+                        taken = count == 0
+                bidx = block.taken_succ if taken else bidx + 1
+                target = function.block_addr(bidx)
+            elif block.kind == BranchKind.JUMP:
+                bidx = block.taken_succ
+                target = function.block_addr(bidx)
+            elif block.kind in (BranchKind.CALL, BranchKind.TRAP):
+                callees = block.callees
+                callee = callees[0] if len(callees) == 1 \
+                    else callees[int(rng.integers(0, len(callees)))]
+                stack.append((fid, bidx + 1))
+                fid, bidx = callee, 0
+                target = functions[fid].base_addr
+            else:
+                fid, bidx = stack.pop() if stack \
+                    else (self.pick_root(), 0)
+                target = functions[fid].block_addr(bidx)
+            rows.append((pc, block.ninstr, int(block.kind), taken, target))
+        self.fid, self.bidx = fid, bidx
+        return rows
+
+
+def _reference_trace(generated, n_blocks, seed, warmup_blocks):
+    executor = ObjectExecutor(generated, seed)
+    executor.run(warmup_blocks)
+    return executor.run(n_blocks)
+
+
+def _rows(trace):
+    return list(zip(trace.pc.tolist(), trace.ninstr.tolist(),
+                    trace.kind.tolist(), trace.taken.tolist(),
+                    trace.target.tolist()))
 
 
 class TestAgainstReferenceExecutor:
@@ -167,10 +198,8 @@ class TestAgainstReferenceExecutor:
     def test_tiny_program(self, tiny_generated, seed, warmup):
         trace = generate_trace(tiny_generated, 3000, seed=seed,
                                warmup_blocks=warmup)
-        rows = list(zip(trace.pc.tolist(), trace.ninstr.tolist(),
-                        trace.kind.tolist(), trace.taken.tolist(),
-                        trace.target.tolist()))
-        assert rows == _reference_trace(tiny_generated, 3000, seed, warmup)
+        assert _rows(trace) == _reference_trace(tiny_generated, 3000, seed,
+                                                warmup)
 
     def test_indirect_heavy_program(self):
         generated = generate_program(GeneratorParams(
@@ -180,7 +209,25 @@ class TestAgainstReferenceExecutor:
         ))
         generator = TraceGenerator(generated, seed=9)
         parts = [generator.run(n) for n in (1, 999, 2000)]
-        rows = [row for part in parts for row in zip(
-            part.pc.tolist(), part.ninstr.tolist(), part.kind.tolist(),
-            part.taken.tolist(), part.target.tolist())]
+        rows = [row for part in parts for row in _rows(part)]
         assert rows == _reference_trace(generated, 3000, 9, 0)
+
+    @pytest.mark.parametrize("name", sorted(pinned_workloads()))
+    def test_pinned_workload_resumed_runs(self, name):
+        """Every pinned workload, over drawn seeds and lengths, across a
+        resumed ``run(a)`` then ``run(b)``."""
+        generated = build_program(name)
+        functions = generated.program.functions  # views, built once
+
+        @settings(max_examples=4, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(seed=st.integers(1, 2**32 - 1), first=st.integers(1, 1500),
+               second=st.integers(1, 1500))
+        def check(seed, first, second):
+            generator = TraceGenerator(generated, seed=seed)
+            reference = ObjectExecutor(generated, seed, functions)
+            for n_blocks in (first, second):
+                assert _rows(generator.run(n_blocks)) \
+                    == reference.run(n_blocks)
+
+        check()
