@@ -20,12 +20,14 @@ loop offsets, giving the high intra-region spatial locality of Figure 3.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.cfg.draws import Draws
 from repro.cfg.model import CondBehavior, Program
 from repro.errors import ProgramError
 from repro.isa import BranchKind
@@ -179,14 +181,13 @@ def _layer_sizes(params: GeneratorParams) -> List[int]:
     return [roots] + list(sizes) + [kernel]
 
 
-def _draw_block_count(rng: np.random.Generator,
-                      params: GeneratorParams) -> int:
+def _draw_block_count(draws: Draws, params: GeneratorParams) -> int:
     mu = np.log(params.median_blocks)
-    count = int(round(float(rng.lognormal(mu, params.sigma_blocks))))
+    count = int(round(float(draws.lognormal(mu, params.sigma_blocks))))
     return min(max(count, 2), 64)
 
 
-def _pick_callees(rng: np.random.Generator, params: GeneratorParams,
+def _pick_callees(draws: Draws, params: GeneratorParams,
                   target_pool: Sequence[int], cluster_base: int,
                   indirect: bool,
                   cdfs: Dict[int, List[float]]) -> Tuple[int, ...]:
@@ -206,7 +207,7 @@ def _pick_callees(rng: np.random.Generator, params: GeneratorParams,
     # The draws of rng.choice(cluster, size=count, p=weights).
     fids = tuple(
         int(target_pool[(cluster_base + bisect_right(cdf, u)) % pool_size])
-        for u in rng.random(count).tolist()
+        for u in draws.random(count)
     )
     # Deduplicate while preserving order; an indirect site may legitimately
     # collapse to fewer distinct targets.
@@ -217,7 +218,7 @@ def _pick_callees(rng: np.random.Generator, params: GeneratorParams,
     return tuple(seen)
 
 
-def _pick_call_pool(rng: np.random.Generator, params: GeneratorParams,
+def _pick_call_pool(draws: Draws, params: GeneratorParams,
                     layer: int, layer_pools: List[List[int]],
                     fid: int, is_kernel: bool) -> List[int]:
     """Candidate-callee pool for one call site.
@@ -233,7 +234,7 @@ def _pick_call_pool(rng: np.random.Generator, params: GeneratorParams,
     if layer >= last_app_layer:
         return []
     skip = 0
-    while (rng.random() > params.layer_skip_decay
+    while (draws.random() > params.layer_skip_decay
            and layer + 1 + skip < last_app_layer):
         skip += 1
     return layer_pools[layer + 1 + skip]
@@ -245,7 +246,7 @@ def _pick_call_pool(rng: np.random.Generator, params: GeneratorParams,
 BlockRow = Tuple[int, int, int, Tuple[int, ...], int, float]
 
 
-def _build_function(rng: np.random.Generator, params: GeneratorParams,
+def _build_function(draws: Draws, params: GeneratorParams,
                     fid: int, layer: int, layer_pools: List[List[int]],
                     is_kernel: bool, cdfs: Dict[int, List[float]],
                     rows: List[BlockRow]) -> int:
@@ -255,7 +256,9 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
     Every draw is made inline, in program order, by the same method:
     the block-kind roll, then the block length, then the kind's own
     draws.  A conditional block draws its length a second time (the
-    first draw is discarded), which is part of the pinned stream.
+    first draw is discarded), which is part of the pinned stream.  The
+    first roll and the lengths are read from the buffer inline
+    (``u[i]``); the rest are :class:`Draws` method calls.
 
     Loop back-edges never span a call or trap block: a loop body that
     re-descends a call subtree on every iteration would concentrate
@@ -264,12 +267,39 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
     sets (loop bodies in server code are small; the deep call chains
     happen per-request, not per-iteration).
     """
-    random = rng.random
-    poisson = rng.poisson
-    integers = rng.integers
+    u = draws.u
+    ensure = draws.ensure
+    random = draws.random
+    integers = draws.integers
     # Geometric-ish block length with the requested mean: 2 plus a
     # Poisson draw, clipped to 15 so the 5-bit BTB size field encodes it.
     mean_extra = max(0.1, params.mean_block_instrs - 2)
+    # The Poisson draw read inline is numpy's multiplication method: it
+    # multiplies ``u`` until the product is ``<= limit``.  A product not
+    # above ``floor`` is drawn again by ``draws.poisson``: a 0 means the
+    # product ran into the buffer's end, and from mean 10 up, where
+    # numpy switches method, every draw goes there.
+    if mean_extra < 10:
+        limit, floor = math.exp(-mean_extra), 0.0
+    else:
+        limit = floor = 1.0
+
+    def block_length(j: int) -> int:
+        """``2 + poisson(mean_extra)`` clipped to 15, its first factor
+        ``u[j]``; leaves the cursor after the draw."""
+        product = u[j]
+        i = j + 1
+        while product > limit:
+            product *= u[i]
+            i += 1
+        if product > floor:
+            draws.i = i
+            ninstr = 1 + i - j
+        else:
+            draws.i = j
+            ninstr = 2 + draws.poisson(mean_extra)
+        return 15 if ninstr > 15 else ninstr
+
     loop_fraction = params.loop_fraction
     alternate_bound = loop_fraction + params.alternate_fraction
     hot_bias_fraction = params.hot_bias_fraction
@@ -287,41 +317,39 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
     append = rows.append
     base = len(rows)
 
-    nblocks = _draw_block_count(rng, params)
+    nblocks = _draw_block_count(draws, params)
     last = nblocks - 1
     for idx in range(last):
-        roll = random()
-        ninstr = 2 + poisson(mean_extra)
-        if ninstr > 15:
-            ninstr = 15
+        i = ensure(2)
+        roll = u[i]
+        ninstr = block_length(i + 1)
         if roll < call_fraction:
-            pool = _pick_call_pool(rng, params, layer, layer_pools, fid,
+            pool = _pick_call_pool(draws, params, layer, layer_pools, fid,
                                    is_kernel)
             if pool:
-                cluster_base = int(integers(0, len(pool)))
+                cluster_base = integers(0, len(pool))
                 callees = _pick_callees(
-                    rng, params, pool, cluster_base,
+                    draws, params, pool, cluster_base,
                     indirect=random() < params.indirect_fraction,
                     cdfs=cdfs,
                 )
                 append((ninstr, CALL, -1, callees, BIASED, 0.5))
                 continue
         elif roll < jump_bound:
-            target = min(last, idx + 1 + int(integers(0, 6)))
+            target = min(last, idx + 1 + integers(0, 6))
             append((ninstr, _JUMP, target, (), BIASED, 0.5))
             continue
         elif roll < trap_bound and can_trap:
             kernel_pool = layer_pools[-1]
-            cluster_base = int(integers(0, len(kernel_pool)))
-            callees = _pick_callees(rng, params, kernel_pool, cluster_base,
-                                    indirect=False, cdfs=cdfs)
+            cluster_base = integers(0, len(kernel_pool))
+            callees = _pick_callees(draws, params, kernel_pool,
+                                    cluster_base, indirect=False, cdfs=cdfs)
             append((ninstr, TRAP, -1, callees, BIASED, 0.5))
             continue
 
-        # A conditional block.
-        ninstr = 2 + poisson(mean_extra)
-        if ninstr > 15:
-            ninstr = 15
+        # A conditional block: ninstr = 2 + poisson(mean_extra) again,
+        # then its roll.
+        ninstr = block_length(ensure(1))
         roll = random()
         if roll < loop_fraction and idx > 0:
             # Largest backward span ending at this block that crosses
@@ -339,23 +367,23 @@ def _build_function(rng: np.random.Generator, params: GeneratorParams,
                     break
                 span += 1
             if span > 0:
-                target = idx - 1 - int(integers(0, span))
-                trips = max(2.0, rng.exponential(params.mean_loop_trips))
+                target = idx - 1 - integers(0, span)
+                trips = max(2.0, draws.exponential(params.mean_loop_trips))
                 append((ninstr, COND, target, (), LOOP, float(trips)))
                 continue
         if roll < alternate_bound:
-            target = min(last, idx + 1 + int(integers(0, 3)))
+            target = min(last, idx + 1 + integers(0, 3))
             append((ninstr, COND, target, (), _ALTERNATE, 0.5))
             continue
         # Forward short-offset biased branch (if/else, error checks).
-        target = min(last, idx + 1 + int(integers(0, 4)))
+        target = min(last, idx + 1 + integers(0, 4))
         if random() < hot_bias_fraction:
             bias = hot_bias if random() < 0.5 else cold_bias
         else:
-            bias = float(rng.uniform(0.3, 0.7))
+            bias = draws.uniform(0.3, 0.7)
         append((ninstr, COND, target, (), BIASED, bias))
-    append((min(2 + poisson(mean_extra), 15),
-            _TRAP_RET if is_kernel else _RET, -1, (), BIASED, 0.5))
+    append((block_length(ensure(1)), _TRAP_RET if is_kernel else _RET, -1,
+            (), BIASED, 0.5))
     return nblocks
 
 
@@ -370,9 +398,12 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def generate_program(params: GeneratorParams) -> GeneratedProgram:
     """Generate a layered synthetic server program.
 
-    Deterministic for a given ``params`` (including its seed).
+    Deterministic for a given ``params`` (including its seed): its draws
+    are those of ``numpy.random.default_rng(params.seed)``, read through
+    :class:`~repro.cfg.draws.Draws`, and their order and methods are
+    pinned (``tests/golden/workloads.json``).
     """
-    rng = np.random.default_rng(params.seed)
+    draws = Draws(params.seed)
     sizes = _layer_sizes(params)
 
     # Assign dense fids layer by layer so the Program invariant holds.
@@ -386,13 +417,13 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
     cdfs: Dict[int, List[float]] = {}
     rows: List[BlockRow] = []
     nblocks = [
-        _build_function(rng, params, fid, layer, layer_pools,
+        _build_function(draws, params, fid, layer, layer_pools,
                         layer == len(layer_pools) - 1, cdfs, rows)
         for layer, pool in enumerate(layer_pools) for fid in pool]
 
     # Shuffle the *layout order* (not the fids) so that functions that call
     # each other are not artificially adjacent in the address space.
-    order = rng.permutation(len(nblocks))
+    order = draws.permutation(len(nblocks))
     relabel = np.empty_like(order)
     relabel[order] = np.arange(len(order))
 

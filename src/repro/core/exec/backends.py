@@ -48,8 +48,8 @@ from concurrent.futures import CancelledError, FIRST_COMPLETED, Future, \
     ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, \
-    Tuple, Type
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, \
+    Set, Tuple, Type
 
 from repro import heap
 from repro.core.exec import faults
@@ -247,6 +247,8 @@ class Backend:
         #: Specs served from the disk cache on retry probes (so the
         #: scheduler can label them ``cached``, not simulated).
         self.recovered: Set[Any] = set()
+        #: The caller's probed disk keys, per execute() call.
+        self._disk_keys: Mapping[Any, str] = {}
 
     @property
     def supervised(self) -> bool:
@@ -418,7 +420,8 @@ class Backend:
         served: List[CellResult] = []
         remaining: List[Any] = []
         for spec in att.unit.specs:
-            hit = diskcache.load(diskcache.spec_key(spec))
+            key = self._disk_keys.get(spec) or diskcache.spec_key(spec)
+            hit = diskcache.load(key)
             if hit is not None:
                 served.append((spec, hit))
                 self.recovered.add(spec)
@@ -454,7 +457,8 @@ class Backend:
         with tracing.span("unit", cells=len(specs)):
             for done, spec in enumerate(specs):
                 try:
-                    result = run_spec(spec, use_cache=use_cache)
+                    result = run_spec(spec, use_cache=use_cache,
+                                      disk_key=self._disk_keys.get(spec))
                 except Exception as error:
                     if not self.supervised:
                         raise
@@ -466,16 +470,22 @@ class Backend:
                 yield spec, result
 
     def execute(self, units: Sequence[WorkUnit],
-                use_cache: bool = True) -> Iterator[CellResult]:
+                use_cache: bool = True,
+                disk_keys: Optional[Mapping[Any, str]] = None) \
+            -> Iterator[CellResult]:
         """Yield every unit's ``(spec, result)`` pairs as they complete.
 
         Pairs a retry served from the disk cache are also added to
         :attr:`recovered`; quarantines, retries and degradations are
-        recorded in :attr:`report`.
+        recorded in :attr:`report`.  *disk_keys* maps cells the caller
+        probed the disk cache for, and missed, to their keys: cells run
+        in this process store under them without probing again (pool
+        workers probe for themselves).
         """
         from repro.core.sweep import note_remote_result
         self.report = FailureReport()
         self.recovered = set()
+        self._disk_keys = disk_keys or {}
         if self.mode == "process":
             try:
                 _ensure_picklable(units)

@@ -158,18 +158,22 @@ def simulation_meter() -> Iterator[SimulationMeter]:
     yield SimulationMeter()
 
 
-def run_spec(spec: RunSpec, use_cache: bool = True) -> SimulationResult:
+def run_spec(spec: RunSpec, use_cache: bool = True,
+             disk_key: Optional[str] = None) -> SimulationResult:
     """Simulate one canonical cell (the primitive everything builds on).
 
     With ``use_cache`` the in-process memo is consulted first, then the
     persistent disk cache; a simulated result is written back to both.
+    *disk_key* is the cell's disk-cache key when the caller has just
+    probed the disk cache under it and missed (:func:`run_specs`, for
+    cells it runs in its own process): the result is stored under it
+    and the disk cache is not probed again.
     """
     spec = spec.canonical()
     if use_cache and spec in _RESULT_CACHE:
         return _RESULT_CACHE[spec]
 
-    disk_key = None
-    if use_cache and diskcache.enabled():
+    if use_cache and disk_key is None and diskcache.enabled():
         disk_key = diskcache.spec_key(spec)
         cached = diskcache.load(disk_key)
         if cached is not None:
@@ -408,7 +412,7 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
             workers=engine.max_workers, cells=len(pending)):
         for spec, result in engine.execute(
                 chunk_specs(pending, engine.max_workers),
-                use_cache=use_cache):
+                use_cache=use_cache, disk_keys=disk_keys):
             results[spec] = result
             if spec in engine.recovered:
                 # A retry re-probe served this cell from the disk cache

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.cfg.draws import Draws
 from repro.cfg.generator import GeneratedProgram, choice_cdf
 from repro.cfg.model import CondBehavior, Program
 from repro.errors import TraceError
@@ -76,16 +77,21 @@ def _walk_columns(program: Program) -> Tuple[list, list, list, list]:
 class TraceGenerator:
     """Stateful executor of a :class:`GeneratedProgram`.
 
-    The generator can be advanced incrementally (``run(n)``), which the
-    experiment layer uses to produce warm-up prefixes and measurement
-    windows from a single deterministic stream.  Its position is a
-    global block index of the program's columns.
+    The generator can be advanced incrementally (``run(n)``, or
+    ``skip(n)``, which builds no trace), which the experiment layer uses
+    to produce warm-up prefixes and measurement windows from a single
+    deterministic stream.  Its position is a global block index of the
+    program's columns.  Its draws are those of
+    ``numpy.random.default_rng(seed)``, read through
+    :class:`~repro.cfg.draws.Draws`: one ``random()`` per biased
+    conditional and per dispatched request, one ``integers(0, n)`` per
+    indirect call.
     """
 
     def __init__(self, generated: GeneratedProgram, seed: int = 1) -> None:
         self.generated = generated
         self.program = generated.program
-        self._rng = np.random.default_rng(seed)
+        self._draws = Draws(seed)
         # Global block indices to resume at on return.
         self._stack: List[int] = []
         # Loop/alternate per-branch counters, keyed by global block.
@@ -107,32 +113,61 @@ class TraceGenerator:
         # The draw of rng.choice(len(roots), p=root_weights): the entry
         # block of the chosen root.
         return self._root_blocks[bisect_right(self._root_cdf,
-                                              self._rng.random())]
+                                              self._draws.random())]
 
     def run(self, n_blocks: int) -> Trace:
         """Execute *n_blocks* dynamic basic blocks and return the trace."""
+        blocks, takens = self._walk(n_blocks)
+        # Each block's target is where control went next.
+        program = self.program
+        executed = np.array(blocks, dtype=np.int64)
+        pc = program.block_pc[executed]
+        target = np.empty_like(pc)
+        target[:-1] = pc[1:]
+        target[-1] = program.block_pc[self._block]
+        return Trace(pc, program.ninstr[executed].astype(np.int16),
+                     program.kind[executed], np.array(takens, dtype=bool),
+                     target, self.generated)
+
+    def skip(self, n_blocks: int) -> None:
+        """Execute *n_blocks* blocks without building their trace: the
+        next ``run`` starts where ``run(n_blocks)`` would have left."""
+        self._walk(n_blocks)
+
+    def _walk(self, n_blocks: int) -> Tuple[List[int], List[bool]]:
+        """Execute *n_blocks* blocks: the block run at each step and
+        whether its branch was taken."""
         if n_blocks < 1:
             raise TraceError(f"n_blocks must be >= 1, got {n_blocks}")
-        # The block executed at each step; only conditionals can fall
-        # through, and they overwrite their taken entry.
+        # Only conditionals can fall through, and they overwrite their
+        # taken entry.
         blocks = [0] * n_blocks
         takens = [True] * n_blocks
 
         op_of, arg_of, next_of, indirect = _walk_columns(self.program)
-        random = self._rng.random
-        integers = self._rng.integers
+        draws = self._draws
+        u = draws.u
         stack = self._stack
         counters = self._counters
         b = self._block
-        for i in range(n_blocks):
-            blocks[i] = b
+        # Each step reads at most one buffered draw inline (``u[i]``), so
+        # the buffer is topped up once per buffer's worth of steps.
+        i = draws.i
+        end = len(u) - 1
+        for step in range(n_blocks):
+            if i == end:
+                draws.i = i
+                i = draws.ensure(1)
+                end = len(u) - 1
+            blocks[step] = b
             op = op_of[b]
             if op == _OP_BIASED:
-                if random() < arg_of[b]:
+                if u[i] < arg_of[b]:
                     b = next_of[b]
                 else:
-                    takens[i] = False
+                    takens[step] = False
                     b += 1
+                i += 1
             elif op == _OP_LOOP:
                 count = counters.get(b, 0) + 1
                 if count < arg_of[b]:
@@ -140,7 +175,7 @@ class TraceGenerator:
                     b = next_of[b]
                 else:
                     counters[b] = 0
-                    takens[i] = False
+                    takens[step] = False
                     b += 1
             elif op == _OP_ALTERNATE:
                 count = counters.get(b, 0)
@@ -148,7 +183,7 @@ class TraceGenerator:
                 if count == 0:
                     b = next_of[b]
                 else:
-                    takens[i] = False
+                    takens[step] = False
                     b += 1
             elif op == _OP_JUMP:
                 b = next_of[b]
@@ -157,24 +192,19 @@ class TraceGenerator:
                 b = next_of[b]
             elif op == _OP_INDIRECT:
                 stack.append(b + 1)
-                b = indirect[next_of[b] + int(integers(0, arg_of[b]))]
+                draws.i = i
+                b = indirect[next_of[b] + draws.integers(0, arg_of[b])]
+                i = draws.i
+                end = len(u) - 1
             elif stack:  # RET or TRAP_RET
                 b = stack.pop()
             else:
                 # Request complete: dispatch the next request type.
-                b = self._pick_root()
+                b = self._root_blocks[bisect_right(self._root_cdf, u[i])]
+                i += 1
+        draws.i = i
         self._block = b
-
-        # Each block's target is where control went next.
-        program = self.program
-        executed = np.array(blocks, dtype=np.int64)
-        pc = program.block_pc[executed]
-        target = np.empty_like(pc)
-        target[:-1] = pc[1:]
-        target[-1] = program.block_pc[b]
-        return Trace(pc, program.ninstr[executed].astype(np.int16),
-                     program.kind[executed], np.array(takens, dtype=bool),
-                     target, self.generated)
+        return blocks, takens
 
 
 def generate_trace(generated: GeneratedProgram, n_blocks: int,
@@ -187,5 +217,5 @@ def generate_trace(generated: GeneratedProgram, n_blocks: int,
     """
     generator = TraceGenerator(generated, seed=seed)
     if warmup_blocks > 0:
-        generator.run(warmup_blocks)
+        generator.skip(warmup_blocks)
     return generator.run(n_blocks)

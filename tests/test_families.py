@@ -88,6 +88,36 @@ class TestRegistry:
         assert second.stats != first.stats
         sweep.clear_result_cache()
 
+    def test_replace_changes_run_specs_disk_keys(self, scratch_registry,
+                                                tmp_path, monkeypatch):
+        """run_specs keys its disk probe afresh on every call: after a
+        re-registration it neither loads nor stores under the old
+        profile's key."""
+        from repro.core import sweep
+        from repro.experiments.spec import RunSpec
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+        spec = RunSpec(workload="rekeyed", scheme="baseline", n_blocks=400)
+
+        def run():
+            sweep.clear_result_cache()  # leave only the disk cache
+            return sweep.run_specs([spec], backend="serial")[
+                spec.canonical()]
+
+        register_profile(WorkloadProfile(
+            name="rekeyed", description="v1", gen_params=TINY,
+        ))
+        first = run()
+        register_profile(WorkloadProfile(
+            name="rekeyed", description="v2",
+            gen_params=GeneratorParams(n_functions=240, n_layers=5,
+                                       n_roots=6, seed=94),
+        ), replace=True)
+        second = run()
+        assert second.stats != first.stats
+        assert run().stats == second.stats
+        sweep.clear_result_cache()
+
     def test_replace_evicts_memoised_artefacts(self, scratch_registry):
         register_profile(WorkloadProfile(
             name="mutable", description="v1", gen_params=TINY,

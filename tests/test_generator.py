@@ -1,12 +1,14 @@
 """Unit tests for the synthetic server-program generator."""
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from bisect import bisect_right
 
+from repro.cfg import draws as draws_module
 from repro.cfg.generator import GeneratorParams, choice_cdf, \
     generate_program
 from repro.cfg.model import CondBehavior, Program
@@ -139,6 +141,25 @@ class TestGenerateProgram:
                 if (block.kind == BranchKind.COND
                         and block.behavior == CondBehavior.BIASED):
                     assert 0.0 < block.behavior_param < 1.0
+
+
+class TestInlineDraws:
+    @pytest.mark.parametrize("mean_block_instrs", [2.5, 5.5, 9.0, 13.0])
+    def test_program_does_not_depend_on_buffer_chunk(self,
+                                                     mean_block_instrs):
+        """The generator reads block kinds and lengths from the draw
+        buffer inline; tiny refills put every read next to the buffer's
+        end, where an inline Poisson draw is redone by the method.  From
+        a mean length of 12 (Poisson mean 10) every length goes to the
+        method, which numpy draws with another algorithm."""
+        params = GeneratorParams(
+            n_functions=70, n_layers=4, n_roots=4, median_blocks=6.0,
+            mean_block_instrs=mean_block_instrs, indirect_fraction=0.3,
+            seed=19)
+        digest = program_digest(generate_program(params))
+        for chunk in (1, 2, 3, 16):
+            with mock.patch.object(draws_module, "_CHUNK", chunk):
+                assert program_digest(generate_program(params)) == digest
 
 
 class TestChoiceCdf:

@@ -5,6 +5,7 @@ from repro.core import diskcache
 from repro.core.sweep import clear_result_cache, run_spec, run_specs, \
     simulation_meter
 from repro.experiments.spec import RunSpec
+from repro.obs.metrics import counter
 
 
 def _cell(scheme: str, **kwargs) -> RunSpec:
@@ -35,6 +36,35 @@ class TestSimulationMeter:
         with simulation_meter() as meter:
             run_specs(specs, backend="process", max_workers=2)
         assert meter.count == 2
+        clear_result_cache()
+
+
+class TestDiskProbe:
+    def test_inline_cells_key_and_probe_the_disk_cache_once(
+            self, tmp_path, monkeypatch):
+        """run_specs hands the key of its missed probe to the cells it
+        runs itself: one key and one load per cell, and the results
+        land under that key."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        clear_result_cache()
+        keyed = []
+        spec_key = diskcache.spec_key
+        monkeypatch.setattr(diskcache, "spec_key",
+                            lambda spec: keyed.append(spec)
+                            or spec_key(spec))
+        misses, stores = counter("cache.misses"), counter("cache.stores")
+        before = misses.value, stores.value
+        specs = [_cell("baseline"), _cell("ideal")]
+        with simulation_meter() as meter:
+            run_specs(specs, backend="serial")
+        assert meter.count == 2
+        assert keyed == [spec.canonical() for spec in specs]
+        assert (misses.value - before[0], stores.value - before[1]) \
+            == (2, 2)
+        clear_result_cache()
+        with simulation_meter() as meter:
+            run_specs(specs, backend="serial")
+        assert meter.count == 0
         clear_result_cache()
 
 

@@ -44,6 +44,22 @@ class TestExecutionSemantics:
     def test_rejects_empty_run(self, tiny_generated):
         with pytest.raises(TraceError):
             TraceGenerator(tiny_generated).run(0)
+        with pytest.raises(TraceError):
+            TraceGenerator(tiny_generated).skip(0)
+
+    @pytest.mark.parametrize("warmup", [1, 700, 5000])
+    def test_skip_then_run_equals_one_long_run(self, tiny_generated,
+                                               warmup):
+        """The warm-up walk builds no trace but leaves the executor
+        where run() would have: the window is the long run's tail."""
+        whole = TraceGenerator(tiny_generated, seed=3).run(warmup + 800)
+        generator = TraceGenerator(tiny_generated, seed=3)
+        generator.skip(warmup)
+        window = generator.run(800)
+        assert _rows(window) == _rows(whole)[warmup:]
+        warmed = generate_trace(tiny_generated, 800, seed=3,
+                                warmup_blocks=warmup)
+        assert _rows(warmed) == _rows(window)
 
     @pytest.mark.parametrize("weights", [
         [0.5, 0.5],                 # wrong length
@@ -211,6 +227,17 @@ class TestAgainstReferenceExecutor:
         parts = [generator.run(n) for n in (1, 999, 2000)]
         rows = [row for part in parts for row in _rows(part)]
         assert rows == _reference_trace(generated, 3000, 9, 0)
+        # Walks that skip, across several buffer refills.
+        generator = TraceGenerator(generated, seed=9)
+        generator.skip(9000)
+        first = _rows(generator.run(700))
+        generator.skip(1)
+        second = _rows(generator.run(300))
+        reference = ObjectExecutor(generated, 9)
+        reference.run(9000)
+        assert first == reference.run(700)
+        reference.run(1)
+        assert second == reference.run(300)
 
     @pytest.mark.parametrize("name", sorted(pinned_workloads()))
     def test_pinned_workload_resumed_runs(self, name):
