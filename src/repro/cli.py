@@ -93,10 +93,6 @@ from typing import List, Optional
 from repro.errors import ReproError
 
 
-#: The execution flags pool workers need per cell, so they travel
-#: through the (inherited) environment rather than the policy.
-_EXECUTION_ENV = ("REPRO_DISK_CACHE", "REPRO_TELEMETRY", "REPRO_ENGINE")
-
 #: Args that never change *which cells* an invocation runs — excluded
 #: from the journal identity, so an interrupted process-backend run can
 #: be resumed serially, to a different --out, with --progress, with a
@@ -127,17 +123,17 @@ def _invocation_material(args) -> dict:
     return material
 
 
-def _setup_journal(args) -> Optional[str]:
-    """The path of this invocation's run journal (None when uncached).
+def _setup_journal(args, disk_cache: bool) -> Optional[str]:
+    """The path of this invocation's run journal (None when uncached:
+    *disk_cache* is the resolved policy's setting).
 
     A fresh invocation truncates any stale journal for the same work
     set; ``--resume`` keeps it and reports how much of the interrupted
     run already completed (the disk cache serves those cells, so they
     are never re-simulated).
     """
-    from repro.core import diskcache
     from repro.core.exec import RunJournal
-    if not diskcache.enabled() or getattr(args, "no_cache", False):
+    if not disk_cache:
         if getattr(args, "resume", False):
             raise ReproError(
                 "--resume needs the disk result cache (completed cells "
@@ -171,19 +167,18 @@ def _setup_journal(args) -> Optional[str]:
 def _execution_scope(args):
     """Scope the CLI execution flags to one command invocation.
 
-    The scheduling flags become one :class:`~repro.core.exec.
-    ExecutionPolicy`, validated before anything else happens and
-    current only inside the command.  The three flags pool workers need
-    per cell (:data:`_EXECUTION_ENV`) are environment switches, saved
-    before the command runs and restored — including *unset* keys,
-    which are removed again — however the command exits.  Without
-    this, an in-process caller (tests, notebooks, examples) that
-    invoked ``--no-cache`` once would silently keep running uncached
-    ever after.
+    Every execution flag becomes one :class:`~repro.core.exec.
+    ExecutionPolicy`, validated and resolved (unset engine, disk-cache
+    and telemetry settings read from the environment) before anything
+    else happens, and current only inside the command; span collection
+    is on inside it when telemetry is.  Nothing is written to the
+    environment, so an in-process caller (tests, notebooks, examples)
+    that invoked ``--no-cache`` once keeps its own settings after.
     """
     from dataclasses import replace
     from repro.core.exec import ExecutionPolicy, scoped_policy, \
         stderr_progress
+    from repro.obs import tracing
     policy = ExecutionPolicy(
         backend=getattr(args, "backend", None),
         max_workers=getattr(args, "max_workers", None),
@@ -192,25 +187,17 @@ def _execution_scope(args):
         retries=getattr(args, "retries", None) or 0,
         unit_timeout=getattr(args, "unit_timeout", None),
         on_error=getattr(args, "on_error", None) or "fail",
-    )
-    saved = {name: os.environ.get(name) for name in _EXECUTION_ENV}
-    try:
-        if getattr(args, "no_cache", False):
-            os.environ["REPRO_DISK_CACHE"] = "0"
-        if getattr(args, "telemetry", None):
-            os.environ["REPRO_TELEMETRY"] = args.telemetry
-        if getattr(args, "engine", None):
-            os.environ["REPRO_ENGINE"] = args.engine
-        if hasattr(args, "resume"):
-            policy = replace(policy, journal=_setup_journal(args))
-        with scoped_policy(policy):
-            yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        engine=getattr(args, "engine", None),
+        disk_cache=False if getattr(args, "no_cache", False) else None,
+        telemetry=getattr(args, "telemetry", None),
+    ).resolved()
+    if hasattr(args, "resume"):
+        policy = replace(policy,
+                         journal=_setup_journal(args, policy.disk_cache))
+    spans = tracing.enable() if policy.telemetry \
+        else contextlib.nullcontext()
+    with scoped_policy(policy), spans:
+        yield
 
 
 def _sample_windows(args) -> Optional[int]:
@@ -320,16 +307,12 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     """
     from repro.core import sweep
     from repro.core.exec import current_policy
-    from repro.obs import export, gcstats, metrics, profile, tracing
+    from repro.obs import export, gcstats, metrics, tracing
     tracing.drain()  # drop spans left over from earlier in-process work
     before = metrics.snapshot()
     # repro: allow[RPR003] -- observability timing on stderr/manifest only
     started = time.perf_counter()
-    interval = profile.profiler_interval(os.environ.get(profile.PROFILE_ENV))
-    sampler = profile.sampling_profiler(interval) if interval \
-        else contextlib.nullcontext()
-    with sampler:
-        yield
+    yield
     # repro: allow[RPR003] -- observability timing on stderr/manifest only
     elapsed = time.perf_counter() - started
     gcstats.note_frozen()
@@ -337,8 +320,9 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     if emit_line:
         print(export.render_accounting(label, delta), file=sys.stderr)
 
-    journal_path = current_policy().journal
-    telemetry_path = os.environ.get(tracing.TELEMETRY_ENV)
+    policy = current_policy()
+    journal_path = policy.journal
+    telemetry_path = policy.telemetry
     if not journal_path and not telemetry_path:
         return
     if journal_path:
@@ -653,8 +637,10 @@ def _format_bytes(count: int) -> str:
 
 def _cmd_cache(args) -> int:
     from repro.core import diskcache
+    from repro.core.exec import current_policy
     if args.cache_command == "stats":
-        stats = diskcache.stats()
+        stats = {"enabled": current_policy().disk_cache,
+                 **diskcache.stats()}
         if args.json:
             print(json.dumps(stats, sort_keys=False))
             return 0

@@ -13,11 +13,12 @@ the key material stored alongside the stats for debuggability.  Writes
 are atomic (temp file + ``os.replace``), so concurrent sweep workers
 racing on the same cell are harmless — both write identical bytes.
 
-Environment:
-
-* ``REPRO_DISK_CACHE=0`` disables the cache entirely (opt-out).
-* ``REPRO_CACHE_DIR`` overrides the cache directory (default
-  ``~/.cache/repro-sim``).
+Whether a run uses the cache at all is the
+:class:`~repro.core.exec.ExecutionPolicy`'s ``disk_cache`` setting
+(``--no-cache``, or ``REPRO_DISK_CACHE=0``): :func:`repro.core.sweep.
+run_specs` probes here only when it is on, and hands each dispatched
+cell the key it missed under.  ``REPRO_CACHE_DIR`` overrides the cache
+directory (default ``~/.cache/repro-sim``).
 
 Two stamps protect against stale entries: ``ENGINE_VERSION`` (a manual
 coarse revision, bump on intentional output changes) and an automatic
@@ -111,7 +112,6 @@ def engine_fingerprint() -> str:
         _fingerprint_cache = digest.hexdigest()
         return _fingerprint_cache
 
-_ENV_DISABLE = "REPRO_DISK_CACHE"
 _ENV_DIR = "REPRO_CACHE_DIR"
 
 #: Process-local counters (observability, used by tests and benchmarks),
@@ -125,11 +125,6 @@ _STORES = _obs_counter("cache.stores")
 _CORRUPT = _obs_counter("cache.corrupt")
 
 _COUNTERS = (_HITS, _MISSES, _STORES, _CORRUPT)
-
-
-def enabled() -> bool:
-    """Whether the on-disk cache is active (``REPRO_DISK_CACHE=0`` off)."""
-    return os.environ.get(_ENV_DISABLE, "1") not in ("0", "false", "no")
 
 
 def cache_dir() -> str:
@@ -237,7 +232,7 @@ def _evict_corrupt(path: str) -> None:
 
 
 def load(key: str) -> Optional[SimulationResult]:
-    """Fetch a cached result, or None on miss/corruption/disabled.
+    """Fetch a cached result, or None on miss/corruption.
 
     A present-but-damaged entry — unparseable bytes (truncation) or a
     checksum mismatch (bit rot) — is *evicted* and counted in
@@ -246,8 +241,6 @@ def load(key: str) -> Optional[SimulationResult]:
     stamp existed are unreachable from this build anyway (the source
     fingerprint in their keys differs) and are accepted if ever seen.
     """
-    if not enabled():
-        return None
     path = entry_path(key)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -285,9 +278,7 @@ def load(key: str) -> Optional[SimulationResult]:
 
 
 def store(key: str, result: SimulationResult) -> None:
-    """Persist *result* under *key* (atomic; no-op when disabled)."""
-    if not enabled():
-        return
+    """Persist *result* under *key* (atomic)."""
     path = entry_path(key)
     directory = os.path.dirname(path)
     try:
@@ -329,15 +320,12 @@ def _verify_payload(payload) -> str:
 def verify_entry(key: str) -> bool:
     """Whether *key*'s stored bytes are intact.
 
-    True when the cache is disabled or the entry is absent (there is
-    nothing to distrust, and nothing a re-store could repair); False
-    only for a present entry whose bytes fail to parse or whose
-    checksum does not match.  This is the write-verify hook
-    :func:`~repro.core.sweep.run_spec` uses to heal an entry corrupted
-    between store and read.
+    True when the entry is absent (there is nothing to distrust, and
+    nothing a re-store could repair); False only for a present entry
+    whose bytes fail to parse or whose checksum does not match.  This
+    is the write-verify hook :func:`~repro.core.sweep.run_cell` uses to
+    heal an entry corrupted between store and read.
     """
-    if not enabled():
-        return True
     path = entry_path(key)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -459,7 +447,6 @@ def stats() -> dict:
     probes = probe_hits + probe_misses
     return {
         "cache_dir": cache_dir(),
-        "enabled": enabled(),
         "engine_version": ENGINE_VERSION,
         "entries": entries,
         "bytes": total_bytes,

@@ -1,13 +1,11 @@
 """Engine selection: interpreter (default) vs. columnar batched core.
 
 One dispatch point (:func:`simulate`) sits between the sweep layer and
-the engines, so every call site — experiments, the sweep grid, CLI runs,
-tests — honours the same selection rule:
-
-* ``--engine {interpreter,columnar}`` on the CLI, carried to workers via
-  the ``REPRO_ENGINE`` environment variable (the CLI records it in the
-  journal header like the other execution-environment variables);
-* unset/empty selects the interpreter, preserving seed behaviour.
+the engines.  It takes the engine by name: the
+:class:`~repro.core.exec.ExecutionPolicy`'s ``engine`` (``--engine``,
+or ``REPRO_ENGINE`` when the flag is unset), which ``run_specs``
+resolves once per call and hands to every unit it dispatches.  The
+default is the interpreter, preserving seed behaviour.
 
 Selection is **output-neutral** by contract: the columnar engine is
 bit-identical where it applies, and cells it cannot replay (run-ahead
@@ -22,49 +20,28 @@ engine section.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.config import MicroarchParams
 from repro.core import engine_columnar
 from repro.core import frontend as _interpreter
 from repro.core.metrics import SimulationResult
-from repro.errors import ReproError
 from repro.prefetch.base import Scheme
 from repro.workloads.trace import Trace
-
-#: Environment variable carrying the engine selection to worker
-#: processes (set by ``--engine``; may also be exported directly).
-ENGINE_ENV = "REPRO_ENGINE"
-
-#: Valid engine names, in precedence order (first is the default).
-ENGINE_CHOICES = ("interpreter", "columnar")
-
-
-def selected_engine() -> str:
-    """The engine selected by ``REPRO_ENGINE`` (default: interpreter)."""
-    raw = os.environ.get(ENGINE_ENV, "").strip().lower()
-    if not raw:
-        return ENGINE_CHOICES[0]
-    if raw not in ENGINE_CHOICES:
-        raise ReproError(
-            f"invalid {ENGINE_ENV}={raw!r}; "
-            f"choose one of {', '.join(ENGINE_CHOICES)}"
-        )
-    return raw
 
 
 def simulate(trace: Trace, scheme: Scheme,
              params: Optional[MicroarchParams] = None,
              predictor=None, l1d_misses_per_kinstr: float = 10.0,
-             warmup_fraction: float = 0.1) -> SimulationResult:
-    """Simulate one cell on the selected engine.
+             warmup_fraction: float = 0.1, *,
+             engine: str) -> SimulationResult:
+    """Simulate one cell on *engine* (a validated policy engine name).
 
     Drop-in replacement for :func:`repro.core.frontend.simulate`; the
     columnar engine is used only when selected *and* eligible, so the
     result is identical either way.
     """
-    if selected_engine() == "columnar":
+    if engine == "columnar":
         # Counter-only accounting (no behaviour change); workers ship
         # these deltas back to the parent for the run manifest.
         # repro: allow[RPR002] -- read-only telemetry counters

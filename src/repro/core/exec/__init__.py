@@ -20,8 +20,9 @@ simulate stays in the sweep layer, *how and where* lives here.
 * :mod:`~repro.core.exec.faults` — deterministic, seeded fault
   injection: the test harness that proves the supervisor works.
 * :mod:`~repro.core.exec.policy` — the frozen :class:`ExecutionPolicy`
-  (backend, workers, progress, journal, retries, timeout, on-error)
-  the CLI scopes per invocation and ``run_specs`` resolves per call;
+  (backend, workers, progress, journal, retries, timeout, on-error,
+  engine, disk cache, telemetry) the CLI scopes per invocation and
+  ``run_specs`` resolves per call;
   its budgets configure the loop, which supervises nothing at the
   defaults.
 

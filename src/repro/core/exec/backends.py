@@ -83,13 +83,17 @@ _PARENT_ACCOUNTED = ("cache.hits", "cache.misses", "sweep.simulations",
 _CHAIN = ("process", "thread", "serial")
 
 
-def _run_unit(specs: Sequence[Any], use_cache: bool) -> UnitResult:
+def _run_unit(specs: Sequence[Any], keys: Sequence[Optional[str]],
+              engine: str, use_cache: bool) -> UnitResult:
     """Execute one unit's cells in a pool worker (process or thread).
 
-    Worker entry point for the pool backends: :func:`repro.core.sweep.
-    run_spec` gives the executing context warm program/trace caches
-    across the unit's cells and persists each simulated result to the
-    shared disk cache immediately — a unit interrupted halfway loses
+    Worker entry point for the pool backends.  The unit carries what
+    its cells need, since a worker sees neither the parent's policy nor
+    its environment settings: the engine name and, per cell, the disk
+    key the parent missed under (None: no disk cache).
+    :func:`repro.core.sweep.run_cell` keeps warm program/trace caches
+    across the unit's cells and stores each result under its key at
+    once, without probing again — a unit interrupted halfway loses
     only the cell in flight.
 
     In a process-pool worker the unit's span records are drained and
@@ -98,14 +102,14 @@ def _run_unit(specs: Sequence[Any], use_cache: bool) -> UnitResult:
     unit; elsewhere the records are already in the parent's tracer and
     the shipped payloads are empty.
     """
-    from repro.core.sweep import run_spec
+    from repro.core.sweep import run_cell
     in_worker = tracing.in_worker()
     before = metrics.snapshot() if in_worker else None
     pairs: List[CellResult] = []
     with tracing.span("unit", cells=len(specs)):
-        for spec in specs:
+        for spec, key in zip(specs, keys):
             try:
-                pairs.append((spec, run_spec(spec, use_cache=use_cache)))
+                pairs.append((spec, run_cell(spec, engine, key, use_cache)))
             except Exception as error:
                 # Name the failing cell (the attribute pickles with the
                 # exception) so a split charges the retry to it alone.
@@ -137,8 +141,10 @@ def worker_shipment(before: Dict[str, dict]) -> Tuple[List[dict],
     }
 
 
-def _process_worker_init(profiles) -> None:
-    """Pool-worker initializer: mirror the parent's workload registry.
+def _process_worker_init(profiles, collect_spans: bool) -> None:
+    """Pool-worker initializer: mirror the parent's workload registry
+    and span collection (*collect_spans*: the parent's
+    :func:`~repro.obs.tracing.enabled` when it created the pool).
 
     Workers started by the ``spawn`` method (macOS/Windows defaults)
     re-import the package and therefore only see the profiles that
@@ -152,7 +158,7 @@ def _process_worker_init(profiles) -> None:
     """
     from repro.workloads.profiles import register_profile
     faults.mark_worker()
-    tracing.mark_worker()
+    tracing.mark_worker(collect_spans)
     # A fork-started worker inherits the parent's span buffer; drop it
     # so the first unit does not ship the parent's own spans back as
     # duplicates.  (Spawn-started workers start empty anyway.)
@@ -247,7 +253,8 @@ class Backend:
         #: Specs served from the disk cache on retry probes (so the
         #: scheduler can label them ``cached``, not simulated).
         self.recovered: Set[Any] = set()
-        #: The caller's probed disk keys, per execute() call.
+        #: The caller's engine and probed disk keys, per execute() call.
+        self._engine = ""
         self._disk_keys: Mapping[Any, str] = {}
 
     @property
@@ -399,29 +406,27 @@ class Backend:
                               not_before=now + delay,
                               history=att.history))
 
-    def _probe_retry_cache(self, att: _Attempt,
-                           use_cache: bool) -> Tuple[List[CellResult],
-                                                     Tuple[Any, ...]]:
+    def _probe_retry_cache(self, att: _Attempt) -> Tuple[List[CellResult],
+                                                         Tuple[Any, ...]]:
         """Serve a retry's already-completed cells from the disk cache.
 
         A unit that crashed halfway persisted every cell it finished;
         re-probing in the parent before resubmission means a retry only
-        re-simulates what was actually lost.
+        re-simulates what was actually lost.  Only cells with a disk
+        key are probed: a cell without one was never stored.
         """
-        if not att.history or not use_cache:
-            # No failed execution behind this attempt, nothing to
-            # recover.  (Checked via the history, not the attempt
-            # number: a budget-free reset requeues at the same attempt
-            # but may still have completed cells worth probing.)
+        if not att.history or not self._disk_keys:
+            # No failed execution behind this attempt, or no disk cache:
+            # nothing to recover.  (Checked via the history, not the
+            # attempt number: a budget-free reset requeues at the same
+            # attempt but may still have completed cells worth probing.)
             return [], att.unit.specs
         from repro.core import diskcache
-        if not diskcache.enabled():
-            return [], att.unit.specs
         served: List[CellResult] = []
         remaining: List[Any] = []
         for spec in att.unit.specs:
-            key = self._disk_keys.get(spec) or diskcache.spec_key(spec)
-            hit = diskcache.load(key)
+            key = self._disk_keys.get(spec)
+            hit = diskcache.load(key) if key is not None else None
             if hit is not None:
                 served.append((spec, hit))
                 self.recovered.add(spec)
@@ -452,13 +457,13 @@ class Backend:
         re-runs only it and the cells after it: the ones before it were
         already yielded.
         """
-        from repro.core.sweep import run_spec
+        from repro.core.sweep import run_cell
         specs = att.unit.specs
         with tracing.span("unit", cells=len(specs)):
             for done, spec in enumerate(specs):
                 try:
-                    result = run_spec(spec, use_cache=use_cache,
-                                      disk_key=self._disk_keys.get(spec))
+                    result = run_cell(spec, self._engine,
+                                      self._disk_keys.get(spec), use_cache)
                 except Exception as error:
                     if not self.supervised:
                         raise
@@ -469,7 +474,7 @@ class Backend:
                     return
                 yield spec, result
 
-    def execute(self, units: Sequence[WorkUnit],
+    def execute(self, units: Sequence[WorkUnit], engine: str,
                 use_cache: bool = True,
                 disk_keys: Optional[Mapping[Any, str]] = None) \
             -> Iterator[CellResult]:
@@ -477,15 +482,17 @@ class Backend:
 
         Pairs a retry served from the disk cache are also added to
         :attr:`recovered`; quarantines, retries and degradations are
-        recorded in :attr:`report`.  *disk_keys* maps cells the caller
-        probed the disk cache for, and missed, to their keys: cells run
-        in this process store under them without probing again (pool
-        workers probe for themselves).
+        recorded in :attr:`report`.  *engine* is the policy's engine
+        name; *disk_keys* maps cells the caller probed the disk cache
+        for, and missed, to their keys (empty: the disk cache is off).
+        Both travel with every unit, wherever it runs: each cell stores
+        under its key without probing again.
         """
         from repro.core.sweep import note_remote_result
         self.report = FailureReport()
         self.recovered = set()
         self._disk_keys = disk_keys or {}
+        self._engine = engine
         if self.mode == "process":
             try:
                 _ensure_picklable(units)
@@ -519,8 +526,7 @@ class Backend:
                     if len(inflight) >= workers:
                         break
                     queue.remove(att)
-                    served, remaining = self._probe_retry_cache(
-                        att, use_cache)
+                    served, remaining = self._probe_retry_cache(att)
                     yield from served
                     if not remaining:
                         pool_failures = 0
@@ -535,8 +541,10 @@ class Backend:
                                                     rng)
                         continue
                     try:
-                        future = pool.submit(_run_unit, remaining,
-                                             use_cache)
+                        future = pool.submit(
+                            _run_unit, remaining,
+                            [self._disk_keys.get(spec) for spec in remaining],
+                            self._engine, use_cache)
                     except Exception as error:
                         if not self.supervised:
                             raise
@@ -679,7 +687,7 @@ class ProcessBackend(Backend):
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_process_worker_init,
-            initargs=(iter_profiles(),),
+            initargs=(iter_profiles(), tracing.enabled()),
         )
 
 

@@ -1,17 +1,23 @@
-"""The execution policy: how a collection of cells is scheduled.
+"""The execution policy: how a collection of cells is configured.
 
-One frozen :class:`ExecutionPolicy` carries every parent-side
-scheduling decision :func:`repro.core.sweep.run_specs` makes — backend,
-worker cap, progress sink, run journal and the fault-tolerance budgets
-of the one execution loop — and validates it once, at construction.
-The CLI builds one policy per invocation and scopes it with
-:func:`scoped_policy`; library callers pass per-call overrides
-(keywords named exactly like the fields), which ``run_specs`` folds
-into :func:`current_policy` in one ``replace``.
+One frozen :class:`ExecutionPolicy` carries every setting
+:func:`repro.core.sweep.run_specs` needs — backend, worker cap,
+progress sink, run journal, the fault-tolerance budgets of the one
+execution loop, and the engine, disk-cache and telemetry settings —
+and validates it once, at construction.  The CLI builds one policy per
+invocation and scopes it with :func:`scoped_policy`; library callers
+pass per-call overrides (keywords named exactly like the fields),
+which ``run_specs`` folds into :func:`current_policy` in one
+``replace``.
 
-None of it reaches pool workers: what a worker needs per cell (the
-disk-cache switch, telemetry sink and engine selection) still travels
-through the environment.
+The three settings that also have an environment form
+(``REPRO_ENGINE``, ``REPRO_DISK_CACHE``, ``REPRO_TELEMETRY``) are read
+in one place, :meth:`ExecutionPolicy.resolved`, and only for fields
+left unset; ``run_specs`` resolves once per call, never at import.
+Pool workers never see the policy (a ``ContextVar`` reaches neither a
+thread pool nor a process pool): each unit carries its engine name
+and disk keys as arguments, and span collection reaches process
+workers through the pool initializer.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Union
 
 from repro.core.exec.backends import BACKENDS, Backend, get_backend
@@ -27,6 +33,22 @@ from repro.core.exec.journal import RunJournal
 from repro.core.exec.supervisor import DEFAULT_BACKOFF_BASE, \
     ON_ERROR_POLICIES, NotifyCallback
 from repro.errors import ReproError
+
+#: Simulation engines, the default first.
+ENGINES = ("interpreter", "columnar")
+
+
+def _environment_settings() -> dict:
+    """The environment forms of the engine, disk-cache and telemetry
+    settings — the one place they are read."""
+    env = os.environ
+    return {
+        "engine": env.get("REPRO_ENGINE", "").strip().lower()
+        or ENGINES[0],
+        "disk_cache": env.get("REPRO_DISK_CACHE", "1")
+        not in ("0", "false", "no"),
+        "telemetry": env.get("REPRO_TELEMETRY") or None,
+    }
 
 
 @dataclass(frozen=True)
@@ -51,6 +73,15 @@ class ExecutionPolicy:
             serial).  These three budgets configure the execution loop
             (DESIGN.md Section 11); at their defaults it supervises
             nothing and the first failing cell's error propagates.
+        engine: ``interpreter`` or ``columnar`` (bit-identical; cells
+            the columnar core cannot replay fall back per cell).
+        disk_cache: whether results persist to, and are served from,
+            the disk cache (``--no-cache`` sets False).
+        telemetry: the JSONL path progress events and the run manifest
+            stream to (``--telemetry``), or None.
+
+    ``engine``, ``disk_cache`` and ``telemetry`` left at None are
+    unset: :meth:`resolved` fills them from the environment.
     """
 
     backend: Optional[str] = None
@@ -60,6 +91,9 @@ class ExecutionPolicy:
     retries: int = 0
     unit_timeout: Optional[float] = None
     on_error: str = "fail"
+    engine: Optional[str] = None
+    disk_cache: Optional[bool] = None
+    telemetry: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.backend is not None:
@@ -83,6 +117,27 @@ class ExecutionPolicy:
                 f"from {ON_ERROR_POLICIES}"
             )
         object.__setattr__(self, "on_error", on_error)
+        if self.engine is not None:
+            engine = str(self.engine).strip().lower()
+            if engine not in ENGINES:
+                raise ReproError(
+                    f"unknown engine {self.engine!r} (--engine or "
+                    f"REPRO_ENGINE); choose from {', '.join(ENGINES)}"
+                )
+            object.__setattr__(self, "engine", engine)
+        if self.disk_cache is not None \
+                and not isinstance(self.disk_cache, bool):
+            raise ReproError("disk_cache (--no-cache) must be a bool")
+        if self.telemetry is not None and not self.telemetry:
+            raise ReproError("--telemetry needs a path")
+
+    def resolved(self) -> "ExecutionPolicy":
+        """This policy with every unset setting read from its
+        environment variable (engine, disk cache, telemetry)."""
+        unset = {name: value
+                 for name, value in _environment_settings().items()
+                 if getattr(self, name) is None and value is not None}
+        return replace(self, **unset) if unset else self
 
     def make_backend(self, n_pending: int,
                      notify: Optional[NotifyCallback] = None,
@@ -139,6 +194,7 @@ def scoped_policy(policy: ExecutionPolicy) -> Iterator[ExecutionPolicy]:
 
 
 __all__ = [
+    "ENGINES",
     "ExecutionPolicy",
     "auto_backend",
     "current_policy",

@@ -8,7 +8,9 @@ the :class:`~repro.experiments.spec.RunSpec`:
 * :func:`run_spec` — one cell, memoised twice: an in-process result
   cache keyed by the canonical RunSpec, backed by the persistent
   content-addressed disk cache (:mod:`repro.core.diskcache`) so repeated
-  invocations across processes skip simulation entirely.
+  invocations across processes skip simulation entirely.  Execution
+  units call its second half, :func:`run_cell`, with the engine and
+  disk key they carry.
 * :func:`run_specs` — any collection of cells, deduplicated on their
   canonical form and executed through a pluggable
   :class:`~repro.core.exec.Backend` (serial, thread pool or process
@@ -26,8 +28,10 @@ the :class:`~repro.experiments.spec.RunSpec`:
 
 Figure grids reach it as :class:`~repro.experiments.spec.GridSpec`
 collections (:func:`repro.experiments.spec.run_grid_spec`), the CLI's
-raw sweeps as plain RunSpec lists.  How cells are scheduled comes from
-one :class:`~repro.core.exec.ExecutionPolicy` (DESIGN.md Section 10).
+raw sweeps as plain RunSpec lists.  How cells are scheduled, on which
+engine, with or without the disk cache and telemetry comes from one
+:class:`~repro.core.exec.ExecutionPolicy` (DESIGN.md Section 10),
+resolved once per call.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from repro.core.exec import progress as progress_events
 # repro: allow[RPR002] -- supervision retries bit-identical cells (DESIGN 11)
 from repro.core.exec.supervisor import DEFAULT_BACKOFF_BASE, CellFailure, \
     FailureReport, SupervisorEvent
-from repro.core.engine_select import selected_engine, simulate
+from repro.core.engine_select import simulate
 from repro.core.metrics import SimulationResult
 from repro.errors import ReproError
 # repro: allow[RPR002] -- RunSpec is a frozen value type; keys live in diskcache
@@ -158,28 +162,42 @@ def simulation_meter() -> Iterator[SimulationMeter]:
     yield SimulationMeter()
 
 
-def run_spec(spec: RunSpec, use_cache: bool = True,
-             disk_key: Optional[str] = None) -> SimulationResult:
-    """Simulate one canonical cell (the primitive everything builds on).
+def run_spec(spec: RunSpec, use_cache: bool = True) -> SimulationResult:
+    """Simulate one cell on its own (the primitive everything builds on).
 
-    With ``use_cache`` the in-process memo is consulted first, then the
-    persistent disk cache; a simulated result is written back to both.
-    *disk_key* is the cell's disk-cache key when the caller has just
-    probed the disk cache under it and missed (:func:`run_specs`, for
-    cells it runs in its own process): the result is stored under it
-    and the disk cache is not probed again.
+    Resolves the :class:`~repro.core.exec.ExecutionPolicy` in scope for
+    its engine and disk-cache settings.  With ``use_cache`` the
+    in-process memo is consulted first, then (when the policy allows
+    it) the persistent disk cache; a simulated result is written back
+    to both.
     """
+    policy = current_policy().resolved()
     spec = spec.canonical()
-    if use_cache and spec in _RESULT_CACHE:
-        return _RESULT_CACHE[spec]
-
-    if use_cache and disk_key is None and diskcache.enabled():
+    disk_key = None
+    if use_cache and policy.disk_cache and spec not in _RESULT_CACHE:
         disk_key = diskcache.spec_key(spec)
         cached = diskcache.load(disk_key)
         if cached is not None:
             # repro: allow[RPR004] -- GIL-atomic write of an idempotent memo
             _RESULT_CACHE[spec] = cached
             return cached
+    return run_cell(spec, policy.engine, disk_key, use_cache)
+
+
+def run_cell(spec: RunSpec, engine: str, disk_key: Optional[str] = None,
+             use_cache: bool = True) -> SimulationResult:
+    """Simulate one cell whose disk probe, if any, missed.
+
+    The entry every execution unit calls, in this process or a pool
+    worker: it reads no policy and probes no disk cache.  *engine* is
+    the policy's engine name; *disk_key* is the key the caller missed
+    under, and the result is stored there (None: the disk cache is off
+    for this cell).  With ``use_cache`` the in-process memo is still
+    consulted and filled.
+    """
+    spec = spec.canonical()
+    if use_cache and spec in _RESULT_CACHE:
+        return _RESULT_CACHE[spec]
 
     plan = faultlib.active_plan()
     if plan is not None:
@@ -200,9 +218,11 @@ def run_spec(spec: RunSpec, use_cache: bool = True,
         result = simulate(
             trace, scheme, params=spec.params,
             l1d_misses_per_kinstr=profile.l1d_misses_per_kinstr,
+            engine=engine,
         )
     _count_simulation()
     if use_cache:
+        # repro: allow[RPR004] -- GIL-atomic write of an idempotent memo
         _RESULT_CACHE[spec] = result
         if disk_key is not None:
             diskcache.store(disk_key, result)
@@ -229,11 +249,13 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
     Cells are independent deterministic simulations, so results are
     bit-identical whichever backend executes them.
 
-    Scheduling follows the :class:`~repro.core.exec.ExecutionPolicy` in
+    Execution follows the :class:`~repro.core.exec.ExecutionPolicy` in
     scope (the CLI scopes one per invocation) with *overrides* — keywords
     named exactly like its fields: ``backend``, ``max_workers``,
-    ``progress``, ``journal``, ``retries``, ``unit_timeout`` and
-    ``on_error`` — replacing fields for this call only.  ``faults`` is
+    ``progress``, ``journal``, ``retries``, ``unit_timeout``,
+    ``on_error``, ``engine``, ``disk_cache`` and ``telemetry`` —
+    replacing fields for this call only; the result is resolved once
+    (unset settings read from the environment).  ``faults`` is
     a :class:`~repro.core.exec.faults.FaultPlan` scoped to this call
     (the test harness; an inherited ``REPRO_FAULT_PLAN`` environment
     plan reaches here too).
@@ -246,7 +268,7 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
     invocation carries them forward instead of retrying them.
     """
     global last_failures
-    policy = replace(current_policy(), **overrides)
+    policy = replace(current_policy(), **overrides).resolved()
 
     ordered: List[RunSpec] = []
     seen = set()
@@ -258,13 +280,12 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
     _CELLS.inc(len(ordered))
 
     progress = policy.progress
-    telemetry_path = os.environ.get(_obs_tracing.TELEMETRY_ENV)
-    if telemetry_path:
+    if policy.telemetry:
         # Stream every progress event to the JSONL telemetry sink,
         # composing with (not replacing) any stderr/caller callback.
         # repro: allow[RPR002] -- telemetry sink; consumes events only
         from repro.obs import export as _obs_export
-        writer = _obs_export.TelemetryWriter(telemetry_path)
+        writer = _obs_export.TelemetryWriter(policy.telemetry)
         progress = _obs_export.progress_sink(writer, wrapped=progress)
     journal = policy.journal
     if isinstance(journal, str):
@@ -273,7 +294,7 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
     results: Dict[RunSpec, SimulationResult] = {}
     pending: List[RunSpec] = []
     disk_keys: Dict[RunSpec, str] = {}
-    probe_disk = use_cache and diskcache.enabled()
+    probe_disk = use_cache and policy.disk_cache
     with _obs_tracing.span("cache_probe", cells=len(ordered)):
         for spec in ordered:
             hit = _RESULT_CACHE.get(spec) if use_cache else None
@@ -359,9 +380,9 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
     # Gauge set parent-side (gauges do not travel back from process
     # workers); per-cell engine counters ship with the worker deltas.
     # Set before the fully-cached early return so the manifest records
-    # the requested engine even when no cell simulates (and an invalid
-    # REPRO_ENGINE fails loudly regardless of cache state).
-    _obs_gauge("engine.requested").set(selected_engine())
+    # the requested engine even when no cell simulates.  (An invalid
+    # REPRO_ENGINE already failed above, when the policy was resolved.)
+    _obs_gauge("engine.requested").set(policy.engine)
 
     if not pending:
         # Fully cached (or fully carried): the scheduler never
@@ -396,25 +417,25 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
                 tracker.degrade(f"execution degraded {event.mode} -> "
                                 f"{event.to_mode}: {event.error}")
 
-    engine = policy.make_backend(
+    backend = policy.make_backend(
         len(pending), notify=_notify,
         backoff_base=float(os.environ.get(_ENV_BACKOFF_BASE)
                            or DEFAULT_BACKOFF_BASE))
-    _obs_gauge("sweep.last_backend").set(engine.name)
-    _obs_gauge("sweep.last_workers").set(engine.max_workers)
+    _obs_gauge("sweep.last_backend").set(backend.name)
+    _obs_gauge("sweep.last_workers").set(backend.max_workers)
 
     plan_scope = faults.activated() if faults is not None \
         else contextlib.nullcontext()
     simulated = 0
     recovered_cached = 0
     with plan_scope, _obs_tracing.span(
-            "execute", anchor=True, backend=engine.name,
-            workers=engine.max_workers, cells=len(pending)):
-        for spec, result in engine.execute(
-                chunk_specs(pending, engine.max_workers),
+            "execute", anchor=True, backend=backend.name,
+            workers=backend.max_workers, cells=len(pending)):
+        for spec, result in backend.execute(
+                chunk_specs(pending, backend.max_workers), policy.engine,
                 use_cache=use_cache, disk_keys=disk_keys):
             results[spec] = result
-            if spec in engine.recovered:
+            if spec in backend.recovered:
                 # A retry re-probe served this cell from the disk cache
                 # (its first attempt persisted it before the unit
                 # failed) — a cache hit, not a simulation.
@@ -430,7 +451,7 @@ def run_specs(specs: Iterable[RunSpec], use_cache: bool = True,
                 journal.record(cell_key(spec), source)
             if tracker is not None:
                 tracker.cell(spec, source, spec_cost(spec))
-    failed = _finish_report(engine.report)
+    failed = _finish_report(backend.report)
     if journal is not None:
         journal.finish(simulated=simulated,
                        cached=n_cached + recovered_cached,

@@ -146,22 +146,23 @@ def render_prometheus(snapshot: Optional[Dict[str, Dict]] = None) -> str:
 
 
 def cache_section(counters: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """The manifest's cache section: counts plus hit ratio.
+    """The manifest's cache section: whether the policy in scope
+    enables the disk cache, counts and hit ratio.
 
     *counters* is a ``{"cache.hits": n, ...}`` mapping — a snapshot or
     snapshot-delta ``counters`` table; default reads the live registry
     (the shape ``cache stats --json`` emits).
     """
-    # Deferred import: diskcache imports repro.obs.metrics at module
+    # Deferred import: the execution layer imports repro.obs at module
     # load, so the export layer must reach back lazily (no cycle).
-    from repro.core import diskcache
+    from repro.core.exec import current_policy
     if counters is None:
         counters = metrics.snapshot()["counters"]
     hits = counters.get("cache.hits", 0)
     misses = counters.get("cache.misses", 0)
     probes = hits + misses
     return {
-        "enabled": diskcache.enabled(),
+        "enabled": current_policy().resolved().disk_cache,
         "hits": hits,
         "misses": misses,
         "stores": counters.get("cache.stores", 0),

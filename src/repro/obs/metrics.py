@@ -21,8 +21,11 @@ Instrument naming scheme (dotted, lowercase, ``subsystem.event``):
 * ``journal.writes`` / ``journal.crc_dropped`` — run-journal health.
 * ``chunking.units`` / ``chunking.cells`` / ``chunking.last_*`` —
   work-unit scheduling decisions.
-* ``engine.phase.<mode>`` (histogram) and ``profile.samples.<phase>``
-  — the engine phase timing/sampling hook (:mod:`repro.obs.profile`).
+* ``engine.phase.<mode>`` (histogram) — the engine phase timing
+  hook (:mod:`repro.obs.profile`).
+* ``engine.columnar_cells`` / ``engine.fallback_cells`` /
+  ``engine.fallback.<scheme>`` and the ``engine.requested`` gauge —
+  which engine ran each cell (:mod:`repro.core.engine_select`).
 
 The registry is append-only within a process: instruments are created
 on first use and live forever.  :func:`snapshot` captures every value;

@@ -9,12 +9,15 @@ span (the scheduler's ``execute`` span marks itself as anchor, which is
 how thread-pool worker spans nest under the sweep instead of floating
 as roots).
 
-Collection is off by default and costs one env probe per ``span()``
-call when off: :func:`span` yields without allocating anything unless
-:func:`enabled` — set either by the ``REPRO_TELEMETRY`` environment
-switch (the CLI's ``--telemetry``, inherited by pool workers) or a
-scoped :func:`enable` (tests).  Results are bit-identical either way;
-tracing only ever *reads* the engine.
+Collection is off by default and costs one integer test per
+``span()`` call when off: :func:`span` yields without allocating
+anything unless :func:`enabled` — a scoped :func:`enable`, which the
+CLI enters when telemetry is on (``--telemetry`` or
+``REPRO_TELEMETRY``, resolved into the execution policy) and tests and
+tools enter directly.  Process-pool workers collect when the parent
+did at pool creation (the pool initializer's :func:`mark_worker`).
+Results are bit-identical either way; tracing only ever *reads* the
+engine.
 
 The first span a telemetry-enabled process opens also installs the
 collector accounting hook (:mod:`repro.obs.gcstats`).
@@ -37,10 +40,6 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.obs import gcstats
-
-#: Environment switch: any non-empty value enables collection (the CLI
-#: sets it to the JSONL event-stream path).
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 _TRACE_LOCK = threading.Lock()
 
@@ -67,7 +66,7 @@ _STACK = threading.local()
 
 def enabled() -> bool:
     """Whether spans are being collected in this process."""
-    return _forced > 0 or bool(os.environ.get(TELEMETRY_ENV))
+    return _forced > 0
 
 
 @contextlib.contextmanager
@@ -83,11 +82,13 @@ def enable() -> Iterator[None]:
             _forced -= 1
 
 
-def mark_worker() -> None:
-    """Flag this process as a pool worker (ships spans per unit)."""
-    global _worker
+def mark_worker(collect: bool) -> None:
+    """Flag this process as a pool worker (ships spans per unit) that
+    collects spans exactly when *collect* (the parent's setting)."""
+    global _forced, _worker
     with _TRACE_LOCK:
         _worker = True
+        _forced = int(collect)
 
 
 def in_worker() -> bool:
@@ -229,7 +230,6 @@ def tree_lines(spans: Sequence[Dict[str, Any]]) -> List[str]:
 
 
 __all__ = [
-    "TELEMETRY_ENV",
     "enabled",
     "enable",
     "mark_worker",

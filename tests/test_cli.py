@@ -121,46 +121,75 @@ class TestNoCacheFlag:
         assert not os.path.isdir(str(tmp_path / "cache"))
         clear_result_cache()
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_no_cache_on_a_pool_stores_nothing(self, backend, tmp_path,
+                                               monkeypatch, capsys):
+        """The pool's workers store only under the keys their units
+        carry, and ``--no-cache`` ships none."""
+        from repro.core.sweep import clear_result_cache
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+        clear_result_cache()
+        stores = counter("cache.stores").value
+        assert main(["sweep", "--workloads", "nutch,streaming",
+                     "--schemes", "baseline,ideal", "--blocks", "1000",
+                     "--backend", backend, "--max-workers", "2",
+                     "--no-cache"]) == 0
+        assert "4 simulated" in capsys.readouterr().err
+        assert counter("cache.stores").value == stores
+        assert not os.path.isdir(str(tmp_path / "cache"))
+        clear_result_cache()
+
     def test_no_policy_or_scheduler_env_survives(self, monkeypatch,
                                                  capsys):
         """Regression: an invocation's flags must not leak into the
         process after main() returns — a later in-process caller
         (tests, notebooks) would silently run uncached, on the wrong
-        backend or with a stale journal.  The scheduling flags live in
-        a scoped ExecutionPolicy; only the worker-bound switches touch
-        the environment, and those are restored."""
-        from repro.core import diskcache
+        backend or with a stale journal.  Every flag lives in a scoped
+        ExecutionPolicy, and main() writes nothing to the environment,
+        not even for the duration of the command."""
         from repro.core.exec import ExecutionPolicy, current_policy
-        for name in ("REPRO_DISK_CACHE", "REPRO_ENGINE"):
+        from repro.obs import tracing
+        for name in ("REPRO_DISK_CACHE", "REPRO_ENGINE", "REPRO_TELEMETRY"):
             monkeypatch.delenv(name, raising=False)
-        before = {name for name in os.environ if name.startswith("REPRO_")}
+        before = dict(os.environ)
+        writes = []
+        monkeypatch.setattr(os, "putenv",
+                            lambda key, value: writes.append(key))
+        monkeypatch.setattr(os, "unsetenv", writes.append)
         assert main(["run", "figure3", "--blocks", "2000",
                      "--backend", "thread", "--max-workers", "2",
                      "--retries", "1", "--on-error", "skip",
                      "--progress", "--no-cache",
                      "--engine", "columnar"]) == 0
         capsys.readouterr()
+        assert writes == []
+        assert dict(os.environ) == before
         assert current_policy() == ExecutionPolicy()
-        after = {name for name in os.environ if name.startswith("REPRO_")}
-        assert after == before
-        assert diskcache.enabled()
+        assert ExecutionPolicy().resolved().disk_cache
+        assert not tracing.enabled()
 
     def test_execution_env_restores_prior_values(self, monkeypatch,
                                                  capsys):
+        """Environment settings the flags override are left as they
+        were: the flags win inside the policy, not in the environment."""
         monkeypatch.setenv("REPRO_DISK_CACHE", "1")
         monkeypatch.setenv("REPRO_ENGINE", "interpreter")
+        before = dict(os.environ)
         assert main(["run", "figure3", "--blocks", "2000",
                      "--backend", "serial", "--no-cache",
                      "--engine", "columnar"]) == 0
         capsys.readouterr()
-        assert os.environ["REPRO_DISK_CACHE"] == "1"
-        assert os.environ["REPRO_ENGINE"] == "interpreter"
+        assert dict(os.environ) == before
 
     def test_execution_env_restored_on_error(self, monkeypatch, capsys):
+        from repro.core.exec import ExecutionPolicy, current_policy
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+        before = dict(os.environ)
         assert main(["run", "figure99", "--no-cache"]) == 2
         capsys.readouterr()
-        assert "REPRO_DISK_CACHE" not in os.environ
+        assert dict(os.environ) == before
+        assert current_policy() == ExecutionPolicy()
 
 
 class TestSampledMode:

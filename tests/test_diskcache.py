@@ -9,6 +9,7 @@ import pytest
 
 from repro.config import MicroarchParams, SchemeConfig
 from repro.core import diskcache
+from repro.core.exec import ExecutionPolicy
 from repro.core.metrics import EngineStats, SimulationResult
 from repro.core.sweep import clear_result_cache, run_spec
 from repro.experiments.spec import RunSpec
@@ -147,11 +148,13 @@ class TestKeySensitivity:
 
 class TestOptOut:
     def test_disable_env(self, fresh_cache, monkeypatch):
+        """``REPRO_DISK_CACHE=0`` turns the policy's disk cache off: a
+        cell neither probes nor stores, and no directory appears."""
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-        assert not diskcache.enabled()
-        key = _key()
-        diskcache.store(key, _result())
-        assert diskcache.load(key) is None
+        assert not ExecutionPolicy().resolved().disk_cache
+        run_spec(_NUTCH)
+        assert counter("cache.misses").value == 0
+        assert counter("cache.stores").value == 0
         assert not os.path.isdir(str(fresh_cache))
 
     def test_cache_dir_override(self, fresh_cache):

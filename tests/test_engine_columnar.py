@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import MicroarchParams
 from repro.core import engine_columnar, engine_select
 from repro.core import frontend
-from repro.core.engine_select import selected_engine
+from repro.core.exec import ExecutionPolicy, scoped_policy
 from repro.core.sweep import clear_result_cache
 from repro.errors import ReproError, SimulationError
 from repro.prefetch.factory import SCHEME_FACTORIES, build_scheme
@@ -54,8 +54,8 @@ def _assert_identical(workload, scheme, params, n_blocks,
     trace, s1 = _build(workload, scheme, params, n_blocks)
     s2 = build_scheme(scheme, params, trace.generated)
     reference = frontend.simulate(trace, s1, params=params, **kwargs)
-    monkeypatch.setenv("REPRO_ENGINE", "columnar")
-    candidate = engine_select.simulate(trace, s2, params=params, **kwargs)
+    candidate = engine_select.simulate(trace, s2, params=params,
+                                       engine="columnar", **kwargs)
     assert candidate.scheme == reference.scheme
     assert _exact_stats(candidate) == _exact_stats(reference)
 
@@ -85,18 +85,27 @@ class TestEligibility:
 
 
 class TestSelection:
+    """The engine is a policy setting; ``REPRO_ENGINE`` fills it only
+    when the policy leaves it unset, read when the policy is resolved
+    (``run_specs`` does so once per call)."""
+
     def test_default_is_interpreter(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert selected_engine() == "interpreter"
+        assert ExecutionPolicy().resolved().engine == "interpreter"
 
     def test_env_selects_columnar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
-        assert selected_engine() == "columnar"
+        monkeypatch.setenv("REPRO_ENGINE", " Columnar ")
+        assert ExecutionPolicy().resolved().engine == "columnar"
+        # A set field wins over the environment.
+        assert ExecutionPolicy(engine="interpreter").resolved().engine \
+            == "interpreter"
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "vectorized")
         with pytest.raises(ReproError, match="REPRO_ENGINE"):
-            selected_engine()
+            ExecutionPolicy().resolved()
+        with pytest.raises(ReproError, match="--engine"):
+            ExecutionPolicy(engine="vectorized")
 
     def test_columnar_path_actually_taken(self, monkeypatch):
         """The eligible path must not silently route back to the
@@ -104,26 +113,25 @@ class TestSelection:
         to itself would prove nothing."""
         params = MicroarchParams()
         trace, scheme = _build("apache", "baseline", params, 2000)
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
 
         def _boom(*args, **kwargs):
             raise AssertionError(
                 "interpreter must not run for an eligible cell")
 
         monkeypatch.setattr(frontend, "simulate", _boom)
-        result = engine_select.simulate(trace, scheme, params=params)
+        result = engine_select.simulate(trace, scheme, params=params,
+                                        engine="columnar")
         assert result.stats.instructions > 0
 
     def test_ineligible_cell_falls_back_to_interpreter(self,
                                                        monkeypatch):
         params = MicroarchParams()
         trace, scheme = _build("apache", "fdip", params, 2000)
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
         sentinel = object()
         monkeypatch.setattr(frontend, "simulate",
                             lambda *a, **k: sentinel)
-        assert engine_select.simulate(trace, scheme,
-                                      params=params) is sentinel
+        assert engine_select.simulate(trace, scheme, params=params,
+                                      engine="columnar") is sentinel
 
 
 class TestDifferential:
@@ -190,6 +198,8 @@ class TestKeyAndFingerprintNeutrality:
                        n_blocks=2000)
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         interpreter_key = spec_key(spec)
+        with scoped_policy(ExecutionPolicy(engine="columnar")):
+            assert spec_key(spec) == interpreter_key
         monkeypatch.setenv("REPRO_ENGINE", "columnar")
         assert spec_key(spec) == interpreter_key
 

@@ -451,7 +451,7 @@ class TestInterruptResume:
         units = chunk_specs(list(self.SPECS), max_workers=1,
                             units_per_worker=len(self.SPECS))
         assert len(units) >= 2
-        iterator = backend.execute(units)
+        iterator = backend.execute(units, "interpreter")
         next(iterator)
         iterator.close()
         with simulation_meter() as meter:

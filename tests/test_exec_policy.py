@@ -12,6 +12,7 @@ from repro.core.exec import policy as policy_module
 from repro.core.sweep import clear_result_cache, run_specs
 from repro.errors import ReproError
 from repro.experiments.spec import RunSpec
+from repro.obs import metrics
 
 
 class TestValidation:
@@ -22,6 +23,9 @@ class TestValidation:
         ("unit_timeout", 0, "--unit-timeout"),
         ("unit_timeout", -3.0, "--unit-timeout"),
         ("on_error", "explode", "--on-error"),
+        ("engine", "vectorized", "--engine"),
+        ("disk_cache", "no", "--no-cache"),
+        ("telemetry", "", "--telemetry"),
     ])
     def test_bad_value_names_its_flag(self, field, value, flag):
         with pytest.raises(ReproError, match=flag):
@@ -114,3 +118,86 @@ class TestScope:
             run_specs([spec], progress=quiet.append)
         assert quiet and len(seen) == before
         clear_result_cache()
+
+
+def _engine_counts(delta):
+    counters = delta["counters"]
+    return (counters.get("engine.columnar_cells", 0),
+            counters.get("engine.fallback_cells", 0))
+
+
+class TestSettings:
+    """Engine, disk cache and telemetry are policy fields; their
+    environment forms fill only unset fields, read in one function when
+    the policy is resolved (once per ``run_specs`` call)."""
+
+    CELLS = [RunSpec(workload=workload, scheme="baseline", n_blocks=1000)
+             for workload in ("nutch", "streaming")]
+
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, tmp_path, monkeypatch):
+        for name in ("REPRO_ENGINE", "REPRO_DISK_CACHE", "REPRO_TELEMETRY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        clear_result_cache()
+        yield
+        clear_result_cache()
+
+    def test_defaults(self):
+        policy = ExecutionPolicy().resolved()
+        assert (policy.engine, policy.disk_cache, policy.telemetry) \
+            == ("interpreter", True, None)
+
+    def test_unset_fields_read_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "columnar")
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        monkeypatch.setenv("REPRO_TELEMETRY", "t.jsonl")
+        policy = ExecutionPolicy().resolved()
+        assert (policy.engine, policy.disk_cache, policy.telemetry) \
+            == ("columnar", False, "t.jsonl")
+        # Set fields win, and a resolved policy resolves to itself.
+        policy = ExecutionPolicy(engine="interpreter", disk_cache=True,
+                                 telemetry="mine.jsonl").resolved()
+        assert (policy.engine, policy.disk_cache, policy.telemetry) \
+            == ("interpreter", True, "mine.jsonl")
+        assert policy.resolved() is policy
+
+    def test_each_environment_form_is_honoured_once_per_call(
+            self, tmp_path, monkeypatch):
+        reads = []
+        read = policy_module._environment_settings
+        monkeypatch.setattr(policy_module, "_environment_settings",
+                            lambda: reads.append(1) or read())
+        stream = tmp_path / "tel.jsonl"
+        monkeypatch.setenv("REPRO_ENGINE", "columnar")
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        monkeypatch.setenv("REPRO_TELEMETRY", str(stream))
+        before = metrics.snapshot()
+        run_specs(self.CELLS, backend="thread", max_workers=2)
+        delta = metrics.delta(before, metrics.snapshot())
+        assert len(reads) == 1
+        assert _engine_counts(delta) == (len(self.CELLS), 0)
+        assert delta["counters"].get("cache.stores", 0) == 0
+        assert not os.path.isdir(str(tmp_path / "cache"))
+        assert '"kind": "progress"' in stream.read_text()
+
+    def test_engine_resolves_per_call_not_at_import(self, monkeypatch):
+        """A caller may switch ``REPRO_ENGINE`` between calls (the
+        benchmark's reference pass does): each call resolves anew."""
+        monkeypatch.setenv("REPRO_ENGINE", "columnar")
+        before = metrics.snapshot()
+        run_specs(self.CELLS, use_cache=False, backend="serial")
+        monkeypatch.setenv("REPRO_ENGINE", "interpreter")
+        middle = metrics.snapshot()
+        run_specs(self.CELLS, use_cache=False, backend="serial")
+        after = metrics.snapshot()
+        assert _engine_counts(metrics.delta(before, middle)) \
+            == (len(self.CELLS), 0)
+        assert _engine_counts(metrics.delta(middle, after)) == (0, 0)
+
+    def test_invalid_engine_fails_on_a_fully_cached_collection(
+            self, monkeypatch):
+        run_specs(self.CELLS, backend="serial")
+        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
+        with pytest.raises(ReproError, match="REPRO_ENGINE"):
+            run_specs(self.CELLS, backend="serial")

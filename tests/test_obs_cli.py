@@ -41,6 +41,36 @@ class TestTelemetryStream:
         # Spans were collected because --telemetry enables tracing.
         assert manifest["spans"]
 
+    def test_process_workers_ship_spans_and_engine_counts(
+            self, tmp_path, monkeypatch, capsys):
+        """``--telemetry`` and ``--engine`` reach process workers
+        through the pool initializer and each unit, not through the
+        environment: the manifest holds spans from worker pids and
+        counts every simulated cell on the columnar engine or as a
+        fallback."""
+        _fresh(tmp_path, monkeypatch)
+        for name in ("REPRO_ENGINE", "REPRO_TELEMETRY"):
+            monkeypatch.delenv(name, raising=False)
+        stream = tmp_path / "tel.jsonl"
+        assert main(["sweep", "--workloads", "nutch,streaming",
+                     "--schemes", "baseline,fdip", "--blocks", "1000",
+                     "--backend", "process", "--max-workers", "2",
+                     "--engine", "columnar",
+                     "--telemetry", str(stream)]) == 0
+        capsys.readouterr()
+        assert "REPRO_TELEMETRY" not in os.environ
+        manifest = [json.loads(line) for line
+                    in stream.read_text().splitlines()
+                    if '"manifest"' in line][-1]
+        simulate = [span for span in manifest["spans"]
+                    if span["name"] == "simulate"]
+        assert len(simulate) == 4
+        assert all(span["pid"] != os.getpid() for span in simulate)
+        engine = manifest["engine"]
+        assert engine["requested"] == "columnar"
+        assert (engine["columnar_cells"], engine["fallback_cells"]) \
+            == (2, 2)
+
     def test_accounting_line_format_is_pinned(self, tmp_path,
                                               monkeypatch, capsys):
         _fresh(tmp_path, monkeypatch)

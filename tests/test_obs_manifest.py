@@ -90,20 +90,23 @@ class TestReconciliation:
 
 class TestEngineAccounting:
     """Per-cell engine selection counters reach the manifest — columnar
-    cells and per-scheme fallbacks — even from process workers."""
+    cells and per-scheme fallbacks — from every backend's workers.  The
+    engine is set by the policy alone: workers see neither the parent's
+    policy nor an environment setting, so the counts show that each
+    unit carried it."""
 
     MIXED = CELLS + (RunSpec(workload="nutch", scheme="fdip",
                              n_blocks=400),)
 
     @pytest.mark.parametrize("backend,workers",
-                             [("serial", 1), ("process", 2)])
+                             [("serial", 1), ("thread", 2), ("process", 2)])
     def test_columnar_cells_and_fallbacks_counted(
             self, backend, workers, tmp_path, monkeypatch):
         _fresh(tmp_path, monkeypatch)
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         before = metrics.snapshot()
         results = run_specs(self.MIXED, backend=backend,
-                            max_workers=workers)
+                            max_workers=workers, engine="columnar")
         delta = metrics.delta(before, metrics.snapshot())
         assert len(results) == len(self.MIXED)
         report = export.build_report("rid", "label", "sweep", delta,
@@ -167,7 +170,7 @@ class TestSpanShipping:
 
     def test_no_spans_when_disabled(self, tmp_path, monkeypatch):
         _fresh(tmp_path, monkeypatch)
-        monkeypatch.delenv(tracing.TELEMETRY_ENV, raising=False)
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         tracing.reset()
         run_specs(CELLS[:2], backend="serial")
         assert tracing.records() == []

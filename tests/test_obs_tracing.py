@@ -9,21 +9,30 @@ from repro.obs import tracing
 
 class TestCollectionGate:
     def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(tracing.TELEMETRY_ENV, raising=False)
+        monkeypatch.setenv("REPRO_TELEMETRY", "unused.jsonl")
         tracing.reset()
         with tracing.span("noop") as record:
             assert record is None
         assert tracing.records() == []
 
-    def test_env_switch_enables(self, monkeypatch):
-        monkeypatch.setenv(tracing.TELEMETRY_ENV, "/tmp/whatever.jsonl")
+    def test_env_switch_enables(self, tmp_path, monkeypatch):
+        """``REPRO_TELEMETRY`` turns collection on for a CLI invocation:
+        it resolves into the policy, and the CLI's execution scope
+        enables tracing while that policy is current."""
+        import argparse
+        from repro.cli import _execution_scope
+        from repro.core.exec import current_policy
+        stream = str(tmp_path / "tel.jsonl")
+        monkeypatch.setenv("REPRO_TELEMETRY", stream)
         tracing.reset()
-        with tracing.span("gated"):
-            pass
+        with _execution_scope(argparse.Namespace()):
+            assert current_policy().telemetry == stream
+            with tracing.span("gated"):
+                pass
+        assert not tracing.enabled()
         assert [r["name"] for r in tracing.drain()] == ["gated"]
 
-    def test_scoped_enable_nests(self, monkeypatch):
-        monkeypatch.delenv(tracing.TELEMETRY_ENV, raising=False)
+    def test_scoped_enable_nests(self):
         with tracing.enable():
             with tracing.enable():
                 assert tracing.enabled()

@@ -35,9 +35,7 @@ def _fresh_warm_state(program, params):
 
 
 @pytest.mark.parametrize("engine", ["interpreter", "columnar"])
-def test_interleaved_schemes_repeat_and_keep_shared_state(engine,
-                                                           monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", engine)
+def test_interleaved_schemes_repeat_and_keep_shared_state(engine):
     params = MicroarchParams()
     trace = build_trace("nutch", 3000, seed=41)
     program = trace.generated.program
@@ -51,7 +49,8 @@ def test_interleaved_schemes_repeat_and_keep_shared_state(engine,
         stats = {}
         for name in sorted(SCHEME_FACTORIES):
             scheme = build_scheme(name, params, trace.generated)
-            result = engine_select.simulate(trace, scheme, params=params)
+            result = engine_select.simulate(trace, scheme, params=params,
+                                            engine=engine)
             stats[name] = dataclasses.asdict(result.stats)
         runs.append(stats)
 
@@ -97,7 +96,7 @@ def test_no_program_means_cold_llc():
 
 
 @pytest.mark.parametrize("engine", ["interpreter", "columnar"])
-def test_cells_leave_no_cyclic_garbage(engine, monkeypatch):
+def test_cells_leave_no_cyclic_garbage(engine):
     """A simulated cell is freed by reference counting alone.
 
     Every scheme, on both engines: once the cell's scheme and result
@@ -105,7 +104,6 @@ def test_cells_leave_no_cyclic_garbage(engine, monkeypatch):
     (Shotgun's footprint stores once closed over the scheme) keeps a
     cell's BTBs and buffers alive until the collector runs.
     """
-    monkeypatch.setenv("REPRO_ENGINE", engine)
     params = MicroarchParams()
     trace = build_trace("nutch", 1000, seed=44)
     _warm_llc_state(trace, params)
@@ -116,7 +114,8 @@ def test_cells_leave_no_cyclic_garbage(engine, monkeypatch):
     try:
         for name in sorted(SCHEME_FACTORIES):
             scheme = build_scheme(name, params, trace.generated)
-            result = engine_select.simulate(trace, scheme, params=params)
+            result = engine_select.simulate(trace, scheme, params=params,
+                                            engine=engine)
             del scheme, result
             gc.collect()
             assert gc.garbage == [], (

@@ -1,11 +1,13 @@
 """Tests for the sweep/result-cache layer and the parallel grid runner."""
 
+import pytest
+
 from repro.config import SchemeConfig
 from repro.core import diskcache
 from repro.core.sweep import clear_result_cache, run_spec, run_specs, \
     simulation_meter
 from repro.experiments.spec import RunSpec
-from repro.obs.metrics import counter
+from repro.obs.metrics import counter, delta, snapshot
 
 
 def _cell(scheme: str, **kwargs) -> RunSpec:
@@ -64,6 +66,38 @@ class TestDiskProbe:
         clear_result_cache()
         with simulation_meter() as meter:
             run_specs(specs, backend="serial")
+        assert meter.count == 0
+        clear_result_cache()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pool_cells_store_under_the_key_their_unit_carries(
+            self, backend, tmp_path, monkeypatch):
+        """A dispatched unit carries each cell's disk key: the worker
+        stores under it and neither keys nor probes again — one key
+        build, one load and one store per cell, wherever it runs.  The
+        counts are metrics, so process workers ship theirs home."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        clear_result_cache()
+        spec_key, load = diskcache.spec_key, diskcache.load
+        monkeypatch.setattr(diskcache, "spec_key",
+                            lambda spec: counter("test.spec_keys").inc()
+                            or spec_key(spec))
+        monkeypatch.setattr(diskcache, "load",
+                            lambda key: counter("test.loads").inc()
+                            or load(key))
+        specs = [RunSpec(workload=workload, scheme=scheme, n_blocks=2000)
+                 for workload in ("nutch", "streaming")
+                 for scheme in ("baseline", "ideal")]
+        before = snapshot()
+        with simulation_meter() as meter:
+            run_specs(specs, backend=backend, max_workers=2)
+        counters = delta(before, snapshot())["counters"]
+        assert meter.count == len(specs)
+        assert (counters.get("test.spec_keys"), counters.get("test.loads"),
+                counters.get("cache.stores")) == (4, 4, 4)
+        clear_result_cache()
+        with simulation_meter() as meter:
+            run_specs(specs, backend=backend, max_workers=2)
         assert meter.count == 0
         clear_result_cache()
 
