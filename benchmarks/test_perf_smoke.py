@@ -24,6 +24,10 @@ Three measurements, each asserted and recorded into a machine-readable
   simulating: ``build_scheme`` and ``FrontEnd`` construction per
   scheme, the per-program warm-LLC build, and the TAGE fold
   precompute at 1k and 120k blocks (report-only, like construction).
+* **run-ahead control** — milliseconds per 1,000-block window of each
+  run-ahead scheme on the column path (replayed control, the default)
+  and on the calling path (an explicit predictor), and the milliseconds
+  to build each control replay once per window (report-only).
 * **telemetry** — the telemetry-on overhead gate (< 5%, median of
   paired off/on runs).
 
@@ -578,5 +582,88 @@ def test_cell_setup_recorded():
         "warm_llc_build_ms": warm_ms,
         "warm_llc_lines": len(program.image),
         "fold_precompute_ms": folds,
+        "cpu_count": usable_cpus(),
+    })
+
+
+RUNAHEAD_SCHEMES = ("fdip", "boomerang", "shotgun")
+RUNAHEAD_WINDOWS = 8
+
+
+def test_runahead_control_recorded():
+    """Run-ahead cells on replayed control columns vs on calls.
+
+    Per scheme, the median milliseconds of one 1,000-block window on
+    the column path, with the window's replays already built (they are
+    shared by every cell of the trace), and on the calling path; both
+    paths must give the same stats.  Also the median milliseconds to
+    build each replay on one window.  Report-only, no wall-clock gate.
+    """
+    from repro.core import control
+    from repro.core.frontend import FrontEnd, _KIND_COND, _fold_sequences
+    from repro.uarch.tage import PrecomputedHistoryTage, \
+        replay_cond_mispredicts
+
+    params = MicroarchParams()
+    traces = [build_trace(SETUP_WORKLOAD, SETUP_BLOCKS, seed=300 + k)
+              for k in range(RUNAHEAD_WINDOWS)]
+    generated = traces[0].generated
+    geometry = build_scheme("fdip", params, generated).btb.geometry
+    buffer_entries = params.btb_prefetch_buffer
+    ras_size = params.ras_size
+
+    def replay_ms(build) -> float:
+        samples = []
+        for trace in traces:
+            _fold_sequences(trace)
+            control.ideal_control(trace)
+            start = time.perf_counter()
+            build(trace)
+            samples.append(time.perf_counter() - start)
+        samples.sort()
+        return round(samples[len(samples) // 2] * 1e3, 4)
+
+    replays = {
+        "ideal_ms": replay_ms(lambda trace: replay_cond_mispredicts(
+            _fold_sequences(trace), trace.hot.pc, trace.hot.kind,
+            trace.hot.taken, _KIND_COND)),
+        "demand_ms": replay_ms(lambda trace: control._replay_demand(
+            trace, geometry, ras_size)),
+        "boomerang_ms": replay_ms(lambda trace: control._replay_boomerang(
+            trace, control.ideal_control(trace)[1], geometry,
+            buffer_entries, ras_size)),
+    }
+
+    def window_ms(name, trace, calls: bool):
+        scheme = build_scheme(name, params, trace.generated)
+        predictor = PrecomputedHistoryTage(_fold_sequences(trace)) \
+            if calls else None
+        engine = FrontEnd(trace, scheme, params=params, predictor=predictor)
+        start = time.perf_counter()
+        result = engine.run()
+        return time.perf_counter() - start, result
+
+    schemes = {}
+    for name in RUNAHEAD_SCHEMES:
+        samples = {"columns": [], "calls": []}
+        for trace in traces:
+            window_ms(name, trace, calls=False)  # builds the replays
+            for _ in range(3):
+                columns, by_columns = window_ms(name, trace, calls=False)
+                calls, by_calls = window_ms(name, trace, calls=True)
+                assert asdict(by_columns.stats) == asdict(by_calls.stats)
+                samples["columns"].append(columns)
+                samples["calls"].append(calls)
+        schemes[name] = {}
+        for path, values in samples.items():
+            values.sort()
+            schemes[name][f"{path}_ms"] = round(
+                values[len(values) // 2] * 1e3, 4)
+    _record("runahead_control", {
+        "workload": SETUP_WORKLOAD,
+        "n_blocks": SETUP_BLOCKS,
+        "windows": RUNAHEAD_WINDOWS,
+        "schemes": schemes,
+        "replay_build": replays,
         "cpu_count": usable_cpus(),
     })

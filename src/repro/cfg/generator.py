@@ -240,18 +240,43 @@ def _pick_call_pool(draws: Draws, params: GeneratorParams,
     return layer_pools[layer + 1 + skip]
 
 
-#: One block in generation order: ``(ninstr, kind, taken_succ, callees,
-#: behavior, behavior_param)``, with a function-local successor (-1
-#: where unused) and pre-layout callee fids.
-BlockRow = Tuple[int, int, int, Tuple[int, ...], int, float]
+#: One block in generation order: ``(ninstr, kind, taken_succ, behavior,
+#: behavior_param, ncallees)``, with a function-local successor (-1
+#: where unused).  Its ``ncallees`` pre-layout callee fids follow the
+#: earlier blocks' on one flat list.
+BlockRow = Tuple[int, int, int, int, float, int]
+
+#: :data:`BlockRow` as a numpy record, so rows become columns through
+#: ``np.fromiter``.
+_ROW_DTYPE = np.dtype([("ninstr", np.int8), ("kind", np.int8),
+                       ("taken_succ", np.int64), ("behavior", np.int8),
+                       ("behavior_param", np.float64),
+                       ("ncallees", np.int64)])
+
+#: Rows per ``np.fromiter`` call.  Freeing an array of several MB raises
+#: glibc's dynamic mmap threshold, and the process then keeps more freed
+#: memory resident: one 2 MB table for oracle's rows cost ``report-pool``
+#: about 2.5 MB of peak RSS.  Chunks keep each temporary under 0.5 MB.
+_ROW_CHUNK = 16_384
+
+
+def _row_columns(rows: List[BlockRow]) -> Dict[str, np.ndarray]:
+    """*rows* as one array per :data:`_ROW_DTYPE` field."""
+    columns = {name: np.empty(len(rows), dtype=_ROW_DTYPE[name])
+               for name in _ROW_DTYPE.names}
+    for lo in range(0, len(rows), _ROW_CHUNK):
+        chunk = np.fromiter(rows[lo:lo + _ROW_CHUNK], dtype=_ROW_DTYPE)
+        for name, column in columns.items():
+            column[lo:lo + len(chunk)] = chunk[name]
+    return columns
 
 
 def _build_function(draws: Draws, params: GeneratorParams,
                     fid: int, layer: int, layer_pools: List[List[int]],
                     is_kernel: bool, cdfs: Dict[int, List[float]],
-                    rows: List[BlockRow]) -> int:
-    """Draw one function's blocks onto the end of *rows*; returns how
-    many it drew.
+                    rows: List[BlockRow], callee_fids: List[int]) -> int:
+    """Draw one function's blocks onto the end of *rows*, and their
+    callees onto the end of *callee_fids*; returns how many it drew.
 
     Every draw is made inline, in program order, by the same method:
     the block-kind roll, then the block length, then the kind's own
@@ -315,6 +340,7 @@ def _build_function(draws: Draws, params: GeneratorParams,
     CALL, TRAP, COND = _CALL, _TRAP, _COND
     BIASED, LOOP = _BIASED, _LOOP
     append = rows.append
+    extend_callees = callee_fids.extend
     base = len(rows)
 
     nblocks = _draw_block_count(draws, params)
@@ -333,18 +359,20 @@ def _build_function(draws: Draws, params: GeneratorParams,
                     indirect=random() < params.indirect_fraction,
                     cdfs=cdfs,
                 )
-                append((ninstr, CALL, -1, callees, BIASED, 0.5))
+                append((ninstr, CALL, -1, BIASED, 0.5, len(callees)))
+                extend_callees(callees)
                 continue
         elif roll < jump_bound:
             target = min(last, idx + 1 + integers(0, 6))
-            append((ninstr, _JUMP, target, (), BIASED, 0.5))
+            append((ninstr, _JUMP, target, BIASED, 0.5, 0))
             continue
         elif roll < trap_bound and can_trap:
             kernel_pool = layer_pools[-1]
             cluster_base = integers(0, len(kernel_pool))
             callees = _pick_callees(draws, params, kernel_pool,
                                     cluster_base, indirect=False, cdfs=cdfs)
-            append((ninstr, TRAP, -1, callees, BIASED, 0.5))
+            append((ninstr, TRAP, -1, BIASED, 0.5, len(callees)))
+            extend_callees(callees)
             continue
 
         # A conditional block: ninstr = 2 + poisson(mean_extra) again,
@@ -363,17 +391,17 @@ def _build_function(draws: Draws, params: GeneratorParams,
                 kind = previous[1]
                 if kind == CALL or kind == TRAP:
                     break
-                if kind == COND and previous[4] == LOOP:
+                if kind == COND and previous[3] == LOOP:
                     break
                 span += 1
             if span > 0:
                 target = idx - 1 - integers(0, span)
                 trips = max(2.0, draws.exponential(params.mean_loop_trips))
-                append((ninstr, COND, target, (), LOOP, float(trips)))
+                append((ninstr, COND, target, LOOP, float(trips), 0))
                 continue
         if roll < alternate_bound:
             target = min(last, idx + 1 + integers(0, 3))
-            append((ninstr, COND, target, (), _ALTERNATE, 0.5))
+            append((ninstr, COND, target, _ALTERNATE, 0.5, 0))
             continue
         # Forward short-offset biased branch (if/else, error checks).
         target = min(last, idx + 1 + integers(0, 4))
@@ -381,9 +409,9 @@ def _build_function(draws: Draws, params: GeneratorParams,
             bias = hot_bias if random() < 0.5 else cold_bias
         else:
             bias = draws.uniform(0.3, 0.7)
-        append((ninstr, COND, target, (), BIASED, bias))
+        append((ninstr, COND, target, BIASED, bias, 0))
     append((block_length(ensure(1)), _TRAP_RET if is_kernel else _RET, -1,
-            (), BIASED, 0.5))
+            BIASED, 0.5, 0))
     return nblocks
 
 
@@ -416,9 +444,11 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
     # Callee-rank CDFs by cluster width, shared by every call site.
     cdfs: Dict[int, List[float]] = {}
     rows: List[BlockRow] = []
+    callee_fids: List[int] = []
     nblocks = [
         _build_function(draws, params, fid, layer, layer_pools,
-                        layer == len(layer_pools) - 1, cdfs, rows)
+                        layer == len(layer_pools) - 1, cdfs, rows,
+                        callee_fids)
         for layer, pool in enumerate(layer_pools) for fid in pool]
 
     # Shuffle the *layout order* (not the fids) so that functions that call
@@ -429,30 +459,29 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
 
     # Layout block j is generation block ``blocks[j]``: each function's
     # run, taken in layout order.  Local successors become global.
-    ninstr, kind, local_succ, callee_sets, behavior, param = zip(*rows)
+    table = _row_columns(rows)
+    ncallees = table["ncallees"]
     sizes = np.array(nblocks, dtype=np.int64)
     lengths = sizes[order]
     func_start = np.concatenate(([0], np.cumsum(lengths)))
     blocks = _runs(np.concatenate(([0], np.cumsum(sizes)))[order], lengths)
-    local_succ = np.array(local_succ, dtype=np.int64)[blocks]
+    local_succ = table["taken_succ"][blocks]
     taken_succ = np.where(local_succ >= 0, local_succ
                           + np.repeat(func_start[:-1], lengths), -1)
-    ncallees = np.array([len(c) for c in callee_sets], dtype=np.int64)
     callee_lengths = ncallees[blocks]
-    callees = relabel[np.array(
-        [fid for c in callee_sets for fid in c], dtype=np.int64)[_runs(
-            np.concatenate(([0], np.cumsum(ncallees)))[blocks],
-            callee_lengths)]]
+    callees = relabel[np.array(callee_fids, dtype=np.int64)[_runs(
+        np.concatenate(([0], np.cumsum(ncallees)))[blocks],
+        callee_lengths)]]
     # The kernel layer is last, so it holds the highest pre-layout fids.
     first_kernel = layer_pools[-1][0]
     program = Program(
-        ninstr=np.array(ninstr, dtype=np.int8)[blocks],
-        kind=np.array(kind, dtype=np.int8)[blocks],
+        ninstr=table["ninstr"][blocks],
+        kind=table["kind"][blocks],
         taken_succ=taken_succ,
         callee_start=np.concatenate(([0], np.cumsum(callee_lengths))),
         callees=callees,
-        behavior=np.array(behavior, dtype=np.int8)[blocks],
-        behavior_param=np.array(param, dtype=np.float64)[blocks],
+        behavior=table["behavior"][blocks],
+        behavior_param=table["behavior_param"][blocks],
         func_start=func_start,
         is_kernel=order >= first_kernel,
     )

@@ -13,10 +13,11 @@ arrays (DESIGN.md Section 14).
 
 The engine therefore runs in stages:
 
-1. **Control pass** (cached per trace x BTB geometry): replay the BTB /
-   TAGE / RAS interaction with a fresh scheme replica at ``now=0.0`` —
-   exactly the calls the interpreter makes — producing per-block
-   mispredict/flush masks and their prefix sums.  The TAGE replay rides
+1. **Control pass** (cached per trace x BTB geometry in
+   :mod:`repro.core.control`, shared with the interpreter's run-ahead
+   cells): replay the BTB / TAGE / RAS interaction against fresh
+   structures — exactly the calls the interpreter makes — producing a
+   per-block outcome byte (BTB miss, flush class).  The TAGE replay rides
    the :class:`~repro.uarch.tage.PrecomputedHistoryTage` folded-history
    precomputation, which is the batching seam: one fold replay serves
    every parameter point simulated on the trace.
@@ -45,25 +46,24 @@ to the interpreter per cell and accounts for it in the run manifest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import MicroarchParams
-from repro.core.frontend import _CALL_KINDS, _KIND_COND, _KIND_OBJS, \
-    _RET_KINDS, _fold_sequences, _static_target_map, _warm_llc_state
+from repro.core.control import DIVERGE_BTBMISS, DIVERGE_DIR, \
+    DIVERGE_TARGET, _prefix, demand_control, ideal_control
+from repro.core.frontend import _KIND_COND, _warm_llc_state
 from repro.core.metrics import EngineStats, SimulationResult
 from repro.errors import SimulationError
 from repro.prefetch.base import Scheme
 from repro.prefetch.baseline import BaselineScheme, IdealScheme
 from repro.uarch.cache import SetAssocCache
 from repro.uarch.interconnect import NocModel
-from repro.uarch.ras import ReturnAddressStack
 # precompute_fold_sequences is not called here (the one fold accessor,
 # frontend._fold_sequences, calls it); the name stays importable from
 # this module because perfbench/layers.py wraps it here by name.
-from repro.uarch.tage import PrecomputedHistoryTage, \
-    precompute_fold_sequences, replay_cond_mispredicts  # noqa: F401
+from repro.uarch.tage import precompute_fold_sequences  # noqa: F401
 from repro.workloads.trace import Trace
 
 #: Clock segments shorter than this advance with scalar Python-float
@@ -92,13 +92,6 @@ def supports(scheme: Scheme, predictor=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _prefix(flags, n: int) -> np.ndarray:
-    """int64 prefix-sum array of length ``n + 1`` over boolean *flags*."""
-    out = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.asarray(flags, dtype=np.int64), out=out[1:])
-    return out
-
-
 def _cond_prefix(trace: Trace) -> np.ndarray:
     """Prefix counts of conditional blocks (ideal-mode boundary stats)."""
     cached = trace.derived.get("columnar.cond_prefix")
@@ -117,122 +110,6 @@ def _access_prefix(trace: Trace) -> np.ndarray:
         cached = np.zeros(len(trace) + 1, dtype=np.int64)
         np.cumsum(counts, out=cached[1:])
         trace.derived["columnar.access_prefix"] = cached
-    return cached
-
-
-def _ideal_control(trace: Trace) -> Tuple[np.ndarray, List[bool],
-                                          np.ndarray]:
-    """Ideal-mode direction-mispredict flags, as (mask, list, prefix).
-
-    A full-trace TAGE replay over the conditional blocks — exactly the
-    ``predict_update`` calls the interpreter's ideal loop makes.  Pure
-    function of the trace (the predictor never reads time), so one
-    replay serves every parameter point.
-    """
-    cached = trace.derived.get("columnar.ctrl.ideal")
-    if cached is None:
-        hot = trace.hot
-        flags = replay_cond_mispredicts(
-            _fold_sequences(trace), hot.pc, hot.kind, hot.taken, _KIND_COND)
-        misp = np.asarray(flags, dtype=bool)
-        cached = (misp, flags, _prefix(misp, len(trace)))
-        trace.derived["columnar.ctrl.ideal"] = cached
-    return cached
-
-
-def _demand_control(trace: Trace, scheme: BaselineScheme,
-                    params: MicroarchParams) -> Dict[str, object]:
-    """Demand-mode control masks from a clock-free scheme replay.
-
-    Replays the interpreter's ``_run_demand`` control section verbatim
-    against a *fresh* scheme replica (same BTB geometry), a fresh
-    trace-derived TAGE and a fresh RAS, all at ``now=0.0`` — legal
-    because the baseline scheme, the predictor and the RAS never read
-    the clock.  The caller's scheme instance is left untouched; every
-    real call site builds a fresh scheme per cell, so nothing observes
-    post-run scheme state.
-    """
-    key = ("columnar.ctrl.demand",) + scheme.btb.geometry \
-        + (params.ras_size,)
-    cached = trace.derived.get(key)
-    if cached is None:
-        hot = trace.hot
-        pcs, ninstrs, kinds, takens, targets = (
-            hot.pc, hot.ninstr, hot.kind, hot.taken, hot.target
-        )
-        fallthroughs = hot.fallthrough
-        n = len(pcs)
-        entries, assoc = scheme.btb.geometry
-        replica = BaselineScheme(btb_entries=entries, btb_assoc=assoc)
-        predictor = PrecomputedHistoryTage(_fold_sequences(trace))
-        ras = ReturnAddressStack(params.ras_size)
-        static_get = _static_target_map(trace).get
-        kind_objs = _KIND_OBJS
-        lookup = replica.lookup
-        demand_fill = replica.demand_fill
-        predict_update = predictor.predict_update
-        update = predictor.update
-        ras_push = ras.push
-        ras_pop = ras.pop
-
-        cond = [False] * n
-        dirm = [False] * n
-        tgtm = [False] * n
-        btbm = [False] * n
-        btbf = [False] * n
-        for i in range(n):
-            pc = pcs[i]
-            ninstr = ninstrs[i]
-            kind = kinds[i]
-            taken = takens[i]
-            target = targets[i]
-            hit = lookup(pc, 0.0)
-            if hit is None:
-                btbm[i] = True
-                if kind == _KIND_COND:
-                    cond[i] = True
-                    update(pc, taken)  # cold train
-                if kind in _CALL_KINDS:
-                    ras_push(fallthroughs[i], pc)
-                elif kind in _RET_KINDS:
-                    ras_pop()
-                if taken:
-                    btbf[i] = True
-                demand_fill(pc, ninstr, kind_objs[kind],
-                            target if taken else static_get(pc, target),
-                            0.0)
-            elif kind == _KIND_COND:
-                cond[i] = True
-                if predict_update(pc, taken) != taken:
-                    dirm[i] = True
-                elif taken and hit.target != target:
-                    tgtm[i] = True
-                    demand_fill(pc, ninstr, kind_objs[kind], target, 0.0)
-            elif kind in _CALL_KINDS:
-                ras_push(fallthroughs[i], pc)
-                if hit.target != target:
-                    tgtm[i] = True
-                    demand_fill(pc, ninstr, kind_objs[kind], target, 0.0)
-            elif kind in _RET_KINDS:
-                entry = ras_pop()
-                if (entry.return_addr if entry else -1) != target:
-                    tgtm[i] = True
-            elif hit.target != target:  # JUMP
-                tgtm[i] = True
-                demand_fill(pc, ninstr, kind_objs[kind], target, 0.0)
-
-        flush = np.asarray(dirm, dtype=bool) \
-            | np.asarray(tgtm, dtype=bool) | np.asarray(btbf, dtype=bool)
-        cached = {
-            "cond": _prefix(cond, n),
-            "dir": _prefix(dirm, n),
-            "tgt": _prefix(tgtm, n),
-            "btbm": _prefix(btbm, n),
-            "btbf": _prefix(btbf, n),
-            "flush": flush,
-            "flush_list": flush.tolist(),
-        }
-        trace.derived[key] = cached
     return cached
 
 
@@ -348,7 +225,7 @@ def _run_ideal(trace: Trace, params: MicroarchParams, rate: float,
     snapshot: Optional[EngineStats] = None
 
     cols = trace.cols
-    misp_arr, misp_list, misp_prefix = _ideal_control(trace)
+    misp_arr, misp_list, misp_prefix = ideal_control(trace)
     cond_prefix = _cond_prefix(trace)
     instr_prefix = cols.instr_prefix
     l1d_blocks, l1d_counts = _l1d_schedule(trace, rate)
@@ -426,6 +303,18 @@ def _run_ideal(trace: Trace, params: MicroarchParams, rate: float,
     return stats, snapshot, warmup
 
 
+def _control_stats(stats: EngineStats, miss: bytes, codes: np.ndarray,
+                   stop: int, flush: int) -> None:
+    """Set the control counters of blocks ``[0, stop)`` on *stats*."""
+    counts = np.bincount(codes[:stop], minlength=4).tolist()
+    stats.dir_mispredicts = counts[DIVERGE_DIR]
+    stats.target_mispredicts = counts[DIVERGE_TARGET]
+    stats.btb_misses = miss.count(1, 0, stop)
+    stats.stall_dir_flush = float(counts[DIVERGE_DIR] * flush)
+    stats.stall_target_flush = float(counts[DIVERGE_TARGET] * flush)
+    stats.stall_btb_flush = float(counts[DIVERGE_BTBMISS] * flush)
+
+
 def _run_demand(trace: Trace, scheme: BaselineScheme,
                 params: MicroarchParams, rate: float,
                 warmup_fraction: float):
@@ -435,17 +324,14 @@ def _run_demand(trace: Trace, scheme: BaselineScheme,
     snapshot: Optional[EngineStats] = None
 
     cols = trace.cols
-    ctrl = _demand_control(trace, scheme, params)
+    miss, outcome = demand_control(trace, scheme.btb.geometry,
+                                   params.ras_size)
+    codes = np.frombuffer(outcome, dtype=np.uint8)
     mem_blocks, mem_llc_hit = _memory_events(trace, params)
     l1d_blocks, l1d_counts = _l1d_schedule(trace, rate)
     access_prefix = _access_prefix(trace)
     instr_prefix = cols.instr_prefix
-    cond_prefix = ctrl["cond"]
-    dir_prefix = ctrl["dir"]
-    tgt_prefix = ctrl["tgt"]
-    btbm_prefix = ctrl["btbm"]
-    btbf_prefix = ctrl["btbf"]
-    flush_list = ctrl["flush_list"]
+    cond_prefix = _cond_prefix(trace)
 
     issue_width = params.issue_width
     flush = params.flush_penalty
@@ -455,7 +341,7 @@ def _run_demand(trace: Trace, scheme: BaselineScheme,
     # ``(stall + flush_cycles) + ninstr / issue_width`` with stall == 0.0
     # and adds it to the clock once; ``0.0 + flush`` is exactly
     # ``float(flush)``, so the vectorised form is one identical add.
-    addend = np.where(ctrl["flush"], float(flush), 0.0) + q
+    addend = np.where(codes != 0, float(flush), 0.0) + q
     addend_list = addend.tolist()
     buf = np.empty(n + 1, dtype=np.float64)
 
@@ -483,12 +369,7 @@ def _run_demand(trace: Trace, scheme: BaselineScheme,
         if s == warmup:
             stats.cycles = clock
             stats.conditional_branches = int(cond_prefix[s])
-            stats.dir_mispredicts = int(dir_prefix[s])
-            stats.target_mispredicts = int(tgt_prefix[s])
-            stats.btb_misses = int(btbm_prefix[s])
-            stats.stall_dir_flush = float(int(dir_prefix[s]) * flush)
-            stats.stall_target_flush = float(int(tgt_prefix[s]) * flush)
-            stats.stall_btb_flush = float(int(btbf_prefix[s]) * flush)
+            _control_stats(stats, miss, codes, s, flush)
             stats.blocks = s
             stats.instructions = int(instr_prefix[s])
             stats.l1i_demand_accesses = int(access_prefix[s])
@@ -514,7 +395,7 @@ def _run_demand(trace: Trace, scheme: BaselineScheme,
             stall_l1i += latency
             stall += latency
             mi += 1
-        fc = flush if flush_list[s] else 0.0
+        fc = flush if outcome[s] else 0.0
         clock += stall + fc + q_list[s]
         if li < n_l1d and l1d_blocks[li] == s:
             dstall = 0.0
@@ -530,12 +411,7 @@ def _run_demand(trace: Trace, scheme: BaselineScheme,
 
     stats.cycles = clock
     stats.conditional_branches = int(cond_prefix[n])
-    stats.dir_mispredicts = int(dir_prefix[n])
-    stats.target_mispredicts = int(tgt_prefix[n])
-    stats.btb_misses = int(btbm_prefix[n])
-    stats.stall_dir_flush = float(int(dir_prefix[n]) * flush)
-    stats.stall_target_flush = float(int(tgt_prefix[n]) * flush)
-    stats.stall_btb_flush = float(int(btbf_prefix[n]) * flush)
+    _control_stats(stats, miss, codes, n, flush)
     stats.blocks = n
     stats.instructions = int(instr_prefix[n])
     stats.l1i_demand_accesses = int(access_prefix[n])

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import MicroarchParams
-from repro.core import engine_columnar
 from repro.core import frontend as _interpreter
 from repro.core.metrics import SimulationResult
 from repro.prefetch.base import Scheme
@@ -42,6 +41,9 @@ def simulate(trace: Trace, scheme: Scheme,
     result is identical either way.
     """
     if engine == "columnar":
+        # The columnar core and the control replays it imports load with
+        # the first columnar cell: start-up and interpreter runs skip them.
+        from repro.core import engine_columnar
         # Counter-only accounting (no behaviour change); workers ship
         # these deltas back to the parent for the run manifest.
         # repro: allow[RPR002] -- read-only telemetry counters

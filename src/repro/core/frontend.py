@@ -7,9 +7,11 @@ model (see DESIGN.md Section 4) has three coupled actors:
 * **BPU** — for run-ahead schemes (FDIP/Boomerang/Shotgun), a branch
   prediction unit walks the trace up to ``ftq_size`` blocks ahead of
   fetch at one block per cycle, querying the scheme's BTBs, the TAGE
-  direction predictor and the RAS.  Each enqueued block triggers L1-I
-  prefetch probes; BTB misses are handled per the scheme's miss policy
-  (speculate / stall-and-fill / discover-at-execute).
+  direction predictor and the RAS — or reading their outcomes from
+  clock-free replays (:mod:`repro.core.control`) where those never read
+  the clock.  Each enqueued block triggers L1-I prefetch probes; BTB
+  misses are handled per the scheme's miss policy (speculate /
+  stall-and-fill / discover-at-execute).
 * **Fetch** — consumes enqueued blocks in order.  A block cannot be
   fetched before the BPU enqueued it (fetch starvation — how Boomerang's
   fill stalls hurt), and each cache line it touches either hits, is
@@ -137,6 +139,13 @@ def _static_target_map(trace: Trace) -> Dict[int, int]:
     return trace.generated.program.static_targets
 
 
+def _hook(scheme: Scheme, name: str):
+    """*scheme*'s bound hook *name*, or None if it keeps the base no-op."""
+    if getattr(type(scheme), name) is getattr(Scheme, name):
+        return None
+    return getattr(scheme, name)
+
+
 class FrontEnd:
     """Trace-driven front-end simulation of one scheme.
 
@@ -144,7 +153,9 @@ class FrontEnd:
         trace: retire-order trace (see :mod:`repro.workloads`).
         scheme: a :class:`repro.prefetch.Scheme`.
         params: microarchitectural parameters.
-        predictor: direction predictor; defaults to an 8KB TAGE.
+        predictor: direction predictor; defaults to an 8KB TAGE.  Passing
+            one keeps a run-ahead cell on calls to its BTBs, predictor
+            and RAS instead of the replayed control columns.
         l1d_misses_per_kinstr: synthetic data-miss rate for the NoC-load
             model (Figure 11).
         warmup_fraction: leading fraction of the trace excluded from the
@@ -166,20 +177,9 @@ class FrontEnd:
         self.trace = trace
         self.scheme = scheme
         self.params = params if params is not None else MicroarchParams()
-        self.predictor = predictor if predictor is not None \
-            else _trace_predictor(trace)
-        # Fused predict+train entry point; predictors without one (custom
-        # test doubles) get a thin wrapper with identical semantics.
-        self._predict_update = getattr(self.predictor, "predict_update",
-                                       None)
-        if self._predict_update is None:
-            def _fused(pc: int, taken: bool,
-                       _predict=self.predictor.predict,
-                       _update=self.predictor.update) -> bool:
-                predicted = _predict(pc)
-                _update(pc, taken)
-                return predicted
-            self._predict_update = _fused
+        #: None selects the trace's default TAGE: built on first use, or
+        #: never when the cell reads replayed control columns instead.
+        self.predictor = predictor
         self.l1d_rate = l1d_misses_per_kinstr
         self.warmup_fraction = warmup_fraction
 
@@ -199,20 +199,38 @@ class FrontEnd:
         self._ran = False
 
         # Hot-path bindings: resolved once so the per-line helpers avoid
-        # repeated attribute chains.  ``_on_fetch_line`` is None when the
-        # scheme keeps the base no-op hook, letting ``_demand_line`` skip
-        # a call (and an empty-list allocation) per fetched line.
-        self._on_prefetch_arrival = scheme.on_prefetch_arrival
+        # repeated attribute chains.  A hook is None when the scheme keeps
+        # the base no-op, so the engine skips the call (and, for
+        # ``on_fetch_line``, an empty-list allocation per fetched line).
+        self._on_prefetch_arrival = _hook(scheme, "on_prefetch_arrival")
         self._l1i_latency = p.l1i_latency
-        self._on_fetch_line = scheme.on_fetch_line \
-            if type(scheme).on_fetch_line is not Scheme.on_fetch_line \
-            else None
+        self._on_fetch_line = _hook(scheme, "on_fetch_line")
 
         self._static_targets: Dict[int, int] = _static_target_map(trace)
         if warm_llc:
             warm = _warm_llc_state(trace, p)
             if warm is not None:
                 self.llc.restore(warm)
+
+    def _predict_update(self):
+        """The direction predictor's fused predict+train entry point.
+
+        Builds the default predictor on first use.  Predictors without
+        a fused ``predict_update`` (custom test doubles) get a thin
+        wrapper with identical semantics.
+        """
+        if self.predictor is None:
+            self.predictor = _trace_predictor(self.trace)
+        predictor = self.predictor
+        predict_update = getattr(predictor, "predict_update", None)
+        if predict_update is None:
+            def predict_update(pc: int, taken: bool,
+                               _predict=predictor.predict,
+                               _update=predictor.update) -> bool:
+                predicted = _predict(pc)
+                _update(pc, taken)
+                return predicted
+        return predict_update
 
     def _fill_target(self, pc: int, taken: bool, target: int) -> int:
         """Target to install in a BTB entry for the block at *pc*."""
@@ -249,7 +267,8 @@ class FrontEnd:
         l1i = self.l1i
         if line in l1i._sets[line & l1i._set_mask] \
                 or line in self.pf_buffer._lines:
-            self._on_prefetch_arrival(line, now + self._l1i_latency)
+            if self._on_prefetch_arrival is not None:
+                self._on_prefetch_arrival(line, now + self._l1i_latency)
             return
         if line in self._inflight:
             return
@@ -258,7 +277,8 @@ class FrontEnd:
         heap = self._inflight_heap
         heappush(heap, (ready, line))
         self.stats.prefetch_issued += 1
-        self._on_prefetch_arrival(line, ready)
+        if self._on_prefetch_arrival is not None:
+            self._on_prefetch_arrival(line, ready)
         if len(self._inflight) > _INFLIGHT_DRAIN_THRESHOLD:
             self._drain_inflight(now)
         elif len(heap) > _INFLIGHT_DRAIN_THRESHOLD * 4 \
@@ -364,7 +384,8 @@ class FrontEnd:
         self._inflight[line] = ready
         heappush(self._inflight_heap, (ready, line))
         self.stats.prefetch_issued += 1
-        self.scheme.on_prefetch_arrival(line, ready)
+        if self._on_prefetch_arrival is not None:
+            self._on_prefetch_arrival(line, ready)
         return ready
 
     def _l1d_traffic(self, ninstr: int, now: float) -> float:
@@ -435,7 +456,7 @@ class FrontEnd:
         pcs, ninstrs, kinds, takens = \
             hot.pc, hot.ninstr, hot.kind, hot.taken
         n = len(pcs)
-        predict_update = self._predict_update
+        predict_update = self._predict_update()
         l1d_traffic = self._l1d_traffic
         l1d_rate = self.l1d_rate
 
@@ -490,7 +511,6 @@ class FrontEnd:
     def _run_demand(self) -> None:
         params = self.params
         scheme = self.scheme
-        predictor = self.predictor
         ras = self.ras
         stats = self.stats
         issue_width = params.issue_width
@@ -507,8 +527,8 @@ class FrontEnd:
         )
         n = len(pcs)
         kind_objs = _KIND_OBJS
-        predict_update = self._predict_update
-        update = predictor.update
+        predict_update = self._predict_update()
+        update = self.predictor.update
         ras_push = ras.push
         ras_pop = ras.pop
         scheme_lookup = scheme.lookup
@@ -639,9 +659,15 @@ class FrontEnd:
     # ------------------------------------------------------------------
 
     def _run_runahead(self) -> None:
+        """BPU run-ahead, fetch and resolve, one trace block at a time.
+
+        Per-block control comes from clock-free replayed columns where
+        the scheme allows (:func:`repro.core.control.runahead_control`),
+        otherwise from calls on the live scheme, TAGE and RAS; the timing
+        code — enqueue, prefetch, fetch, resolve — is the same for both.
+        """
         params = self.params
         scheme = self.scheme
-        predictor = self.predictor
         ras = self.ras
         stats = self.stats
         issue_width = params.issue_width
@@ -661,27 +687,49 @@ class FrontEnd:
         )
         n = len(pcs)
         enqueue_time = [0.0] * n
+
+        # The replays build on this module's trace helpers, so they load
+        # here, with the first run-ahead cell, not when repro is imported.
+        from repro.core.control import DIVERGE_BTBMISS, DIVERGE_DIR, \
+            DIVERGE_TARGET, runahead_control
+        columns = runahead_control(self.trace, scheme, params.ras_size) \
+            if self.predictor is None else None
+        col_miss, col_outcome, dir_wrong = columns or (None, None, None)
+        live = col_outcome is None
+        if live and dir_wrong is None:
+            predict_update = self._predict_update()
+            update = self.predictor.update
         kind_objs = _KIND_OBJS
-        predict_update = self._predict_update
-        update = predictor.update
         ras_push = ras.push
         ras_pop = ras.pop
         scheme_lookup = scheme.lookup
         demand_fill = scheme.demand_fill
-        on_retire = scheme.on_retire
-        region_prefetch = scheme.region_prefetch
         reactive_fill_install = scheme.reactive_fill_install
+        region_prefetch = _hook(scheme, "region_prefetch")
+        on_retire = _hook(scheme, "on_retire")
+        arrival = self._on_prefetch_arrival
+        l1i_latency = self._l1i_latency
         issue_prefetch = self._issue_prefetch
         demand_line = self._demand_line
         line_ready_for_fill = self._line_ready_for_fill
         fill_target = self._fill_target
         l1d_traffic = self._l1d_traffic
         l1d_rate = self.l1d_rate
+        # The L1-I hit path is inlined (``_demand_line``'s, same LRU move
+        # and counters) unless the scheme hooks fetched lines.
+        l1i = self.l1i
+        l1i_sets = l1i._sets
+        l1i_mask = l1i._set_mask
+        inline_hits = self._on_fetch_line is None
+        pf_lines = self.pf_buffer._lines
+        inflight = self._inflight
 
         # Hot counters accumulate in plain locals (a closure would turn
         # them into cell variables and slow every increment); they are
         # flushed into ``stats`` at the warm-up boundary and at the end.
-        cond_branches = 0
+        # The BPU counts every conditional it walks, and fetch retires
+        # every instruction, so those two are counted from the trace
+        # when flushed.
         dir_mispredicts = 0
         target_mispredicts = 0
         btb_misses = 0
@@ -691,21 +739,24 @@ class FrontEnd:
         stall_target_flush = 0.0
         stall_btb_flush = 0.0
         stall_ftq = 0.0
-        instructions = 0
+        l1i_hits = 0
         l1d_accum = 0.0
 
         clock = 0.0
         t_bpu = 0.0
         j = 0           # next block the BPU processes
         diverged = -1   # trace index whose successor stream is unknown
-        diverge_class = ""  # "dir" | "target" | "btbmiss"
-        diverge_fill = None  # branch to demand-fill at resolve
+        diverge_class = 0  # its DIVERGE_* code
+        fill_at_resolve = False  # demand-fill the diverged branch
         capacity_blocked = False  # BPU waited on a full FTQ
 
         for i in range(n):
             if i == warmup:
+                stats.l1i_demand_accesses += l1i_hits
+                l1i.hits += l1i_hits
+                l1i_hits = 0
                 stats.cycles = clock
-                stats.conditional_branches = cond_branches
+                stats.conditional_branches = kinds[:j].count(_KIND_COND)
                 stats.dir_mispredicts = dir_mispredicts
                 stats.target_mispredicts = target_mispredicts
                 stats.btb_misses = btb_misses
@@ -716,7 +767,7 @@ class FrontEnd:
                 stats.stall_btb_flush = stall_btb_flush
                 stats.stall_ftq = stall_ftq
                 stats.blocks = i
-                stats.instructions = instructions
+                stats.instructions = sum(ninstrs[:i])
                 snapshot = stats.snapshot()
 
             # -- BPU run-ahead ----------------------------------------
@@ -731,14 +782,15 @@ class FrontEnd:
                     if t_bpu < clock:
                         t_bpu = clock
                 t_bpu += 1.0
-                pc = pcs[j]
-                ninstr = ninstrs[j]
-                kind = kinds[j]
-                taken = takens[j]
-                target = targets[j]
-
-                hit = scheme_lookup(pc, t_bpu)
-                if hit is None:
+                if live:
+                    pc = pcs[j]
+                    kind = kinds[j]
+                    hit = scheme_lookup(pc, t_bpu)
+                    miss = hit is None
+                else:
+                    miss = col_miss[j]
+                speculated = False
+                if miss:
                     btb_misses += 1
                     if stall_fill:
                         branch_line = last_lines[j]
@@ -747,100 +799,122 @@ class FrontEnd:
                         reactive_fills += 1
                         reactive_fill_cycles += fill_done - t_bpu
                         t_bpu = fill_done
-                        reactive_fill_install(
-                            pc, ninstr, kind_objs[kind],
-                            fill_target(pc, taken, target),
-                            branch_line, t_bpu,
-                        )
-                        hit = scheme_lookup(pc, t_bpu)
-                        if hit is None:
-                            raise SimulationError(
-                                f"reactive fill failed for pc {pc:#x}"
+                        if live:
+                            reactive_fill_install(
+                                pc, ninstrs[j], kind_objs[kind],
+                                fill_target(pc, takens[j], targets[j]),
+                                branch_line, t_bpu,
                             )
+                            hit = scheme_lookup(pc, t_bpu)
+                            if hit is None:
+                                raise SimulationError(
+                                    f"reactive fill failed for pc {pc:#x}"
+                                )
                     else:
-                        # FDIP: speculate straight-line through the miss.
-                        enqueue_time[j] = t_bpu
-                        first = first_lines[j]
-                        last = last_lines[j]
-                        issue_prefetch(first, t_bpu)
-                        for line in range(first + 1, last + 1):
-                            issue_prefetch(line, t_bpu)
-                        if kind == _KIND_COND:
-                            cond_branches += 1
-                            update(pc, taken)  # trained at execute
-                        if taken:
-                            diverged = j
-                            diverge_class = "btbmiss"
-                            diverge_fill = (pc, ninstr, kind, target)
+                        # FDIP: speculate straight-line through the miss;
+                        # a taken branch is discovered at execute.
+                        speculated = True
+
+                # -- where the stream goes: divergence at block j ------
+                if not live:
+                    outcome = col_outcome[j]
+                    if outcome:
+                        diverged = j
+                        diverge_class = outcome
+                        if outcome == DIVERGE_DIR:
+                            dir_mispredicts += 1
+                        elif outcome == DIVERGE_TARGET:
+                            target_mispredicts += 1
+                elif speculated:
+                    if takens[j]:
+                        diverged = j
+                        diverge_class = DIVERGE_BTBMISS
+                        fill_at_resolve = True
+                else:
+                    # BTB (or C-BTB/RIB/U-BTB) hit: predict.
+                    call_block_pc = 0
+                    predicted_target = hit.target
+                    taken = takens[j]
+                    target = targets[j]
+                    if kind == _KIND_COND:
+                        if dir_wrong is None:
+                            wrong = predict_update(pc, taken) != taken
                         else:
-                            demand_fill(
-                                pc, ninstr, kind_objs[kind],
-                                fill_target(pc, taken, target), t_bpu,
-                            )
-                        # RAS stays consistent even through misses.
+                            wrong = dir_wrong[j]
+                        if wrong:
+                            dir_mispredicts += 1
+                            diverged = j
+                            diverge_class = DIVERGE_DIR
+                        elif taken and predicted_target != target:
+                            target_mispredicts += 1
+                            diverged = j
+                            diverge_class = DIVERGE_TARGET
+                            fill_at_resolve = True
+                    elif kind in _CALL_KINDS:
+                        ras_push(fallthroughs[j], pc)
+                        if predicted_target != target:
+                            target_mispredicts += 1
+                            diverged = j
+                            diverge_class = DIVERGE_TARGET
+                            fill_at_resolve = True
+                    elif kind in _RET_KINDS:
+                        entry = ras_pop()
+                        if entry is not None:
+                            predicted_target = entry.return_addr
+                            call_block_pc = entry.call_block_pc
+                        else:
+                            predicted_target = -1
+                        if predicted_target != target:
+                            target_mispredicts += 1
+                            diverged = j
+                            diverge_class = DIVERGE_TARGET
+                    elif predicted_target != target:  # JUMP
+                        target_mispredicts += 1
+                        diverged = j
+                        diverge_class = DIVERGE_TARGET
+                        fill_at_resolve = True
+
+                # -- when its bytes arrive: enqueue and prefetch -------
+                enqueue_time[j] = t_bpu
+                # ``_issue_prefetch`` for the block's first line, its
+                # resident and in-flight cases inlined.
+                line = first_lines[j]
+                if line in l1i_sets[line & l1i_mask] or line in pf_lines:
+                    if arrival is not None:
+                        arrival(line, t_bpu + l1i_latency)
+                elif line not in inflight:
+                    issue_prefetch(line, t_bpu)
+                last = last_lines[j]
+                if last != line:
+                    for line in range(line + 1, last + 1):
+                        issue_prefetch(line, t_bpu)
+
+                if live:
+                    if speculated:
+                        # Trained and filled at execute; the RAS stays
+                        # consistent even through misses.
+                        taken = takens[j]
+                        if kind == _KIND_COND:
+                            update(pc, taken)
+                        if not taken:
+                            demand_fill(pc, ninstrs[j], kind_objs[kind],
+                                        fill_target(pc, taken, targets[j]),
+                                        t_bpu)
                         if kind in _CALL_KINDS:
                             ras_push(fallthroughs[j], pc)
                         elif kind in _RET_KINDS:
                             ras_pop()
-                        j += 1
-                        continue
-
-                # BTB (or C-BTB/RIB/U-BTB) hit: predict and enqueue.
-                call_block_pc = 0
-                predicted_target = hit.target
-                if kind == _KIND_COND:
-                    cond_branches += 1
-                    predicted_taken = predict_update(pc, taken)
-                    if predicted_taken != taken:
-                        dir_mispredicts += 1
-                        diverged = j
-                        diverge_class = "dir"
-                    elif taken and hit.target != target:
-                        target_mispredicts += 1
-                        diverged = j
-                        diverge_class = "target"
-                        diverge_fill = (pc, ninstr, kind, target)
-                elif kind in _CALL_KINDS:
-                    ras_push(fallthroughs[j], pc)
-                    if hit.target != target:
-                        target_mispredicts += 1
-                        diverged = j
-                        diverge_class = "target"
-                        diverge_fill = (pc, ninstr, kind, target)
-                elif kind in _RET_KINDS:
-                    entry = ras_pop()
-                    if entry is not None:
-                        predicted_target = entry.return_addr
-                        call_block_pc = entry.call_block_pc
-                    else:
-                        predicted_target = -1
-                    if predicted_target != target:
-                        target_mispredicts += 1
-                        diverged = j
-                        diverge_class = "target"
-                else:  # JUMP
-                    if hit.target != target:
-                        target_mispredicts += 1
-                        diverged = j
-                        diverge_class = "target"
-                        diverge_fill = (pc, ninstr, kind, target)
-
-                enqueue_time[j] = t_bpu
-                first = first_lines[j]
-                last = last_lines[j]
-                issue_prefetch(first, t_bpu)
-                for line in range(first + 1, last + 1):
-                    issue_prefetch(line, t_bpu)
-
-                # Spatial-footprint bulk prefetch (Shotgun).  Issued from
-                # the *predicted* target, so a mispredicted return wastes
-                # its region prefetches, as real hardware would.
-                if kind != _KIND_COND:
-                    region_target = predicted_target \
-                        if predicted_target > 0 else target
-                    for line in region_prefetch(
-                            pc, hit, region_target, call_block_pc, t_bpu):
-                        issue_prefetch(line, t_bpu)
+                    elif region_prefetch is not None and kind != _KIND_COND:
+                        # Spatial-footprint bulk prefetch (Shotgun),
+                        # issued from the *predicted* target: a
+                        # mispredicted return wastes its region
+                        # prefetches, as real hardware would.
+                        region_target = predicted_target \
+                            if predicted_target > 0 else target
+                        for line in region_prefetch(
+                                pc, hit, region_target, call_block_pc,
+                                t_bpu):
+                            issue_prefetch(line, t_bpu)
                 j += 1
 
             if j < n and (j - i) >= ftq_size and diverged < 0:
@@ -853,24 +927,35 @@ class FrontEnd:
             else:
                 start = clock
 
-            pc = pcs[i]
             ninstr = ninstrs[i]
-
-            first_line = first_lines[i]
-            last_line = last_lines[i]
-            stall = demand_line(first_line, start)
-            if last_line != first_line:
-                stall += demand_line(last_line, start + stall)
+            line = first_lines[i]
+            cache_set = l1i_sets[line & l1i_mask]
+            if inline_hits and line in cache_set:
+                del cache_set[line]
+                cache_set[line] = None
+                l1i_hits += 1
+                stall = 0.0
+            else:
+                stall = demand_line(line, start)
+            last = last_lines[i]
+            if last != line:
+                cache_set = l1i_sets[last & l1i_mask]
+                if inline_hits and last in cache_set:
+                    del cache_set[last]
+                    cache_set[last] = None
+                    l1i_hits += 1
+                else:
+                    stall += demand_line(last, start + stall)
 
             clock = start + stall + ninstr / issue_width
-            on_retire(pc, ninstr, kind_objs[kinds[i]], takens[i],
-                      targets[i], clock)
+            if on_retire is not None:
+                on_retire(pcs[i], ninstr, kind_objs[kinds[i]], takens[i],
+                          targets[i], clock)
             l1d_accum += ninstr * l1d_rate / 1000.0
             if l1d_accum >= 1.0:
                 self._l1d_accum = l1d_accum
                 clock += l1d_traffic(0, clock)
                 l1d_accum = self._l1d_accum
-            instructions += ninstr
 
             # -- resolve a divergence discovered at this block ---------
             if diverged == i:
@@ -880,23 +965,23 @@ class FrontEnd:
                 # the pre-refill clock.
                 t_bpu = clock
                 clock += flush
-                if diverge_class == "dir":
+                if diverge_class == DIVERGE_DIR:
                     stall_dir_flush += flush
-                elif diverge_class == "btbmiss":
+                elif diverge_class == DIVERGE_BTBMISS:
                     stall_btb_flush += flush
                 else:
                     stall_target_flush += flush
-                if diverge_fill is not None:
-                    fill_pc, fill_ninstr, fill_kind, fill_tgt = diverge_fill
-                    demand_fill(fill_pc, fill_ninstr, kind_objs[fill_kind],
-                                fill_tgt, clock)
+                if fill_at_resolve:
+                    fill_at_resolve = False
+                    demand_fill(pcs[i], ninstr, kind_objs[kinds[i]],
+                                targets[i], clock)
                 diverged = -1
-                diverge_class = ""
-                diverge_fill = None
 
         self._l1d_accum = l1d_accum
+        stats.l1i_demand_accesses += l1i_hits
+        l1i.hits += l1i_hits
         stats.cycles = clock
-        stats.conditional_branches = cond_branches
+        stats.conditional_branches = kinds[:j].count(_KIND_COND)
         stats.dir_mispredicts = dir_mispredicts
         stats.target_mispredicts = target_mispredicts
         stats.btb_misses = btb_misses
@@ -907,7 +992,7 @@ class FrontEnd:
         stats.stall_btb_flush = stall_btb_flush
         stats.stall_ftq = stall_ftq
         stats.blocks = n
-        stats.instructions = instructions
+        stats.instructions = sum(ninstrs)
         self._finish(snapshot, warmup, clock)
 
     # ------------------------------------------------------------------

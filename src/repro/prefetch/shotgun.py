@@ -39,6 +39,12 @@ from repro.uarch.shotgun_btb import CBTB, CBTBEntry, RIB, RIBEntry, UBTB, \
 #: Cap on the retire-side call stack (beyond any real nesting depth).
 _RETIRE_STACK_LIMIT = 256
 
+#: Enum members bound once: a ``BranchKind.X`` lookup costs several
+#: times a module-global read, and the hooks below run once per block.
+_COND = BranchKind.COND
+_JUMP = BranchKind.JUMP
+_CALL_KINDS = (BranchKind.CALL, BranchKind.TRAP)
+
 
 class ShotgunScheme(Scheme):
     """The unified U-BTB/C-BTB/RIB prefetcher of the paper."""
@@ -88,7 +94,9 @@ class ShotgunScheme(Scheme):
         Hot path (one call per block the BPU walks): the three
         set-associative probes are inlined — same sets, counters and LRU
         updates as ``SetAssocTable.lookup``/``CBTB.lookup_at``, without
-        three method-call round trips per block.
+        three method-call round trips per block — and hits are built
+        positionally ``(ninstr, kind, target, source)``, about half the
+        cost of keyword construction.
         """
         key = pc >> 2
         ubtb = self.ubtb
@@ -99,8 +107,7 @@ class ShotgunScheme(Scheme):
             table_set.move_to_end(pc)
             ubtb.hit_count += 1
             target = 0 if is_return_kind(entry.kind) else entry.target
-            return LookupHit(ninstr=entry.ninstr, kind=entry.kind,
-                             target=target, source="ubtb")
+            return LookupHit(entry.ninstr, entry.kind, target, "ubtb")
         rib = self.rib
         table_set = rib._sets[key % rib.n_sets]
         rib.lookups += 1
@@ -108,8 +115,7 @@ class ShotgunScheme(Scheme):
             rib_entry = table_set[pc]
             table_set.move_to_end(pc)
             rib.hit_count += 1
-            return LookupHit(ninstr=rib_entry.ninstr, kind=rib_entry.kind,
-                             target=0, source="rib")
+            return LookupHit(rib_entry.ninstr, rib_entry.kind, 0, "rib")
         cbtb = self.cbtb
         table_set = cbtb._sets[key % cbtb.n_sets]
         cbtb.lookups += 1
@@ -120,14 +126,13 @@ class ShotgunScheme(Scheme):
             # An entry still in flight at *now* behaves like a miss and
             # falls through to the prefetch-buffer probe.
             if cbtb_entry.valid_from <= now:
-                return LookupHit(ninstr=cbtb_entry.ninstr,
-                                 kind=BranchKind.COND,
-                                 target=cbtb_entry.target, source="cbtb")
+                return LookupHit(cbtb_entry.ninstr, _COND,
+                                 cbtb_entry.target, "cbtb")
         staged = self.prefetch_buffer.take(pc)
         if staged is not None:
             self._install(pc, staged.ninstr, staged.kind, staged.target, now)
-            return LookupHit(ninstr=staged.ninstr, kind=staged.kind,
-                             target=staged.target, source="pfb")
+            return LookupHit(staged.ninstr, staged.kind, staged.target,
+                             "pfb")
         return None
 
     # -- fills ---------------------------------------------------------
@@ -135,7 +140,7 @@ class ShotgunScheme(Scheme):
     def _install(self, pc: int, ninstr: int, kind: BranchKind, target: int,
                  now: float, valid_from: Optional[float] = None) -> None:
         """Route a branch to the structure its kind belongs in."""
-        if kind == BranchKind.COND:
+        if kind == _COND:
             self.cbtb.insert(pc, CBTBEntry(
                 ninstr=ninstr, target=target,
                 valid_from=now if valid_from is None else valid_from,
@@ -254,14 +259,14 @@ class ShotgunScheme(Scheme):
             pc >> BLOCK_SHIFT,
             (pc + (ninstr - 1) * INSTR_BYTES) >> BLOCK_SHIFT,
         )
-        if kind == BranchKind.COND:
+        if kind == _COND:
             return
-        if kind in (BranchKind.CALL, BranchKind.TRAP):
+        if kind in _CALL_KINDS:
             if len(self._retire_call_stack) < _RETIRE_STACK_LIMIT:
                 self._retire_call_stack.append(pc)
             self.recorder.open(target >> BLOCK_SHIFT,
                                self._call_footprint_store(pc))
-        elif kind == BranchKind.JUMP:
+        elif kind == _JUMP:
             self.recorder.open(target >> BLOCK_SHIFT,
                                self._call_footprint_store(pc))
         else:  # RET / TRAP_RET

@@ -30,6 +30,11 @@ class Predecoder:
         self._image = image
         self.lines_decoded = 0
 
+    @property
+    def image(self) -> ProgramImage:
+        """The binary image this predecoder reads."""
+        return self._image
+
     def branches_in_line(self, line: int) -> Tuple[Branch, ...]:
         """All static branches whose branch instruction is in *line*."""
         self.lines_decoded += 1
