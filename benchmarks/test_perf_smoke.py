@@ -28,6 +28,12 @@ Three measurements, each asserted and recorded into a machine-readable
   run-ahead scheme on the column path (replayed control, the default)
   and on the calling path (an explicit predictor), and the milliseconds
   to build each control replay once per window (report-only).
+* **trace memo** — what a memoised trace keeps: estimated bytes of one
+  1,000-block sampled window split into ``hot``, the TAGE folds,
+  ``cols`` and the other derived entries, after all six schemes ran on
+  it; the same for one 120k-block trace with its shared precompute;
+  and the trace memo's bytes after a 64-window sampled sweep
+  (report-only).
 * **telemetry** — the telemetry-on overhead gate (< 5%, median of
   paired off/on runs).
 
@@ -630,7 +636,7 @@ def test_runahead_control_recorded():
         "demand_ms": replay_ms(lambda trace: control._replay_demand(
             trace, geometry, ras_size)),
         "boomerang_ms": replay_ms(lambda trace: control._replay_boomerang(
-            trace, control.ideal_control(trace)[1], geometry,
+            trace, control.ideal_control(trace), geometry,
             buffer_entries, ras_size)),
     }
 
@@ -665,5 +671,89 @@ def test_runahead_control_recorded():
         "windows": RUNAHEAD_WINDOWS,
         "schemes": schemes,
         "replay_build": replays,
+        "cpu_count": usable_cpus(),
+    })
+
+
+MEMO_SCHEMES = ("baseline", "fdip", "confluence", "boomerang", "shotgun",
+                "ideal")
+MEMO_WINDOWS = 64
+
+
+def _trace_parts(trace) -> dict:
+    """Estimated bytes a trace keeps, by part (``Trace.estimated_bytes``'
+    own accounting: the parts sum to it)."""
+    from repro.workloads.trace import _estimated_bytes
+    stored = sum(column.nbytes for column in (
+        trace.pc, trace.ninstr, trace.kind, trace.taken, trace.target))
+    hot = trace.estimated_bytes() - stored \
+        - _estimated_bytes(trace.derived)
+    folds = _estimated_bytes(trace.derived.get("tage_folds", ()))
+    cols = sum(array.nbytes for array in trace.cols
+               if not any(array is column for column in (
+                   trace.pc, trace.ninstr, trace.kind, trace.taken,
+                   trace.target)))
+    return {
+        "total": trace.estimated_bytes(),
+        "stored_columns": stored,
+        "hot": hot,
+        "tage_folds": folds,
+        "cols": cols,
+        "other_derived": _estimated_bytes(trace.derived) - folds,
+    }
+
+
+def test_trace_memo_recorded(monkeypatch):
+    """Bytes a memoised trace keeps, and the memo after a long sweep.
+
+    Report-only: the six schemes on one 1,000-block window (columnar
+    engine, so both engines' derived entries exist), one 120k-block
+    trace with its ``hot`` columns, folds and TAGE replay, and a
+    64-window x six-scheme sampled sweep on a private memo.
+    """
+    from repro.core import control
+    from repro.core.exec import ExecutionPolicy, scoped_policy
+    from repro.core.frontend import _fold_sequences
+    from repro.experiments.spec import SampleSpec
+    from repro.workloads import profiles
+
+    memo = profiles.TraceMemo()
+    monkeypatch.setattr(profiles, "_TRACE_CACHE", memo)
+    clear_result_cache()
+    sample = SampleSpec(n_windows=MEMO_WINDOWS, seed_base=9000)
+    specs = [spec for scheme in MEMO_SCHEMES
+             for spec in sample.window_specs(
+                 RunSpec(workload=SETUP_WORKLOAD, scheme=scheme),
+                 MEMO_WINDOWS * SETUP_BLOCKS)]
+    start = time.perf_counter()
+    with scoped_policy(ExecutionPolicy(engine="columnar",
+                                       disk_cache=False)):
+        run_specs(specs, use_cache=False, backend="serial")
+    seconds = time.perf_counter() - start
+    memo.refresh()
+    held = len(memo)
+    window = memo.values()[0]
+    window_parts = _trace_parts(window)
+    swept_bytes = memo.total_bytes
+    assert swept_bytes == sum(trace.estimated_bytes()
+                              for trace in memo.values())
+    clear_result_cache()
+
+    long_trace = build_trace(HOT_LOOP_WORKLOAD, HOT_LOOP_BLOCKS)
+    _ = long_trace.hot
+    _fold_sequences(long_trace)
+    control.ideal_control(long_trace)
+    _record("trace_memo", {
+        "workload": SETUP_WORKLOAD,
+        "schemes": list(MEMO_SCHEMES),
+        "window_blocks": SETUP_BLOCKS,
+        "window_bytes": window_parts,
+        "long_trace": {"workload": HOT_LOOP_WORKLOAD,
+                       "n_blocks": HOT_LOOP_BLOCKS,
+                       "bytes": _trace_parts(long_trace)},
+        "sweep": {"windows": MEMO_WINDOWS, "traces_held": held,
+                  "memo_bytes": swept_bytes,
+                  "budget_bytes": profiles.TRACE_MEMO_BYTES,
+                  "seconds": round(seconds, 3)},
         "cpu_count": usable_cpus(),
     })

@@ -307,7 +307,8 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     """
     from repro.core import sweep
     from repro.core.exec import current_policy
-    from repro.obs import export, gcstats, metrics, tracing
+    from repro.obs import export, gcstats, memory, metrics, tracing
+    from repro.workloads.profiles import refresh_trace_memo
     tracing.drain()  # drop spans left over from earlier in-process work
     before = metrics.snapshot()
     # repro: allow[RPR003] -- observability timing on stderr/manifest only
@@ -316,6 +317,8 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     # repro: allow[RPR003] -- observability timing on stderr/manifest only
     elapsed = time.perf_counter() - started
     gcstats.note_frozen()
+    memory.note_peak()
+    refresh_trace_memo()
     delta = metrics.delta(before, metrics.snapshot())
     if emit_line:
         print(export.render_accounting(label, delta), file=sys.stderr)

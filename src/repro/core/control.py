@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.frontend import _CALL_KINDS, _KIND_COND, _RET_KINDS, \
     _fold_sequences, _static_target_map
 from repro.prefetch.base import Scheme
@@ -52,16 +50,9 @@ DIVERGE_TARGET = 2
 DIVERGE_BTBMISS = 3
 
 
-def _prefix(flags, n: int) -> np.ndarray:
-    """int64 prefix-sum array of length ``n + 1`` over boolean *flags*."""
-    out = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.asarray(flags, dtype=np.int64), out=out[1:])
-    return out
-
-
-def ideal_control(trace: Trace) -> Tuple[np.ndarray, bytes, np.ndarray]:
-    """Direction-mispredict flags of a full-trace TAGE replay, as
-    (mask, one byte per block, prefix).
+def ideal_control(trace: Trace) -> bytes:
+    """Direction-mispredict flags of a full-trace TAGE replay, one byte
+    per block.
 
     Exactly the ``predict_update`` calls the ideal loop makes, and the
     ones every stall-fill scheme with the default predictor makes.
@@ -69,12 +60,9 @@ def ideal_control(trace: Trace) -> Tuple[np.ndarray, bytes, np.ndarray]:
     cached = trace.derived.get("control.ideal")
     if cached is None:
         hot = trace.hot
-        flags = bytes(replay_cond_mispredicts(
-            _fold_sequences(trace), hot.pc, hot.kind, hot.taken,
-            _KIND_COND))
-        misp = np.frombuffer(flags, dtype=np.uint8).astype(bool)
-        cached = (misp, flags, _prefix(misp, len(trace)))
-        trace.derived["control.ideal"] = cached
+        cached = trace.derived["control.ideal"] = bytes(
+            replay_cond_mispredicts(_fold_sequences(trace), hot.pc,
+                                    hot.kind, hot.taken, _KIND_COND))
     return cached
 
 
@@ -182,7 +170,7 @@ def boomerang_control(trace: Trace, geometry: Tuple[int, int],
     cached = trace.derived.get(key)
     if cached is None:
         cached = trace.derived[key] = _replay_boomerang(
-            trace, ideal_control(trace)[1], geometry, buffer_entries,
+            trace, ideal_control(trace), geometry, buffer_entries,
             ras_size)
     return cached
 
@@ -284,5 +272,5 @@ def runahead_control(trace: Trace, scheme: Scheme, ras_size: int) \
             ras_size)
         return miss, outcome, None
     if scheme_type is ShotgunScheme:
-        return None, None, ideal_control(trace)[1]
+        return None, None, ideal_control(trace)
     return None

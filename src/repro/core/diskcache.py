@@ -44,7 +44,7 @@ import shutil
 import tempfile
 import threading
 from dataclasses import asdict, fields
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.config import MicroarchParams, SchemeConfig
 from repro.core.metrics import EngineStats, SimulationResult
@@ -162,6 +162,16 @@ def _workload_material(workload: str):
     }
 
 
+#: JSON text of the costly key-material entries (configuration,
+#: parameters, workload), by the ``repr`` of the values they come from.
+#: A dataclass repr names its class and every field value with its type
+#: (``30`` and ``30.0`` differ), so equal reprs give equal JSON.  Cleared
+#: when full.
+_FRAGMENTS: Dict[str, Dict[str, str]] = {}
+_FRAGMENTS_LIMIT = 1024
+_FRAGMENTS_LOCK = threading.Lock()
+
+
 def result_key(workload: str, scheme_name: str, n_blocks: int, seed: int,
                config: SchemeConfig, params: MicroarchParams) -> str:
     """Content address of one simulation cell.
@@ -175,21 +185,42 @@ def result_key(workload: str, scheme_name: str, n_blocks: int, seed: int,
     a field changes keys only when its value differs from nothing —
     i.e. always, which is the safe direction), the engine version, and
     the automatic source fingerprint.
+
+    The digest covers ``json.dumps(material, sort_keys=True)`` of those
+    eight entries.  A sweep keys many cells with the same
+    configuration, parameters and workload, so their JSON is memoised
+    and the text is assembled around it, byte for byte the same.
     """
-    material = {
-        "engine_version": ENGINE_VERSION,
-        "engine_fingerprint": engine_fingerprint(),
-        "workload": _workload_material(workload),
-        "scheme": scheme_name.lower(),
-        "n_blocks": n_blocks,
-        "seed": seed,
-        "config": asdict(config),
-        "params": asdict(params),
-    }
-    digest = hashlib.sha256(
-        json.dumps(material, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return digest
+    from repro.workloads.profiles import get_profile
+    try:
+        profile: object = get_profile(workload)
+    except Exception:
+        profile = workload.lower()
+    token = repr((config, params, profile))
+    with _FRAGMENTS_LOCK:
+        fragments = _FRAGMENTS.get(token)
+    if fragments is None:
+        material = {
+            "config": asdict(config),
+            "params": asdict(params),
+            "workload": _workload_material(workload),
+        }
+        fragments = {name: json.dumps(value, sort_keys=True)
+                     for name, value in material.items()}
+        with _FRAGMENTS_LOCK:
+            if len(_FRAGMENTS) >= _FRAGMENTS_LIMIT:
+                _FRAGMENTS.clear()
+            _FRAGMENTS[token] = fragments
+    text = (
+        f'{{"config": {fragments["config"]}, '
+        f'"engine_fingerprint": {json.dumps(engine_fingerprint())}, '
+        f'"engine_version": {json.dumps(ENGINE_VERSION)}, '
+        f'"n_blocks": {json.dumps(n_blocks)}, '
+        f'"params": {fragments["params"]}, '
+        f'"scheme": {json.dumps(scheme_name.lower())}, '
+        f'"seed": {json.dumps(seed)}, '
+        f'"workload": {fragments["workload"]}}}')
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def spec_key(spec) -> str:
@@ -283,16 +314,19 @@ def store(key: str, result: SimulationResult) -> None:
     directory = os.path.dirname(path)
     try:
         os.makedirs(directory, exist_ok=True)
-        payload = {
+        # One serialisation: the checksum digests the canonical text
+        # (:func:`_payload_checksum`), and the entry is that text with
+        # the checksum appended as a last member.
+        text = json.dumps({
             "engine_version": ENGINE_VERSION,
             "scheme": result.scheme,
             "stats": asdict(result.stats),
-        }
-        payload["checksum"] = _payload_checksum(payload)
+        }, sort_keys=True)
+        checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                handle.write(f'{text[:-1]}, "checksum": "{checksum}"}}')
             os.replace(tmp_path, path)
         except BaseException:
             try:

@@ -52,19 +52,20 @@ import numpy as np
 
 from repro.config import MicroarchParams
 from repro.core.control import DIVERGE_BTBMISS, DIVERGE_DIR, \
-    DIVERGE_TARGET, _prefix, demand_control, ideal_control
+    DIVERGE_TARGET, demand_control, ideal_control
 from repro.core.frontend import _KIND_COND, _warm_llc_state
 from repro.core.metrics import EngineStats, SimulationResult
 from repro.errors import SimulationError
+from repro.isa import BLOCK_SHIFT, INSTR_BYTES
 from repro.prefetch.base import Scheme
 from repro.prefetch.baseline import BaselineScheme, IdealScheme
 from repro.uarch.cache import SetAssocCache
 from repro.uarch.interconnect import NocModel
-# precompute_fold_sequences is not called here (the one fold accessor,
-# frontend._fold_sequences, calls it); the name stays importable from
-# this module because perfbench/layers.py wraps it here by name.
+# precompute_fold_sequences is not called here (frontend._fold_sequences
+# builds the folds); the name stays importable from this module because
+# perfbench/layers.py wraps it here by name.
 from repro.uarch.tage import precompute_fold_sequences  # noqa: F401
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, TraceColumnArrays
 
 #: Clock segments shorter than this advance with scalar Python-float
 #: adds instead of ``np.add.accumulate`` — numpy's per-call overhead
@@ -88,29 +89,29 @@ def supports(scheme: Scheme, predictor=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Precomputation passes (cached on ``trace.derived``)
+# Warm-up and end-of-run counts (recomputed per cell in microseconds)
 # ---------------------------------------------------------------------------
 
 
-def _cond_prefix(trace: Trace) -> np.ndarray:
-    """Prefix counts of conditional blocks (ideal-mode boundary stats)."""
-    cached = trace.derived.get("columnar.cond_prefix")
-    if cached is None:
-        cached = _prefix(trace.cols.kind == _KIND_COND, len(trace))
-        trace.derived["columnar.cond_prefix"] = cached
-    return cached
+def _block_counts(cols: TraceColumnArrays, stop: int) -> Tuple[int, int]:
+    """(instructions, conditional branches) of blocks ``[0, stop)``."""
+    return (int(cols.ninstr[:stop].sum(dtype=np.int64)),
+            int(np.count_nonzero(cols.kind[:stop] == _KIND_COND)))
 
 
-def _access_prefix(trace: Trace) -> np.ndarray:
-    """Prefix counts of L1-I demand accesses (1 or 2 lines per block)."""
-    cached = trace.derived.get("columnar.access_prefix")
-    if cached is None:
-        cols = trace.cols
-        counts = 1 + (cols.last_line != cols.first_line).astype(np.int64)
-        cached = np.zeros(len(trace) + 1, dtype=np.int64)
-        np.cumsum(counts, out=cached[1:])
-        trace.derived["columnar.access_prefix"] = cached
-    return cached
+def _l1i_accesses(cols: TraceColumnArrays, stop: int) -> int:
+    """L1-I demand accesses of blocks ``[0, stop)``: one line per block,
+    two when its terminating branch sits on a later line."""
+    pc = cols.pc[:stop]
+    branch_pc = pc + (cols.ninstr[:stop].astype(np.int64) - 1) \
+        * INSTR_BYTES
+    return stop + int(np.count_nonzero(
+        (pc >> BLOCK_SHIFT) != (branch_pc >> BLOCK_SHIFT)))
+
+
+# ---------------------------------------------------------------------------
+# Precomputation passes (cached on ``trace.derived``)
+# ---------------------------------------------------------------------------
 
 
 def _memory_events(trace: Trace, params: MicroarchParams) \
@@ -225,14 +226,15 @@ def _run_ideal(trace: Trace, params: MicroarchParams, rate: float,
     snapshot: Optional[EngineStats] = None
 
     cols = trace.cols
-    misp_arr, misp_list, misp_prefix = ideal_control(trace)
-    cond_prefix = _cond_prefix(trace)
-    instr_prefix = cols.instr_prefix
+    misp_flags = ideal_control(trace)
+    misp_arr = np.frombuffer(misp_flags, dtype=bool)
+    misp_prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(misp_arr, out=misp_prefix[1:])
     l1d_blocks, l1d_counts = _l1d_schedule(trace, rate)
 
     issue_width = params.issue_width
     flush = params.flush_penalty
-    q = cols.ninstr_f64 / issue_width
+    q = np.divide(cols.ninstr, issue_width, dtype=np.float64)
     q_list = q.tolist()
     # Expanded addend stream: the interpreter adds a mispredicted
     # conditional's flush penalty to the clock *before* the block's
@@ -264,11 +266,11 @@ def _run_ideal(trace: Trace, params: MicroarchParams, rate: float,
                          s + int(misp_prefix[s]), buf)
         if s == warmup:
             stats.cycles = clock
-            stats.conditional_branches = int(cond_prefix[s])
+            stats.instructions, stats.conditional_branches = \
+                _block_counts(cols, s)
             stats.dir_mispredicts = int(misp_prefix[s])
             stats.stall_dir_flush = float(int(misp_prefix[s]) * flush)
             stats.blocks = s
-            stats.instructions = int(instr_prefix[s])
             stats.l1d_misses = l1d_misses
             stats.l1d_fill_cycles = l1d_fill
             snapshot = stats.snapshot()
@@ -276,7 +278,7 @@ def _run_ideal(trace: Trace, params: MicroarchParams, rate: float,
                 ptr = s
                 continue
         # L1-D drain block: replay it scalar, interpreter op for op.
-        if misp_list[s]:
+        if misp_flags[s]:
             clock += flush
         clock += q_list[s]
         dstall = 0.0
@@ -293,11 +295,11 @@ def _run_ideal(trace: Trace, params: MicroarchParams, rate: float,
                      n + int(misp_prefix[n]), buf)
 
     stats.cycles = clock
-    stats.conditional_branches = int(cond_prefix[n])
+    stats.instructions, stats.conditional_branches = \
+        _block_counts(cols, n)
     stats.dir_mispredicts = int(misp_prefix[n])
     stats.stall_dir_flush = float(int(misp_prefix[n]) * flush)
     stats.blocks = n
-    stats.instructions = int(instr_prefix[n])
     stats.l1d_misses = l1d_misses
     stats.l1d_fill_cycles = l1d_fill
     return stats, snapshot, warmup
@@ -329,13 +331,10 @@ def _run_demand(trace: Trace, scheme: BaselineScheme,
     codes = np.frombuffer(outcome, dtype=np.uint8)
     mem_blocks, mem_llc_hit = _memory_events(trace, params)
     l1d_blocks, l1d_counts = _l1d_schedule(trace, rate)
-    access_prefix = _access_prefix(trace)
-    instr_prefix = cols.instr_prefix
-    cond_prefix = _cond_prefix(trace)
 
     issue_width = params.issue_width
     flush = params.flush_penalty
-    q = cols.ninstr_f64 / issue_width
+    q = np.divide(cols.ninstr, issue_width, dtype=np.float64)
     q_list = q.tolist()
     # Per-block addend for event-free blocks: the interpreter computes
     # ``(stall + flush_cycles) + ninstr / issue_width`` with stall == 0.0
@@ -368,11 +367,11 @@ def _run_demand(trace: Trace, scheme: BaselineScheme,
         clock = _advance(clock, addend, addend_list, ptr, s, buf)
         if s == warmup:
             stats.cycles = clock
-            stats.conditional_branches = int(cond_prefix[s])
+            stats.instructions, stats.conditional_branches = \
+                _block_counts(cols, s)
             _control_stats(stats, miss, codes, s, flush)
             stats.blocks = s
-            stats.instructions = int(instr_prefix[s])
-            stats.l1i_demand_accesses = int(access_prefix[s])
+            stats.l1i_demand_accesses = _l1i_accesses(cols, s)
             stats.l1i_demand_misses = mi
             stats.llc_requests = mi
             stats.stall_l1i = stall_l1i
@@ -410,11 +409,11 @@ def _run_demand(trace: Trace, scheme: BaselineScheme,
     clock = _advance(clock, addend, addend_list, ptr, n, buf)
 
     stats.cycles = clock
-    stats.conditional_branches = int(cond_prefix[n])
+    stats.instructions, stats.conditional_branches = \
+        _block_counts(cols, n)
     _control_stats(stats, miss, codes, n, flush)
     stats.blocks = n
-    stats.instructions = int(instr_prefix[n])
-    stats.l1i_demand_accesses = int(access_prefix[n])
+    stats.l1i_demand_accesses = _l1i_accesses(cols, n)
     stats.l1i_demand_misses = n_mem
     stats.llc_requests = n_mem
     stats.stall_l1i = stall_l1i

@@ -52,7 +52,10 @@ from repro.uarch.cache import PrefetchBuffer, SetAssocCache
 from repro.uarch.interconnect import NocModel
 from repro.uarch.ras import ReturnAddressStack
 from repro.uarch.tage import FoldSequences, PrecomputedHistoryTage, \
-    TagePredictor, precompute_fold_sequences
+    TagePredictor, fold_sequence_arrays
+# The list form is not called here; the name stays importable from this
+# module because perfbench/layers.py wraps it here by name.
+from repro.uarch.tage import precompute_fold_sequences  # noqa: F401
 from repro.workloads.trace import Trace
 
 #: How many in-flight entries may accumulate before arrived lines are
@@ -84,12 +87,13 @@ def _fold_sequences(trace: Trace) -> FoldSequences:
 
     The engines train the direction predictor on every conditional block
     in retire order, so the folded-history sequences are a pure function
-    of the trace; they are cached on ``trace.derived`` and shared by
-    every scheme simulated on the trace, in either engine.
+    of the trace; they are cached on ``trace.derived`` as narrow arrays
+    and shared by every scheme simulated on the trace, in either engine
+    (each predictor unpacks its own lists).
     """
     seqs = trace.derived.get("tage_folds")
     if seqs is None:
-        seqs = precompute_fold_sequences(trace.kind, trace.taken, _KIND_COND)
+        seqs = fold_sequence_arrays(trace.kind, trace.taken, _KIND_COND)
         trace.derived["tage_folds"] = seqs
     return seqs
 

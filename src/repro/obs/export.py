@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.obs import metrics, tracing
+from repro.obs import memory as _memory, metrics, tracing
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,9 @@ class RunReport:
     #: columnar vs fallback cell counts.  None for interpreter-only runs
     #: (and for manifests written before the field existed).
     engine: Optional[Dict[str, Any]] = None
+    #: Peak resident memory per process and the trace memo
+    #: (:func:`repro.obs.memory.section`).
+    memory: Optional[Dict[str, Any]] = None
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -266,6 +269,7 @@ class RunReport:
             "spans": self.spans,
             "journal": self.journal,
             "engine": self.engine,
+            "memory": self.memory,
         }
 
     def render(self) -> str:
@@ -306,6 +310,9 @@ class RunReport:
         gc_line = _gc_line(self.metrics)
         if gc_line:
             lines.append(gc_line)
+        memory_line = _memory.render(self.memory)
+        if memory_line:
+            lines.append(memory_line)
         for title, table in (("scheme", self.cells.get("by_scheme", {})),
                              ("workload", self.cells.get("by_workload", {}))):
             for key, bucket in table.items():
@@ -414,6 +421,7 @@ def build_report(run_id: str, label: str, command: str,
         spans=spans,
         journal=journal,
         engine=engine_section,
+        memory=_memory.section(delta, os.getpid()),
     )
 
 
@@ -586,7 +594,7 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
         "engine_version": 0, "engine_fingerprint": "?",
         "counts": {}, "cache": {}, "phases": {}, "cells": {},
         "failures": None, "metrics": {}, "spans": [], "journal": None,
-        "engine": None,
+        "engine": None, "memory": None,
     }
     for name in fields_wanted:
         if payload.get(name) is None:

@@ -27,17 +27,17 @@ bit-identical.
 simulation: because the engine trains the predictor on every conditional
 branch in retire order, the global-history bit stream — and therefore
 every folded-history value — is a pure function of the trace.
-:func:`precompute_fold_sequences` computes every fold value once per
-trace in a numpy pass (cached on the
-:class:`~repro.workloads.trace.Trace`, shared by every scheme simulated
-on it) and packs each table's index fold and combined tag fold into one
-integer per step, so the per-branch cost drops from twelve
-shift/xor/mask updates to a single list index.
+:func:`fold_sequence_arrays` computes every fold value once per trace
+in a numpy pass (cached on the :class:`~repro.workloads.trace.Trace` as
+narrow arrays, shared by every scheme simulated on it) and packs each
+table's index fold and combined tag fold into one integer per step; each
+predictor unpacks them into its own lists, so the per-branch cost drops
+from twelve shift/xor/mask updates to a single list index.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -362,16 +362,18 @@ class FoldSequences(NamedTuple):
     Carrying the geometry lets :class:`PrecomputedHistoryTage` verify
     that the sequences were produced for *its* table layout — unpacking
     with mismatched index/tag widths would silently yield garbage
-    lookups rather than an error.
+    lookups rather than an error.  Each sequence is a list of ints
+    (:func:`precompute_fold_sequences`) or a numpy array
+    (:func:`fold_sequence_arrays`, the compact form a trace keeps).
     """
 
-    seqs: List[List[int]]
+    seqs: List[Sequence[int]]
     histories: Tuple[int, ...]
     index_bits: int
     tag_bits: int
 
 
-def precompute_fold_sequences(
+def fold_sequence_arrays(
     kinds, takens,
     cond_kind: int,
     histories: Tuple[int, ...] = TagePredictor.DEFAULT_HISTORIES,
@@ -387,8 +389,10 @@ def precompute_fold_sequences(
         packed = index_fold | (tag_fold_a ^ (tag_fold_b << 1)) << index_bits
 
     i.e. exactly the two quantities a lookup needs (the index xor-term
-    and the combined tag xor-term), one list entry per conditional plus
-    the initial state.
+    and the combined tag xor-term), one entry per conditional plus the
+    initial state.  A packed value has ``index_bits + tag_bits`` bits,
+    so each sequence is an array of the narrowest signed dtype that
+    holds one more bit than that (int32 for the default geometry).
 
     This is the closed form of :meth:`TagePredictor._push_history`'s
     circular-shift recurrence, so the values are the same integers and
@@ -407,6 +411,7 @@ def precompute_fold_sequences(
     bits = np.asarray(takens, dtype=bool)[kinds == cond_kind]
     m = len(bits)
     dtype = np.int64
+    packed_dtype = np.min_scalar_type(-(1 << (index_bits + tag_bits)))
     # Taken outcomes as 0/-1, so ``outcome & weight`` is the weight or 0.
     outcomes = -bits.astype(dtype)
     folds = np.zeros(m + 1, dtype=dtype)
@@ -420,10 +425,22 @@ def precompute_fold_sequences(
             # ``age`` steps old.
             folds[age + 1:] ^= outcomes[:m - age] & weight
         if age + 1 in histories:
-            by_history[age + 1] = folds.tolist()
+            by_history[age + 1] = folds.astype(packed_dtype)
     return FoldSequences(seqs=[by_history[h] for h in histories],
                          histories=tuple(histories),
                          index_bits=index_bits, tag_bits=tag_bits)
+
+
+def precompute_fold_sequences(
+    kinds, takens,
+    cond_kind: int,
+    histories: Tuple[int, ...] = TagePredictor.DEFAULT_HISTORIES,
+    index_bits: int = 10, tag_bits: int = 9,
+) -> FoldSequences:
+    """:func:`fold_sequence_arrays` with each sequence as a list of ints."""
+    folds = fold_sequence_arrays(kinds, takens, cond_kind, histories,
+                                 index_bits, tag_bits)
+    return folds._replace(seqs=[seq.tolist() for seq in folds.seqs])
 
 
 class PrecomputedHistoryTage(TagePredictor):
@@ -431,7 +448,7 @@ class PrecomputedHistoryTage(TagePredictor):
 
     Built by the engine when no explicit predictor is supplied and the
     trace's fold sequences are available (see
-    ``FrontEnd``/:func:`precompute_fold_sequences`).  Each training step
+    ``FrontEnd``/:func:`fold_sequence_arrays`).  Each training step
     advances an index into the packed per-table sequences instead of
     updating twelve fold registers, and lookups unpack the index/tag
     xor-terms with one shift each.
@@ -466,7 +483,10 @@ class PrecomputedHistoryTage(TagePredictor):
                 f"{self._n_tables} tables, histories {self.histories}, "
                 f"index_bits {self._index_bits}, tag_bits {self.tag_bits})"
             )
-        self._seqs = fold_sequences.seqs
+        # Private lists: a list index is the cheapest per-step read, and
+        # the trace keeps only the compact arrays.
+        self._seqs = [seq.tolist() if isinstance(seq, np.ndarray) else seq
+                      for seq in fold_sequences.seqs]
         self._step = 0
 
     def predict(self, pc: int) -> bool:

@@ -43,8 +43,11 @@ from __future__ import annotations
 # races at worst recompute the same pure artefact before an identical write.
 
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from repro import heap
 from repro.cfg.generator import GeneratedProgram, GeneratorParams, \
@@ -91,6 +94,132 @@ class WorkloadProfile:
 
 
 # ---------------------------------------------------------------------------
+# The trace memo: least recently used traces, bounded by estimated bytes.
+# ---------------------------------------------------------------------------
+
+#: Byte budget of the trace memo.  It holds one default-length
+#: (120k-block) figure's six traces with everything their cells derive,
+#: so a figure, or Table 1 followed by Figure 7, evicts nothing; a long
+#: sampled or explore run stays flat once it is reached (DESIGN.md
+#: Section 7).
+TRACE_MEMO_BYTES = 128 * 2**20
+
+_TRACE_HITS = _obs_metrics.counter("memo.trace_hits")
+_TRACE_EVICTIONS = _obs_metrics.counter("memo.trace_evictions")
+_TRACE_BYTES = _obs_metrics.gauge("memo.trace_bytes")
+_TRACES_HELD = _obs_metrics.gauge("memo.traces_held")
+
+TraceKey = Tuple[str, int, int]
+
+
+class TraceMemo:
+    """Memoised traces keyed by (workload, blocks, seed), in LRU order.
+
+    A read-only mapping to callers; :func:`build_trace` alone fills it
+    through :meth:`fetch` and :meth:`admit`.  Each fetched or admitted
+    trace becomes the one in use.  The trace in use before it is
+    measured again (its cells have added to ``derived`` since), and
+    the least recently used traces are then evicted until the estimated
+    bytes (:meth:`~repro.workloads.trace.Trace.estimated_bytes`) fit the
+    budget.  The trace in use is never evicted, so the memo holds at
+    most the budget plus what the current cell adds to its trace.  An
+    evicted trace is rebuilt bit for bit on its next use.  A lock makes
+    each update atomic for the thread backend, whose workers share the
+    memo; there the trace in use is the one handed out last, and a
+    trace another thread still simulates on may be evicted (it lives on
+    with that thread).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._traces: "OrderedDict[TraceKey, Trace]" = OrderedDict()
+        self._bytes: Dict[TraceKey, int] = {}
+        self._current: Optional[TraceKey] = None
+        #: Estimated bytes of the held traces, as last measured.
+        self.total_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._traces
+
+    def __iter__(self) -> Iterator[TraceKey]:
+        return iter(list(self._traces))
+
+    def __getitem__(self, key: TraceKey) -> Trace:
+        return self._traces[key]
+
+    def values(self) -> List[Trace]:
+        return list(self._traces.values())
+
+    def __delitem__(self, key: TraceKey) -> None:
+        with self._lock:
+            del self._traces[key]
+            self.total_bytes -= self._bytes.pop(key)
+            if key == self._current:
+                self._current = None
+            self._publish()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._traces.clear()
+            self._bytes.clear()
+            self._current = None
+            self.total_bytes = 0
+            self._publish()
+
+    def fetch(self, key: TraceKey) -> Optional[Trace]:
+        """The memoised trace for *key*, now in use, or None."""
+        with self._lock:
+            trace = self._traces.get(key)
+            if trace is not None:
+                _TRACE_HITS.inc()
+                self._traces.move_to_end(key)
+                self._use(key)
+            return trace
+
+    def admit(self, key: TraceKey, trace: Trace) -> None:
+        """Memoise the just-built *trace* under *key*, now in use."""
+        with self._lock:
+            # A key already held was built by another thread meanwhile:
+            # the equal trace replaces it.
+            self.total_bytes -= self._bytes.get(key, 0)
+            self._traces[key] = trace
+            self._traces.move_to_end(key)
+            self._bytes[key] = 0
+            self._use(key)
+
+    def refresh(self) -> None:
+        """Measure the trace in use again (its cells may have grown it)."""
+        with self._lock:
+            if self._current is not None:
+                self._measure(self._current)
+            self._publish()
+
+    def _use(self, key: TraceKey) -> None:
+        previous, self._current = self._current, key
+        if previous is not None and previous in self._traces:
+            self._measure(previous)
+        self._measure(key)
+        while self.total_bytes > TRACE_MEMO_BYTES and len(self._traces) > 1:
+            oldest = next(iter(self._traces))
+            del self._traces[oldest]
+            self.total_bytes -= self._bytes.pop(oldest)
+            _TRACE_EVICTIONS.inc()
+        self._publish()
+
+    def _measure(self, key: TraceKey) -> None:
+        size = self._traces[key].estimated_bytes()
+        self.total_bytes += size - self._bytes[key]
+        self._bytes[key] = size
+
+    def _publish(self) -> None:
+        _TRACE_BYTES.set(self.total_bytes)
+        _TRACES_HELD.set(len(self._traces))
+
+
+# ---------------------------------------------------------------------------
 # The registry.  Memoised programs/traces are keyed by workload name, so
 # re-registering a name with changed parameters must evict its cached
 # artefacts.
@@ -98,7 +227,7 @@ class WorkloadProfile:
 
 _PROFILES: Dict[str, WorkloadProfile] = {}
 _PROGRAM_CACHE: Dict[str, GeneratedProgram] = {}
-_TRACE_CACHE: Dict[Tuple[str, int, int], Trace] = {}
+_TRACE_CACHE = TraceMemo()
 
 
 def register_profile(profile: WorkloadProfile,
@@ -163,7 +292,8 @@ def get_profile(name: str) -> WorkloadProfile:
 
 # ---------------------------------------------------------------------------
 # Memoised builders: program generation and trace execution are pure
-# functions of (profile, length, seed), so experiments share one copy.
+# functions of (profile, length, seed), so experiments share one copy
+# (of a trace, while the byte-bounded TraceMemo keeps it).
 # A memo miss is timed as a ``build_program`` / ``build_trace`` span
 # (run-manifest phases of the same names); the generators are called
 # through this module's attributes, inside those spans.  A program is
@@ -192,15 +322,17 @@ def build_trace(name: str, n_blocks: int, seed: int = 0) -> Trace:
     profile = get_profile(name)
     actual_seed = profile.trace_seed if seed == 0 else seed
     key = (name.lower(), n_blocks, actual_seed)
-    if key not in _TRACE_CACHE:
+    trace = _TRACE_CACHE.fetch(key)
+    if trace is None:
         generated = build_program(name)
         with _obs_tracing.span("build_trace", workload=key[0],
                                blocks=n_blocks):
-            _TRACE_CACHE[key] = generate_trace(
+            trace = generate_trace(
                 generated, n_blocks, seed=actual_seed,
                 warmup_blocks=profile.warmup_blocks,
             )
-    return _TRACE_CACHE[key]
+        _TRACE_CACHE.admit(key, trace)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +425,12 @@ def build_programs(names: Iterable[str]) -> None:
             pass
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+def refresh_trace_memo() -> None:
+    """Measure the trace in use again, so the ``memo.trace_bytes`` gauge
+    includes what the last cell added to it (before a run manifest)."""
+    _TRACE_CACHE.refresh()
 
 
 def clear_caches() -> None:

@@ -32,6 +32,12 @@ class TraceHotColumns(NamedTuple):
     vectorised once here rather than recomputed per block per scheme.
     Computed lazily and cached on the :class:`Trace`, so all schemes
     simulated against the same trace share one copy.
+
+    The integer columns are interned: every list slot holding a given
+    value refers to one ``int`` object, shared across columns (a block's
+    target is usually the next block's pc).  A trace repeats few
+    addresses, so the lists cost little more than their 8-byte slots.
+    The values and types equal the numpy columns' ``tolist()``.
     """
 
     pc: List[int]
@@ -48,31 +54,38 @@ class TraceHotColumns(NamedTuple):
 
 
 class TraceColumnArrays(NamedTuple):
-    """Per-block columns kept as numpy arrays for the columnar engine.
+    """The stored per-block columns as numpy arrays, for the columnar engine.
 
     The columnar engine (:mod:`repro.core.engine_columnar`) consumes
-    whole-trace array passes instead of per-block scalar reads, so it
-    wants the same derived geometry as :class:`TraceHotColumns` but as
-    contiguous arrays — plus an instruction-count prefix sum so any
-    block range's instruction total is two loads and a subtract.
-    Computed lazily and cached on the :class:`Trace`.
+    whole-trace array passes instead of per-block scalar reads.  These
+    are the trace's own arrays, not copies: derived geometry (line
+    indices, float instruction counts, prefix counts) costs a
+    columnar pass microseconds to recompute, so none of it is kept.
     """
 
     pc: np.ndarray
-    #: Instruction counts widened to int64 (the stored column is int16).
+    #: Instruction counts (int16, as stored).
     ninstr: np.ndarray
-    #: The same counts as float64 — the timing pass divides by
-    #: ``issue_width`` in float space, exactly like the interpreter.
-    ninstr_f64: np.ndarray
     kind: np.ndarray
     taken: np.ndarray
     target: np.ndarray
-    first_line: np.ndarray
-    last_line: np.ndarray
-    fallthrough: np.ndarray
-    #: ``instr_prefix[i]`` = instructions retired by blocks ``[0, i)``;
-    #: length ``n + 1``.
-    instr_prefix: np.ndarray
+
+
+def _estimated_bytes(value) -> int:
+    """:meth:`Trace.estimated_bytes` of one derived value."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (bytes, bytearray)):
+        return len(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        total = 8 * len(value)
+        if value and isinstance(value[0], (np.ndarray, bytes, bytearray,
+                                           dict, list, tuple)):
+            total += sum(_estimated_bytes(item) for item in value)
+        return total
+    return 0
 
 
 class Trace:
@@ -103,6 +116,8 @@ class Trace:
         self.taken = np.asarray(taken, dtype=bool)
         self.target = np.asarray(target, dtype=np.int64)
         self.generated = generated
+        #: Distinct int objects behind :attr:`hot` (0 until it is built).
+        self._interned = 0
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -113,45 +128,38 @@ class Trace:
 
         First access pays one vectorised pass over the trace; subsequent
         accesses (every further scheme simulated on this trace) are free.
+        The six integer columns are interned through one ``np.unique``
+        over their concatenation, so equal values share one object.
         """
+        n = len(self)
         pc = self.pc
         ninstr_wide = self.ninstr.astype(np.int64)
         branch_pc = pc + (ninstr_wide - 1) * INSTR_BYTES
+        values, inverse = np.unique(np.concatenate((
+            pc, self.target, pc + ninstr_wide * INSTR_BYTES,
+            pc >> BLOCK_SHIFT, branch_pc >> BLOCK_SHIFT, ninstr_wide)),
+            return_inverse=True)
+        self._interned = len(values)
+        shared = values.astype(object)[inverse]
+        pcs, targets, fallthroughs, first_lines, last_lines, ninstrs = (
+            shared[k * n:(k + 1) * n].tolist() for k in range(6))
         return TraceHotColumns(
-            pc=pc.tolist(),
-            ninstr=self.ninstr.tolist(),
+            pc=pcs,
+            ninstr=ninstrs,
             kind=self.kind.tolist(),
             taken=self.taken.tolist(),
-            target=self.target.tolist(),
-            first_line=(pc >> BLOCK_SHIFT).tolist(),
-            last_line=(branch_pc >> BLOCK_SHIFT).tolist(),
-            fallthrough=(pc + ninstr_wide * INSTR_BYTES).tolist(),
+            target=targets,
+            first_line=first_lines,
+            last_line=last_lines,
+            fallthrough=fallthroughs,
         )
 
     @cached_property
     def cols(self) -> TraceColumnArrays:
-        """Numpy-array columns plus derived geometry and prefix sums.
-
-        The columnar engine's input: one vectorised pass on first
-        access, shared by every scheme and parameter point simulated on
-        this trace (mirrors :attr:`hot` for the interpreter engine).
-        """
-        ninstr_wide = self.ninstr.astype(np.int64)
-        branch_pc = self.pc + (ninstr_wide - 1) * INSTR_BYTES
-        instr_prefix = np.zeros(len(self.pc) + 1, dtype=np.int64)
-        np.cumsum(ninstr_wide, out=instr_prefix[1:])
-        return TraceColumnArrays(
-            pc=self.pc,
-            ninstr=ninstr_wide,
-            ninstr_f64=ninstr_wide.astype(np.float64),
-            kind=self.kind,
-            taken=self.taken,
-            target=self.target,
-            first_line=self.pc >> BLOCK_SHIFT,
-            last_line=branch_pc >> BLOCK_SHIFT,
-            fallthrough=self.pc + ninstr_wide * INSTR_BYTES,
-            instr_prefix=instr_prefix,
-        )
+        """The stored columns as the columnar engine's input (no copies)."""
+        return TraceColumnArrays(pc=self.pc, ninstr=self.ninstr,
+                                 kind=self.kind, taken=self.taken,
+                                 target=self.target)
 
     @cached_property
     def derived(self) -> dict:
@@ -163,6 +171,24 @@ class Trace:
         trace — pays the derivation once.
         """
         return {}
+
+    def estimated_bytes(self) -> int:
+        """Bytes this trace holds, estimated without walking its lists.
+
+        The stored arrays, :attr:`hot` (8 bytes per list slot plus 32 per
+        interned int) and every :attr:`derived` entry (array ``nbytes``,
+        ``bytes`` lengths, 8 bytes per list or tuple slot, recursing into
+        containers of containers).  :attr:`cols` holds only the stored
+        arrays.  The program is shared by every trace of a workload and
+        is not counted.  The trace memo (:mod:`repro.workloads.profiles`)
+        budgets on this.
+        """
+        total = sum(column.nbytes for column in (
+            self.pc, self.ninstr, self.kind, self.taken, self.target))
+        hot = self.__dict__.get("hot")
+        if hot is not None:
+            total += 8 * len(self) * len(hot) + 32 * self._interned
+        return total + _estimated_bytes(self.__dict__.get("derived", {}))
 
     @property
     def instruction_count(self) -> int:

@@ -53,6 +53,27 @@ class TestStoreLoad:
         # Field-exact, including float bit patterns through JSON.
         assert loaded.stats == stored.stats
 
+    def test_entry_is_one_canonical_serialisation(self, fresh_cache):
+        """An entry is the sorted payload with its checksum appended,
+        as long as the old insertion-order layout, and loads back."""
+        key = _key()
+        result = _result()
+        diskcache.store(key, result)
+        with open(diskcache.entry_path(key), encoding="utf-8") as handle:
+            text = handle.read()
+        payload = json.loads(text)
+        assert list(payload) == ["engine_version", "scheme", "stats",
+                                 "checksum"]
+        assert payload["checksum"] == diskcache._payload_checksum(payload)
+        legacy = {name: payload[name]
+                  for name in ("engine_version", "scheme", "stats")}
+        legacy["stats"] = {name: payload["stats"][name]
+                           for name in EngineStats.__dataclass_fields__}
+        legacy["checksum"] = payload["checksum"]
+        assert len(json.dumps(legacy)) == len(text)
+        assert diskcache.load(key) == result
+        assert diskcache.verify_entry(key)
+
     def test_miss_returns_none(self, fresh_cache):
         assert diskcache.load(_key()) is None
         assert counter("cache.misses").value == 1
@@ -113,6 +134,26 @@ class TestKeySensitivity:
         monkeypatch.setattr(diskcache, "ENGINE_VERSION",
                             diskcache.ENGINE_VERSION + 1)
         assert _key() != before
+
+    @pytest.mark.parametrize("cell, expected", [
+        (("nutch", "shotgun", 16000, 1001),
+         "f9729848996077bd67cba30b3352cada1eee4b0fc086d7901ff3ac172558b8f5"),
+        (("oracle", "baseline", 120000, 0),
+         "9d3c1953d77449f9666866a6cb535845fee6ab3bcf1b12bd8c2e6459c2107ad1"),
+        (("nosuch", "fdip", 5, 3),
+         "dadf194b9611d2cc6138af5bb08c828018e8e4d90edaee4ef08af7569f1ff29c"),
+    ])
+    def test_pinned_keys(self, monkeypatch, cell, expected):
+        """Keys written before the key material was memoised still
+        address their entries (a fixed fingerprint stands in for the
+        source hash, which every edit changes)."""
+        monkeypatch.setattr(diskcache, "_fingerprint_cache",
+                            "pinned-fingerprint")
+        workload, scheme, n_blocks, seed = cell
+        spec = RunSpec(workload=workload, scheme=scheme, n_blocks=n_blocks,
+                       seed=seed)
+        assert diskcache.spec_key(spec) == expected
+        assert diskcache.spec_key(spec) == expected  # memoised
 
     def test_source_fingerprint_changes_key(self, monkeypatch):
         # Simulates editing engine source: a different fingerprint must

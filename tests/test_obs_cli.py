@@ -104,7 +104,7 @@ class TestBuildPhases:
 
     def _cold_workloads(self, monkeypatch):
         monkeypatch.setattr(profiles, "_PROGRAM_CACHE", {})
-        monkeypatch.setattr(profiles, "_TRACE_CACHE", {})
+        monkeypatch.setattr(profiles, "_TRACE_CACHE", profiles.TraceMemo())
 
     def test_cold_run_builds_and_warm_rerun_does_not(
             self, tmp_path, monkeypatch, capsys):
@@ -361,3 +361,55 @@ class TestExploreManifest:
         assert main(["stats"]) == 0
         out = capsys.readouterr().out
         assert "(explore)" in out
+
+
+class TestMemoryLine:
+    """Peak memory per process and the trace memo reach the manifest."""
+
+    def test_process_run_records_every_workers_peak(
+            self, tmp_path, monkeypatch, capsys):
+        _fresh(tmp_path, monkeypatch)
+        stream = tmp_path / "tel.jsonl"
+        assert main(["sweep", "--workloads", "nutch,streaming",
+                     "--schemes", "baseline,ideal", "--blocks", "600",
+                     "--backend", "process", "--max-workers", "2",
+                     "--telemetry", str(stream)]) == 0
+        manifest = _stream_manifest(stream)
+        memory = manifest["memory"]
+        parent = str(os.getpid())
+        workers = {str(record["pid"]) for record in manifest["spans"]
+                   if record["pid"] != os.getpid()}
+        assert workers, "no unit ran in a worker"
+        peaks = memory["peak_mb_by_pid"]
+        assert set(peaks) == workers | {parent}
+        assert all(peaks[pid] > 0 for pid in peaks)
+        assert memory["parent_peak_mb"] == peaks[parent]
+        assert memory["worker_peak_mb"] == max(peaks[pid]
+                                               for pid in workers)
+        memo = memory["trace_memo"]
+        assert memo["trace_evictions"] == 0
+        assert memo["traces_held"] is not None
+        capsys.readouterr()
+        assert main(["stats", str(stream)]) == 0
+        line = [text for text in capsys.readouterr().out.splitlines()
+                if text.startswith("  memory:")]
+        assert len(line) == 1
+        assert f"{len(workers)} worker" in line[0]
+        assert "trace memo" in line[0]
+
+    def test_serial_run_reports_the_trace_memo(self, tmp_path, monkeypatch,
+                                               capsys):
+        _fresh(tmp_path, monkeypatch)
+        monkeypatch.setattr(profiles, "_TRACE_CACHE", profiles.TraceMemo())
+        stream = tmp_path / "tel.jsonl"
+        assert main(_sweep_args(["--telemetry", str(stream)])) == 0
+        memory = _stream_manifest(stream)["memory"]
+        assert memory["worker_peak_mb"] is None
+        assert memory["peak_mb_by_pid"] == {
+            str(os.getpid()): memory["parent_peak_mb"]}
+        memo = memory["trace_memo"]
+        # One trace, built by the first cell and hit by the second.
+        assert (memo["traces_held"], memo["trace_hits"],
+                memo["trace_evictions"]) == (1, 1, 0)
+        trace = profiles._TRACE_CACHE.values()[0]
+        assert memo["trace_bytes"] == trace.estimated_bytes()

@@ -237,7 +237,7 @@ class TestReplayCounts:
                                     seed=spec.seed)
                 assert control._replay_demand(trace, geometry, ras_size) \
                     == control.demand_control(trace, geometry, ras_size)
-                dir_wrong = control.ideal_control(trace)[1]
+                dir_wrong = control.ideal_control(trace)
                 assert bytes(tage.replay_cond_mispredicts(
                     _fold_sequences(trace), trace.hot.pc, trace.hot.kind,
                     trace.hot.taken, frontend._KIND_COND)) == dir_wrong

@@ -190,3 +190,38 @@ def test_perturbation_tables_cover_every_field():
         f"MicroarchParams fields without perturbation coverage: "
         f"{sorted(missing - allowed_gaps)}"
     )
+
+
+def _key_from_scratch(spec: RunSpec) -> str:
+    """The cell key as one ``json.dumps`` of the whole material dict,
+    with nothing memoised: what ``result_key`` digests."""
+    import hashlib
+    import json
+    from dataclasses import asdict
+    spec = spec.canonical()
+    material = {
+        "engine_version": diskcache.ENGINE_VERSION,
+        "engine_fingerprint": diskcache.engine_fingerprint(),
+        "workload": diskcache._workload_material(spec.workload),
+        "scheme": spec.scheme.lower(),
+        "n_blocks": spec.n_blocks,
+        "seed": spec.seed,
+        "config": asdict(spec.config),
+        "params": asdict(spec.params),
+    }
+    return hashlib.sha256(
+        json.dumps(material, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@settings(deadline=None, max_examples=60)
+@given(spec=run_specs(), float_latency=st.booleans())
+def test_memoised_key_equals_the_key_from_scratch(spec, float_latency):
+    """``spec_key`` memoises the configuration, parameter and workload
+    JSON; the key stays byte for byte the one-shot key, also when an
+    equal parameter set differs in a value's type (30 vs 30.0)."""
+    if float_latency:
+        params = spec.canonical().params
+        spec = replace(spec, params=replace(
+            params, llc_latency=float(params.llc_latency)))
+    assert diskcache.spec_key(spec) == _key_from_scratch(spec)
+    assert diskcache.spec_key(spec) == _key_from_scratch(spec)

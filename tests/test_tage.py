@@ -8,7 +8,7 @@ from repro.errors import ConfigError
 from repro.isa import BranchKind
 from repro.uarch.tage import BimodalPredictor, FoldSequences, \
     PrecomputedHistoryTage, TagePredictor, _FoldedHistory, \
-    precompute_fold_sequences
+    fold_sequence_arrays, precompute_fold_sequences
 
 
 def _run(predictor, outcomes, pc=0x4000):
@@ -298,6 +298,73 @@ class TestFoldSequences:
                                              takens.tolist(), self.COND)
         assert precompute_fold_sequences(kinds, takens, self.COND) \
             == expected
+
+
+class TestFoldArrays:
+    """The compact folds a trace keeps drive the same predictions as the
+    list folds, in the narrowest dtype that holds a packed value."""
+
+    COND = int(BranchKind.COND)
+    JUMP = int(BranchKind.JUMP)
+
+    @staticmethod
+    def _predictions(folds, pcs, kinds, takens, cond, **geometry):
+        predictor = PrecomputedHistoryTage(folds, **geometry)
+        return [predictor.predict_update(pc, taken) if step % 7 else
+                predictor.update(pc, taken)
+                for step, (pc, taken) in enumerate(
+                    (pc, taken) for pc, kind, taken
+                    in zip(pcs, kinds, takens) if kind == cond)]
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 900),
+           geometry=st.sampled_from([
+               {},
+               dict(histories=(4, 9, 17), tagged_entries=256, tag_bits=7),
+               dict(histories=(5, 12, 40, 90, 200), tagged_entries=2048,
+                    tag_bits=12),
+               dict(histories=(3,), tagged_entries=64, tag_bits=5),
+           ]))
+    @settings(max_examples=40, deadline=None)
+    def test_array_folds_predict_like_list_folds(self, seed, n, geometry):
+        rng = np.random.default_rng(seed)
+        pcs = [0x4000 + int(i) * 4 for i in rng.integers(0, 200, size=n)]
+        kinds = [self.COND if r < 0.8 else self.JUMP
+                 for r in rng.random(n)]
+        takens = [bool(r < 0.6) for r in rng.random(n)]
+        fold_geometry = dict(
+            histories=geometry.get("histories",
+                                   TagePredictor.DEFAULT_HISTORIES),
+            index_bits=geometry.get("tagged_entries", 1024).bit_length() - 1,
+            tag_bits=geometry.get("tag_bits", 9))
+        arrays = fold_sequence_arrays(kinds, takens, self.COND,
+                                      **fold_geometry)
+        lists = precompute_fold_sequences(kinds, takens, self.COND,
+                                          **fold_geometry)
+        assert [seq.tolist() for seq in arrays.seqs] == lists.seqs
+        assert self._predictions(arrays, pcs, kinds, takens, self.COND,
+                                 **geometry) \
+            == self._predictions(lists, pcs, kinds, takens, self.COND,
+                                 **geometry)
+
+    @pytest.mark.parametrize("index_bits, tag_bits, dtype", [
+        (10, 9, np.int32), (4, 3, np.int8), (6, 5, np.int16),
+        (8, 7, np.int16), (16, 15, np.int32), (20, 14, np.int64)])
+    def test_narrowest_dtype(self, index_bits, tag_bits, dtype):
+        kinds = [self.COND] * 300
+        takens = [True] * 300
+        folds = fold_sequence_arrays(kinds, takens, self.COND,
+                                     histories=(5, 40), index_bits=index_bits,
+                                     tag_bits=tag_bits)
+        assert all(seq.dtype == dtype for seq in folds.seqs)
+        assert all(int(seq.max()) < 1 << (index_bits + tag_bits)
+                   for seq in folds.seqs)
+
+    def test_predictor_keeps_its_own_lists(self):
+        kinds = [self.COND] * 50
+        folds = fold_sequence_arrays(kinds, [True] * 50, self.COND)
+        predictor = PrecomputedHistoryTage(folds)
+        assert all(type(seq) is list for seq in predictor._seqs)
+        assert all(isinstance(seq, np.ndarray) for seq in folds.seqs)
 
 
 class TestBimodal:
