@@ -34,6 +34,12 @@ Three measurements, each asserted and recorded into a machine-readable
   it; the same for one 120k-block trace with its shared precompute;
   and the trace memo's bytes after a 64-window sampled sweep
   (report-only).
+* **program memory** — what each Table 2 program keeps once simulated:
+  the executor's walk columns (deep bytes and bytes per block), the
+  image (arrays and line caches) and the warm-LLC snapshot, with
+  ``Program.estimated_bytes``; the fill-target gather's milliseconds
+  on a 4,000-block trace and one sampled window's executor
+  milliseconds (report-only).
 * **telemetry** — the telemetry-on overhead gate (< 5%, median of
   paired off/on runs).
 
@@ -683,7 +689,7 @@ MEMO_WINDOWS = 64
 def _trace_parts(trace) -> dict:
     """Estimated bytes a trace keeps, by part (``Trace.estimated_bytes``'
     own accounting: the parts sum to it)."""
-    from repro.workloads.trace import _estimated_bytes
+    from repro.heap import estimated_bytes as _estimated_bytes
     stored = sum(column.nbytes for column in (
         trace.pc, trace.ninstr, trace.kind, trace.taken, trace.target))
     hot = trace.estimated_bytes() - stored \
@@ -755,5 +761,77 @@ def test_trace_memo_recorded(monkeypatch):
                   "memo_bytes": swept_bytes,
                   "budget_bytes": profiles.TRACE_MEMO_BYTES,
                   "seconds": round(seconds, 3)},
+        "cpu_count": usable_cpus(),
+    })
+
+
+#: The program-memory section's trace: the report workload's length.
+PROGRAM_MEMORY_BLOCKS = 4_000
+
+
+def _deep_bytes(values) -> int:
+    """``sys.getsizeof`` of *values* and of every distinct object their
+    lists hold (the walk columns' floats and ints, counted once)."""
+    import sys
+    seen = set()
+    total = 0
+    for value in values:
+        total += sys.getsizeof(value)
+        if isinstance(value, list):
+            for item in value:
+                if id(item) not in seen:
+                    seen.add(id(item))
+                    total += sys.getsizeof(item)
+    return total
+
+
+def test_program_memory_recorded():
+    """What each Table 2 program keeps, and what the fill column costs.
+
+    Per workload, after one baseline cell on a 4,000-block trace: the
+    walk columns' deep bytes (objects counted once) and bytes per
+    block, the image's arrays and line caches, the warm-LLC snapshot's
+    estimated bytes and ``Program.estimated_bytes``; the fill-target
+    gather (``Trace._static_fills``) on that trace, and one sampled
+    window's executor milliseconds.  Report-only: no gate.
+    """
+    from repro.core.frontend import _warm_llc_state
+    from repro.heap import estimated_bytes
+    from repro.workloads.tracegen import _walk_columns
+
+    params = MicroarchParams()
+    workloads = {}
+    for workload in WORKLOAD_NAMES:
+        generated = build_program(workload)
+        program = generated.program
+        trace = build_trace(workload, PROGRAM_MEMORY_BLOCKS)
+        run_spec(RunSpec(workload=workload, scheme="baseline",
+                         n_blocks=PROGRAM_MEMORY_BLOCKS), use_cache=False)
+        walk = _walk_columns(program)
+        image = program.image
+        warm = _warm_llc_state(trace, params)
+        profile = get_profile(workload)
+        blocks = program.total_blocks
+        workloads[workload] = {
+            "blocks": blocks,
+            "walk_column_bytes": _deep_bytes(walk),
+            "walk_bytes_per_block": round(_deep_bytes(walk) / blocks, 2),
+            "image_bytes": image.target.nbytes + image.lines.nbytes
+            + image.bounds.nbytes + image.cached_bytes,
+            "warm_llc_bytes": estimated_bytes(warm),
+            "program_estimated_bytes": program.estimated_bytes(),
+            "fill_target_ms": _median_ms(trace._static_fills, 21),
+            "tracegen_window_ms": _median_ms(lambda: generate_trace(
+                generated, SETUP_BLOCKS, seed=2,
+                warmup_blocks=profile.warmup_blocks), 5),
+        }
+    _record("program_memory", {
+        "workloads": workloads,
+        "trace_blocks": PROGRAM_MEMORY_BLOCKS,
+        "tracegen_window_blocks": SETUP_BLOCKS,
+        "walk_column_bytes": sum(entry["walk_column_bytes"]
+                                 for entry in workloads.values()),
+        "program_estimated_bytes": sum(entry["program_estimated_bytes"]
+                                       for entry in workloads.values()),
         "cpu_count": usable_cpus(),
     })

@@ -28,6 +28,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ProgramError
+from repro.heap import estimated_bytes
 from repro.isa import BLOCK_SHIFT, INSTR_BYTES, BranchKind
 
 
@@ -235,6 +236,16 @@ class ProgramImage(Mapping):
                 if kind is BranchKind.COND)
         return cached
 
+    @property
+    def cached_bytes(self) -> int:
+        """:func:`repro.heap.estimated_bytes` of the two line caches, from
+        their lengths: a slot per cached line, and per cached branch a
+        slot plus its tuple's four (:meth:`branches`) or three
+        (:meth:`cond_triples`) slots."""
+        return 8 * (len(self._branches) + len(self._cond)) \
+            + 40 * sum(map(len, self._branches.values())) \
+            + 32 * sum(map(len, self._cond.values()))
+
 
 class Program:
     """A laid-out synthetic program as flat, layout-ordered columns.
@@ -264,6 +275,9 @@ class Program:
         self.func_start = np.asarray(func_start, dtype=np.int64)
         self.is_kernel = np.asarray(is_kernel, dtype=bool)
         self._placement = (base_addr, gap_lines)
+        #: Each :attr:`derived` entry with its estimated bytes, measured
+        #: once (entries are read-only once set).
+        self._derived_bytes: Dict[object, Tuple[object, int]] = {}
         self._validate()
         self._layout(base_addr, gap_lines)
 
@@ -448,19 +462,6 @@ class Program:
             return ProgramImage(self.block_pc, self.ninstr, kind, target)
 
     @cached_property
-    def static_targets(self) -> Dict[int, int]:
-        """Block pc -> static taken target of its branch (lazy).
-
-        A decoder genuinely knows a direct branch's target even when it
-        is not taken, so BTB fills for not-taken conditionals use this
-        target rather than the trace's fall-through address.  A pure
-        function of the program, so every trace of it (and both engines)
-        share one copy.
-        """
-        return dict(zip(self.block_pc.tolist(),
-                        self.image.target.tolist()))
-
-    @cached_property
     def derived(self) -> dict:
         """Memo for program-derived simulation state shared across cells.
 
@@ -470,6 +471,33 @@ class Program:
         and never shipped: unpickling rebuilds the program without them.
         """
         return {}
+
+    def estimated_bytes(self) -> int:
+        """Bytes this program holds, by :func:`repro.heap.estimated_bytes`.
+
+        The stored and layout columns, the image once built (its own
+        arrays and its per-line branch caches; the block columns it
+        shares with the program count once) and every :attr:`derived`
+        entry (the executor's walk columns, warm-LLC snapshots), each
+        measured once, so a measure costs microseconds.  The program
+        memo's ``memo.program_bytes`` gauge sums this.
+        """
+        columns = [getattr(self, name) for name in _COLUMNS] \
+            + [self.func_base, self.block_pc]
+        total = sum(column.nbytes for column in columns)
+        image = self.__dict__.get("image")
+        if image is not None:
+            total += image.target.nbytes + image.lines.nbytes \
+                + image.bounds.nbytes + image.cached_bytes
+        known, measured = self._derived_bytes, {}
+        for key, value in self.__dict__.get("derived", {}).items():
+            entry = known.get(key)
+            if entry is None or entry[0] is not value:
+                entry = (value, estimated_bytes(value))
+            measured[key] = entry
+            total += 8 + entry[1]
+        self._derived_bytes = measured
+        return total
 
     def unconditional_count(self) -> int:
         """Number of static unconditional branches (U-BTB + RIB residents)."""

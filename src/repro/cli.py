@@ -308,7 +308,8 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     from repro.core import sweep
     from repro.core.exec import current_policy
     from repro.obs import export, gcstats, memory, metrics, tracing
-    from repro.workloads.profiles import refresh_trace_memo
+    from repro.workloads.profiles import refresh_program_memo, \
+        refresh_trace_memo
     tracing.drain()  # drop spans left over from earlier in-process work
     before = metrics.snapshot()
     # repro: allow[RPR003] -- observability timing on stderr/manifest only
@@ -317,6 +318,7 @@ def _cell_accounting(label: str, command: Optional[str] = None,
     # repro: allow[RPR003] -- observability timing on stderr/manifest only
     elapsed = time.perf_counter() - started
     gcstats.note_frozen()
+    refresh_program_memo()
     memory.note_peak()
     refresh_trace_memo()
     delta = metrics.delta(before, metrics.snapshot())

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.frontend import _CALL_KINDS, _KIND_COND, _RET_KINDS, \
-    _fold_sequences, _static_target_map
+    _fold_sequences
 from repro.prefetch.base import Scheme
 from repro.prefetch.boomerang import BoomerangScheme
 from repro.prefetch.fdip import FdipScheme
@@ -87,8 +87,9 @@ def demand_control(trace: Trace, geometry: Tuple[int, int],
 def _replay_demand(trace: Trace, geometry: Tuple[int, int],
                    ras_size: int) -> Tuple[bytes, bytes]:
     hot = trace.hot
-    pcs, kinds, takens, targets, fallthroughs = (
-        hot.pc, hot.kind, hot.taken, hot.target, hot.fallthrough)
+    pcs, kinds, takens, targets, fallthroughs, fill_targets = (
+        hot.pc, hot.kind, hot.taken, hot.target, hot.fallthrough,
+        hot.fill_target)
     n = len(pcs)
     entries, assoc = geometry
     n_sets = entries // assoc
@@ -99,7 +100,6 @@ def _replay_demand(trace: Trace, geometry: Tuple[int, int],
     ras = ReturnAddressStack(ras_size)
     ras_push = ras.push
     ras_pop = ras.pop
-    static_get = _static_target_map(trace).get
 
     miss = bytearray(n)
     outcome = bytearray(n)
@@ -121,12 +121,10 @@ def _replay_demand(trace: Trace, geometry: Tuple[int, int],
                 ras_pop()
             if taken:
                 outcome[i] = DIVERGE_BTBMISS
-            else:
-                target = static_get(pc, target)
             # Demand fill of a missing branch: evict the LRU way.
             if len(btb_set) >= assoc:
                 del btb_set[next(iter(btb_set))]
-            btb_set[pc] = target
+            btb_set[pc] = fill_targets[i]
             continue
         btb_set[pc] = hit_target
         if kind == _KIND_COND:
@@ -179,9 +177,9 @@ def _replay_boomerang(trace: Trace, dir_wrong: bytes,
                       geometry: Tuple[int, int], buffer_entries: int,
                       ras_size: int) -> Tuple[bytes, bytes]:
     hot = trace.hot
-    pcs, kinds, takens, targets, fallthroughs, last_lines = (
+    pcs, kinds, takens, targets, fallthroughs, last_lines, fill_targets = (
         hot.pc, hot.kind, hot.taken, hot.target, hot.fallthrough,
-        hot.last_line)
+        hot.last_line, hot.fill_target)
     n = len(pcs)
     entries, assoc = geometry
     n_sets = entries // assoc
@@ -191,7 +189,6 @@ def _replay_boomerang(trace: Trace, dir_wrong: bytes,
     ras = ReturnAddressStack(ras_size)
     ras_push = ras.push
     ras_pop = ras.pop
-    static_get = _static_target_map(trace).get
 
     miss = bytearray(n)
     outcome = bytearray(n)
@@ -210,7 +207,7 @@ def _replay_boomerang(trace: Trace, dir_wrong: bytes,
         if hit_target is None:
             # Reactive fill: install the branch, stage its line's others.
             miss[i] = 1
-            hit_target = target if taken else static_get(pc, target)
+            hit_target = fill_targets[i]
             if len(btb_set) >= assoc:
                 del btb_set[next(iter(btb_set))]
             for block_pc, _, _, block_target \

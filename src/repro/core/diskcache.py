@@ -44,7 +44,7 @@ import shutil
 import tempfile
 import threading
 from dataclasses import asdict, fields
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.config import MicroarchParams, SchemeConfig
 from repro.core.metrics import EngineStats, SimulationResult
@@ -125,6 +125,15 @@ _STORES = _obs_counter("cache.stores")
 _CORRUPT = _obs_counter("cache.corrupt")
 
 _COUNTERS = (_HITS, _MISSES, _STORES, _CORRUPT)
+
+#: ``EngineStats`` field names in declaration order: an entry's
+#: ``stats`` member, read without :func:`dataclasses.asdict`'s walk.
+_STAT_FIELDS = tuple(f.name for f in fields(EngineStats))
+
+#: Shard directories this process has created (or found), so a store
+#: skips ``os.makedirs``; a prune that removes one is caught at write.
+_SHARDS_MADE: set = set()
+_SHARDS_LOCK = threading.Lock()
 
 
 def cache_dir() -> str:
@@ -291,9 +300,8 @@ def load(key: str) -> Optional[SimulationResult]:
             _evict_corrupt(path)
             _MISSES.inc()
             return None
-        stat_fields = {f.name for f in fields(EngineStats)}
         raw = payload["stats"]
-        if set(raw) != stat_fields:
+        if set(raw) != set(_STAT_FIELDS):
             # Written by a build with a different stats layout but the
             # same engine version — treat as a miss rather than erroring.
             _MISSES.inc()
@@ -308,22 +316,35 @@ def load(key: str) -> Optional[SimulationResult]:
     return result
 
 
+def _temp_file(directory: str) -> Tuple[int, str]:
+    """A new temporary file in shard *directory*, creating the shard on
+    first use (again if a concurrent prune removed it)."""
+    if directory not in _SHARDS_MADE:
+        os.makedirs(directory, exist_ok=True)
+        with _SHARDS_LOCK:
+            _SHARDS_MADE.add(directory)
+    try:
+        return tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        return tempfile.mkstemp(dir=directory, suffix=".tmp")
+
+
 def store(key: str, result: SimulationResult) -> None:
     """Persist *result* under *key* (atomic)."""
     path = entry_path(key)
-    directory = os.path.dirname(path)
     try:
-        os.makedirs(directory, exist_ok=True)
         # One serialisation: the checksum digests the canonical text
         # (:func:`_payload_checksum`), and the entry is that text with
         # the checksum appended as a last member.
+        stats = result.stats
         text = json.dumps({
             "engine_version": ENGINE_VERSION,
             "scheme": result.scheme,
-            "stats": asdict(result.stats),
+            "stats": {name: getattr(stats, name) for name in _STAT_FIELDS},
         }, sort_keys=True)
         checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd, tmp_path = _temp_file(os.path.dirname(path))
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(f'{text[:-1]}, "checksum": "{checksum}"}}')

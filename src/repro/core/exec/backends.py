@@ -128,13 +128,16 @@ def worker_shipment(before: Dict[str, dict]) -> Tuple[List[dict],
     *before* without the counters the parent accounts for itself; the
     parent merges them with :func:`~repro.obs.tracing.adopt` and
     :func:`~repro.obs.metrics.absorb`.  The delta carries the worker's
-    peak resident set (:func:`repro.obs.memory.note_peak`), which the
-    parent keeps as a max.  Shared by :func:`_run_unit` and the planned
+    peak resident set and its program memo
+    (:func:`repro.obs.memory.note_peak`), which the parent keeps as a
+    max.  Shared by :func:`_run_unit` and the planned
     program build stage (:func:`repro.workloads.profiles.build_programs`).
     """
     # Imported here, not at module load: only workers and builders call
     # this, and every invocation imports this module at start-up.
     from repro.obs import memory
+    from repro.workloads.profiles import refresh_program_memo
+    refresh_program_memo()
     memory.note_peak()
     shipped = metrics.delta(before, metrics.snapshot())
     counters = {name: value

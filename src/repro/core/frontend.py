@@ -132,17 +132,6 @@ def _warm_llc_state(trace: Trace, params: MicroarchParams) \
     return state
 
 
-def _static_target_map(trace: Trace) -> Dict[int, int]:
-    """Static taken-targets of the trace's program, or none without one.
-
-    See :attr:`repro.cfg.model.Program.static_targets`; shared by both
-    engines.
-    """
-    if trace.generated is None:
-        return {}
-    return trace.generated.program.static_targets
-
-
 def _hook(scheme: Scheme, name: str):
     """*scheme*'s bound hook *name*, or None if it keeps the base no-op."""
     if getattr(type(scheme), name) is getattr(Scheme, name):
@@ -210,7 +199,6 @@ class FrontEnd:
         self._l1i_latency = p.l1i_latency
         self._on_fetch_line = _hook(scheme, "on_fetch_line")
 
-        self._static_targets: Dict[int, int] = _static_target_map(trace)
         if warm_llc:
             warm = _warm_llc_state(trace, p)
             if warm is not None:
@@ -235,12 +223,6 @@ class FrontEnd:
                 _update(pc, taken)
                 return predicted
         return predict_update
-
-    def _fill_target(self, pc: int, taken: bool, target: int) -> int:
-        """Target to install in a BTB entry for the block at *pc*."""
-        if taken:
-            return target
-        return self._static_targets.get(pc, target)
 
     # ------------------------------------------------------------------
     # Memory-side helpers
@@ -526,8 +508,8 @@ class FrontEnd:
         pcs, ninstrs, kinds, takens, targets = (
             hot.pc, hot.ninstr, hot.kind, hot.taken, hot.target
         )
-        first_lines, last_lines, fallthroughs = (
-            hot.first_line, hot.last_line, hot.fallthrough
+        first_lines, last_lines, fallthroughs, fill_targets = (
+            hot.first_line, hot.last_line, hot.fallthrough, hot.fill_target
         )
         n = len(pcs)
         kind_objs = _KIND_OBJS
@@ -539,7 +521,6 @@ class FrontEnd:
         demand_fill = scheme.demand_fill
         on_retire = scheme.on_retire
         demand_line = self._demand_line
-        fill_target = self._fill_target
         l1d_traffic = self._l1d_traffic
         l1d_rate = self.l1d_rate
 
@@ -598,8 +579,8 @@ class FrontEnd:
                 if taken:
                     flush_cycles = flush
                     stall_btb_flush += flush
-                demand_fill(pc, ninstr, kind_objs[kind],
-                            fill_target(pc, taken, target), clock)
+                demand_fill(pc, ninstr, kind_objs[kind], fill_targets[i],
+                            clock)
             else:
                 if kind == _KIND_COND:
                     cond_branches += 1
@@ -686,8 +667,8 @@ class FrontEnd:
         pcs, ninstrs, kinds, takens, targets = (
             hot.pc, hot.ninstr, hot.kind, hot.taken, hot.target
         )
-        first_lines, last_lines, fallthroughs = (
-            hot.first_line, hot.last_line, hot.fallthrough
+        first_lines, last_lines, fallthroughs, fill_targets = (
+            hot.first_line, hot.last_line, hot.fallthrough, hot.fill_target
         )
         n = len(pcs)
         enqueue_time = [0.0] * n
@@ -716,7 +697,6 @@ class FrontEnd:
         issue_prefetch = self._issue_prefetch
         demand_line = self._demand_line
         line_ready_for_fill = self._line_ready_for_fill
-        fill_target = self._fill_target
         l1d_traffic = self._l1d_traffic
         l1d_rate = self.l1d_rate
         # The L1-I hit path is inlined (``_demand_line``'s, same LRU move
@@ -806,8 +786,7 @@ class FrontEnd:
                         if live:
                             reactive_fill_install(
                                 pc, ninstrs[j], kind_objs[kind],
-                                fill_target(pc, takens[j], targets[j]),
-                                branch_line, t_bpu,
+                                fill_targets[j], branch_line, t_bpu,
                             )
                             hit = scheme_lookup(pc, t_bpu)
                             if hit is None:
@@ -902,8 +881,7 @@ class FrontEnd:
                             update(pc, taken)
                         if not taken:
                             demand_fill(pc, ninstrs[j], kind_objs[kind],
-                                        fill_target(pc, taken, targets[j]),
-                                        t_bpu)
+                                        fill_targets[j], t_bpu)
                         if kind in _CALL_KINDS:
                             ras_push(fallthroughs[j], pc)
                         elif kind in _RET_KINDS:

@@ -20,8 +20,9 @@ it: it never collects at all.
 
 If the caller has turned automatic collection off, neither changes
 anything.  Nothing here changes what is built, only when the collector
-looks at it.  This module imports nothing from ``repro``, so any layer
-may use it.
+looks at it.  :func:`estimated_bytes` is the one rule by which the
+memos (traces and programs) size what they keep.  This module imports
+nothing from ``repro``, so any layer may use it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ from __future__ import annotations
 import contextlib
 import gc
 import threading
+from array import array
 from typing import Iterator
+
+import numpy as np
 
 #: Guards the pause depth and what the outermost pause restores.
 #: Reentrant, so a build started by a finalizer during the closing
@@ -81,4 +85,29 @@ def settle() -> None:
             gc.freeze()
 
 
-__all__ = ["building", "settle"]
+def estimated_bytes(value) -> int:
+    """Bytes *value* holds, estimated without walking its scalars.
+
+    A numpy array's ``nbytes``, an ``array.array``'s buffer, a ``bytes``
+    length, 8 bytes per list or tuple slot or dict value, recursing into
+    containers of containers (judged by the first item); the scalars a
+    list points at are not counted.
+    """
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, array):
+        return value.itemsize * len(value)
+    if isinstance(value, (bytes, bytearray)):
+        return len(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        total = 8 * len(value)
+        if value and isinstance(value[0], (np.ndarray, array, bytes,
+                                           bytearray, dict, list, tuple)):
+            total += sum(estimated_bytes(item) for item in value)
+        return total
+    return 0
+
+
+__all__ = ["building", "settle", "estimated_bytes"]

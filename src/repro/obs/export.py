@@ -244,8 +244,8 @@ class RunReport:
     #: columnar vs fallback cell counts.  None for interpreter-only runs
     #: (and for manifests written before the field existed).
     engine: Optional[Dict[str, Any]] = None
-    #: Peak resident memory per process and the trace memo
-    #: (:func:`repro.obs.memory.section`).
+    #: Peak resident memory per process, the trace memo and the program
+    #: memo (:func:`repro.obs.memory.section`).
     memory: Optional[Dict[str, Any]] = None
 
     def to_json(self) -> Dict[str, Any]:

@@ -108,6 +108,8 @@ _TRACE_HITS = _obs_metrics.counter("memo.trace_hits")
 _TRACE_EVICTIONS = _obs_metrics.counter("memo.trace_evictions")
 _TRACE_BYTES = _obs_metrics.gauge("memo.trace_bytes")
 _TRACES_HELD = _obs_metrics.gauge("memo.traces_held")
+_PROGRAMS_HELD = _obs_metrics.gauge("memo.programs_held")
+_PROGRAM_BYTES = _obs_metrics.gauge("memo.program_bytes")
 
 TraceKey = Tuple[str, int, int]
 
@@ -431,6 +433,20 @@ def refresh_trace_memo() -> None:
     """Measure the trace in use again, so the ``memo.trace_bytes`` gauge
     includes what the last cell added to it (before a run manifest)."""
     _TRACE_CACHE.refresh()
+
+
+def refresh_program_memo() -> None:
+    """Set the ``memo.programs_held`` and ``memo.program_bytes`` gauges
+    from the program memo (:meth:`Program.estimated_bytes`, which
+    measures each derived entry once, so this costs microseconds).
+
+    Called where a process reports its peak memory: the CLI before its
+    manifest, a pool worker or builder with each shipment.
+    """
+    programs = list(_PROGRAM_CACHE.values())
+    _PROGRAMS_HELD.set(len(programs))
+    _PROGRAM_BYTES.set(sum(generated.program.estimated_bytes()
+                           for generated in programs))
 
 
 def clear_caches() -> None:

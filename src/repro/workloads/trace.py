@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional
 import numpy as np
 
 from repro.errors import TraceError
+from repro.heap import estimated_bytes
 from repro.isa import BLOCK_SHIFT, INSTR_BYTES, BlockRecord, BranchKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -51,6 +52,11 @@ class TraceHotColumns(NamedTuple):
     last_line: List[int]
     #: Not-taken successor address (``pc + ninstr * INSTR_BYTES``).
     fallthrough: List[int]
+    #: Target a BTB fill installs for the block: ``target`` where the
+    #: branch was taken, else the static taken target the predecoder
+    #: reads from the binary (the program image's ``target`` column;
+    #: ``target`` again for a pc outside the program, or with none).
+    fill_target: List[int]
 
 
 class TraceColumnArrays(NamedTuple):
@@ -69,23 +75,6 @@ class TraceColumnArrays(NamedTuple):
     kind: np.ndarray
     taken: np.ndarray
     target: np.ndarray
-
-
-def _estimated_bytes(value) -> int:
-    """:meth:`Trace.estimated_bytes` of one derived value."""
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        total = 8 * len(value)
-        if value and isinstance(value[0], (np.ndarray, bytes, bytearray,
-                                           dict, list, tuple)):
-            total += sum(_estimated_bytes(item) for item in value)
-        return total
-    return 0
 
 
 class Trace:
@@ -128,21 +117,32 @@ class Trace:
 
         First access pays one vectorised pass over the trace; subsequent
         accesses (every further scheme simulated on this trace) are free.
-        The six integer columns are interned through one ``np.unique``
-        over their concatenation, so equal values share one object.
+        The six integer columns, and the static targets of the not-taken
+        blocks, are interned through one ``np.unique`` over their
+        concatenation, so equal values share one object.  Without a
+        program, ``fill_target`` is the ``target`` list itself.
         """
         n = len(self)
         pc = self.pc
         ninstr_wide = self.ninstr.astype(np.int64)
         branch_pc = pc + (ninstr_wide - 1) * INSTR_BYTES
+        static_rows, static = self._static_fills()
         values, inverse = np.unique(np.concatenate((
             pc, self.target, pc + ninstr_wide * INSTR_BYTES,
-            pc >> BLOCK_SHIFT, branch_pc >> BLOCK_SHIFT, ninstr_wide)),
-            return_inverse=True)
+            pc >> BLOCK_SHIFT, branch_pc >> BLOCK_SHIFT, ninstr_wide,
+            static)), return_inverse=True)
         self._interned = len(values)
         shared = values.astype(object)[inverse]
         pcs, targets, fallthroughs, first_lines, last_lines, ninstrs = (
             shared[k * n:(k + 1) * n].tolist() for k in range(6))
+        if self.generated is None:
+            fills = targets
+        else:
+            # The target objects, overwritten in place (their list is
+            # already built) where a not-taken block fills statically.
+            fill_objects = shared[n:2 * n]
+            fill_objects[static_rows] = shared[6 * n:]
+            fills = fill_objects.tolist()
         return TraceHotColumns(
             pc=pcs,
             ninstr=ninstrs,
@@ -152,7 +152,27 @@ class Trace:
             first_line=first_lines,
             last_line=last_lines,
             fallthrough=fallthroughs,
+            fill_target=fills,
         )
+
+    def _static_fills(self):
+        """The not-taken blocks and the targets their BTB fills install.
+
+        A not-taken block's fill target is the image's ``target`` of the
+        block at its pc (a sorted ``block_pc`` search), or its own
+        ``target`` when no program block starts there.  Only those rows
+        are gathered, so beside the taken mask no trace-length temporary
+        is built.
+        """
+        rows = np.flatnonzero(~self.taken)
+        if self.generated is None:
+            return rows, self.target[rows]
+        image = self.generated.program.image
+        block_pc = image.block_pc
+        pcs = self.pc[rows]
+        index = np.minimum(np.searchsorted(block_pc, pcs), len(block_pc) - 1)
+        return rows, np.where(block_pc[index] == pcs, image.target[index],
+                              self.target[rows])
 
     @cached_property
     def cols(self) -> TraceColumnArrays:
@@ -175,9 +195,10 @@ class Trace:
     def estimated_bytes(self) -> int:
         """Bytes this trace holds, estimated without walking its lists.
 
-        The stored arrays, :attr:`hot` (8 bytes per list slot plus 32 per
-        interned int) and every :attr:`derived` entry (array ``nbytes``,
-        ``bytes`` lengths, 8 bytes per list or tuple slot, recursing into
+        The stored arrays, :attr:`hot` (8 bytes per slot of each distinct
+        list plus 32 per interned int) and every :attr:`derived` entry
+        (:func:`repro.heap.estimated_bytes`: array ``nbytes``, ``bytes``
+        lengths, 8 bytes per list or tuple slot, recursing into
         containers of containers).  :attr:`cols` holds only the stored
         arrays.  The program is shared by every trace of a workload and
         is not counted.  The trace memo (:mod:`repro.workloads.profiles`)
@@ -187,8 +208,9 @@ class Trace:
             self.pc, self.ninstr, self.kind, self.taken, self.target))
         hot = self.__dict__.get("hot")
         if hot is not None:
-            total += 8 * len(self) * len(hot) + 32 * self._interned
-        return total + _estimated_bytes(self.__dict__.get("derived", {}))
+            lists = len(hot) - (hot.fill_target is hot.target)
+            total += 8 * len(self) * lists + 32 * self._interned
+        return total + estimated_bytes(self.__dict__.get("derived", {}))
 
     @property
     def instruction_count(self) -> int:

@@ -12,6 +12,7 @@ same trace.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import Dict, List, Tuple
 
@@ -29,22 +30,26 @@ from repro.workloads.trace import Trace
 _OP_BIASED, _OP_LOOP, _OP_ALTERNATE = map(int, CondBehavior)
 _OP_JUMP, _OP_CALL, _OP_INDIRECT, _OP_RET = range(3, 7)
 
+#: The numpy dtype of an ``array('l')`` item (a C long).
+_LONG = np.dtype("l")
+
 #: ``Generator.choice``'s tolerance on the sum of its probabilities.
 _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def _walk_columns(program: Program) -> Tuple[list, list, list, list]:
-    """The columns the executor walks, as lists (built once).
+def _walk_columns(program: Program) -> Tuple[bytes, list, array, array]:
+    """The columns the executor walks, compact (built once).
 
     ``(op, arg, next, indirect)``, the first three indexed by global
-    block.  ``op`` is the block's ``_OP_*`` operation.  ``next`` is a
-    conditional's or jump's taken successor, a direct call's (one
-    candidate callee) entry block, and an indirect call's offset into
-    ``indirect``, the entry blocks of its candidates.  ``arg`` is a
-    biased conditional's taken probability, a loop's trip count
-    (``max(2, int(param))``) and an indirect call's candidate count.
-    Kept on ``program.derived`` and shared by every trace of the
-    program.
+    block.  ``op`` is the block's ``_OP_*`` operation, one byte each.
+    ``next`` is a conditional's or jump's taken successor, a direct
+    call's (one candidate callee) entry block, and an indirect call's
+    offset into ``indirect``, the entry blocks of its candidates; both
+    are ``array('l')``.  ``arg`` is a list: a biased conditional's
+    taken probability, a loop's trip count (``max(2, int(param))``) and
+    an indirect call's candidate count; every other slot holds one
+    shared ``0.0``.  Kept on ``program.derived`` and shared by every
+    trace of the program.
     """
     columns = program.derived.get("tracegen.columns")
     if columns is None:
@@ -56,13 +61,16 @@ def _walk_columns(program: Program) -> Tuple[list, list, list, list]:
             [kind == BranchKind.COND, kind == BranchKind.JUMP,
              calling & (count == 1), calling],
             [program.behavior, _OP_JUMP, _OP_CALL, _OP_INDIRECT], _OP_RET)
-        nxt = program.taken_succ.astype(np.int64)
+        nxt = program.taken_succ.astype(_LONG)
         direct = op == _OP_CALL
         nxt[direct] = entry[start[:-1][direct]]
         indirect = op == _OP_INDIRECT
         nxt[indirect] = start[:-1][indirect]
         param = program.behavior_param
-        arg = np.where(op == _OP_BIASED, param, 0.0).tolist()
+        arg = [0.0] * len(op)
+        biased = np.flatnonzero(op == _OP_BIASED)
+        for block, p in zip(biased.tolist(), param[biased].tolist()):
+            arg[block] = p
         loops = np.flatnonzero(op == _OP_LOOP)
         for block, trips in zip(loops.tolist(), np.maximum(
                 2, param[loops].astype(np.int64)).tolist()):
@@ -70,7 +78,8 @@ def _walk_columns(program: Program) -> Tuple[list, list, list, list]:
         for block in np.flatnonzero(indirect).tolist():
             arg[block] = int(count[block])
         columns = program.derived["tracegen.columns"] = (
-            op.tolist(), arg, nxt.tolist(), entry.tolist())
+            op.astype(np.uint8).tobytes(), arg, array("l", nxt.tobytes()),
+            array("l", entry.astype(_LONG).tobytes()))
     return columns
 
 

@@ -74,6 +74,67 @@ class TestStoreLoad:
         assert diskcache.load(key) == result
         assert diskcache.verify_entry(key)
 
+    def test_entry_bytes_equal_the_asdict_serialisation(self, fresh_cache):
+        """The stats member is read field by field, byte-identical to
+        serialising ``dataclasses.asdict``."""
+        import dataclasses
+        import hashlib
+        key = _key()
+        result = _result(cycles=0.1 + 0.2)
+        diskcache.store(key, result)
+        text = json.dumps({"engine_version": diskcache.ENGINE_VERSION,
+                           "scheme": result.scheme,
+                           "stats": dataclasses.asdict(result.stats)},
+                          sort_keys=True)
+        checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        with open(diskcache.entry_path(key), encoding="utf-8") as handle:
+            assert handle.read() \
+                == f'{text[:-1]}, "checksum": "{checksum}"}}'
+
+    def test_shard_made_once_and_again_after_a_prune(self, fresh_cache,
+                                                     monkeypatch):
+        import shutil
+        made = []
+        makedirs = os.makedirs
+        monkeypatch.setattr(diskcache.os, "makedirs",
+                            lambda *a, **k: made.append(a[0])
+                            or makedirs(*a, **k))
+        first = _key()
+        second = next(key for key in (_key(n_blocks=n)
+                                      for n in range(1000, 9000))
+                      if key[:2] == first[:2] and key != first)
+        shard = os.path.dirname(diskcache.entry_path(first))
+        diskcache.store(first, _result())
+        diskcache.store(first, _result(cycles=5.0))
+        assert made.count(shard) == 1
+        # A concurrent prune removed the shard: the next store makes it.
+        shutil.rmtree(shard)
+        diskcache.store(second, _result())
+        assert made.count(shard) == 2
+        assert diskcache.load(second) == _result()
+        assert counter("cache.stores").value == 3
+
+    def test_concurrent_stores_into_new_shards(self, fresh_cache):
+        """Threads racing to make the same shards all land their
+        entries (more threads than cores, short switch interval)."""
+        import sys
+        import threading
+        keys = [_key(n_blocks=1000 + n) for n in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda part=part: [
+                diskcache.store(key, _result()) for key in keys[part::8]])
+                for part in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(diskcache.load(key) == _result() for key in keys)
+
     def test_miss_returns_none(self, fresh_cache):
         assert diskcache.load(_key()) is None
         assert counter("cache.misses").value == 1

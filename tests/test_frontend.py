@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import MicroarchParams
-from repro.core.frontend import FrontEnd, _static_target_map, simulate
+from repro.core.frontend import FrontEnd, simulate
 from repro.core.metrics import frontend_stall_coverage, speedup
 from repro.errors import SimulationError
 from repro.prefetch.factory import build_scheme
@@ -60,33 +60,47 @@ class TestEngineBasics:
         assert warmed.cycles < full.cycles
 
 
-class TestStaticTargets:
-    def test_one_map_per_program_not_per_trace(self, medium_generated):
+class TestFillTargets:
+    """What a BTB fill installs comes from the trace's fill column."""
+
+    def test_each_trace_fills_from_the_image(self, medium_generated):
         first = generate_trace(medium_generated, 500, seed=1)
         second = generate_trace(medium_generated, 500, seed=2)
-        assert _static_target_map(first) is _static_target_map(second)
-        assert _static_target_map(first) \
-            is medium_generated.program.static_targets
-        assert "static_targets" not in first.derived
-
-    def test_not_taken_conditionals_know_their_target(self,
-                                                      medium_generated):
         program = medium_generated.program
-        checked = 0
+        assert not hasattr(program, "static_targets")
+        static = dict(zip(program.block_pc.tolist(),
+                          program.image.target.tolist()))
+        for trace in (first, second):
+            fills = trace.hot.fill_target
+            for i, (pc, taken, target) in enumerate(zip(
+                    trace.pc.tolist(), trace.taken.tolist(),
+                    trace.target.tolist())):
+                assert fills[i] == (target if taken else static[pc])
+            assert not trace.derived
+
+    def test_not_taken_conditionals_fill_their_taken_successor(
+            self, medium_generated, medium_trace):
+        program = medium_generated.program
+        taken_succ = {}
         for function in program.functions:
             for bidx, block in enumerate(function.blocks):
                 if block.kind in (BranchKind.COND, BranchKind.JUMP):
-                    pc = function.block_addr(bidx)
-                    assert program.static_targets[pc] \
-                        == function.block_addr(block.taken_succ)
-                    checked += 1
+                    taken_succ[function.block_addr(bidx)] = \
+                        function.block_addr(block.taken_succ)
+        checked = 0
+        fills = medium_trace.hot.fill_target
+        for i, pc in enumerate(medium_trace.pc.tolist()):
+            if medium_trace.kind[i] == BranchKind.COND \
+                    and not medium_trace.taken[i]:
+                assert fills[i] == taken_succ[pc]
+                checked += 1
         assert checked
 
-    def test_program_less_trace_has_no_static_targets(self, medium_trace):
+    def test_program_less_trace_fills_its_own_targets(self, medium_trace):
         bare = Trace(medium_trace.pc, medium_trace.ninstr,
                      medium_trace.kind, medium_trace.taken,
                      medium_trace.target)
-        assert _static_target_map(bare) == {}
+        assert bare.hot.fill_target == medium_trace.target.tolist()
 
 
 class TestSchemeOrdering:

@@ -364,7 +364,8 @@ class TestExploreManifest:
 
 
 class TestMemoryLine:
-    """Peak memory per process and the trace memo reach the manifest."""
+    """Peak memory per process and the trace and program memos reach the
+    manifest."""
 
     def test_process_run_records_every_workers_peak(
             self, tmp_path, monkeypatch, capsys):
@@ -389,6 +390,15 @@ class TestMemoryLine:
         memo = memory["trace_memo"]
         assert memo["trace_evictions"] == 0
         assert memo["traces_held"] is not None
+        # Every process reports its program memo with its peak.
+        programs = memory["program_memo"]
+        by_pid = programs["program_bytes_by_pid"]
+        assert set(by_pid) == workers | {parent}
+        assert programs["programs_held"] == len(profiles._PROGRAM_CACHE)
+        assert programs["program_bytes"] == by_pid[parent]
+        assert programs["worker_program_bytes"] == max(by_pid[pid]
+                                                       for pid in workers)
+        assert programs["worker_program_bytes"] > 0
         capsys.readouterr()
         assert main(["stats", str(stream)]) == 0
         line = [text for text in capsys.readouterr().out.splitlines()
@@ -396,6 +406,9 @@ class TestMemoryLine:
         assert len(line) == 1
         assert f"{len(workers)} worker" in line[0]
         assert "trace memo" in line[0]
+        assert f"program memo {programs['programs_held']} programs" \
+            in line[0]
+        assert "workers up to" in line[0].split("program memo")[1]
 
     def test_serial_run_reports_the_trace_memo(self, tmp_path, monkeypatch,
                                                capsys):
@@ -413,3 +426,11 @@ class TestMemoryLine:
                 memo["trace_evictions"]) == (1, 1, 0)
         trace = profiles._TRACE_CACHE.values()[0]
         assert memo["trace_bytes"] == trace.estimated_bytes()
+        programs = memory["program_memo"]
+        held = list(profiles._PROGRAM_CACHE.values())
+        assert programs["programs_held"] == len(held) >= 1
+        assert programs["program_bytes"] == sum(
+            generated.program.estimated_bytes() for generated in held)
+        assert programs["worker_program_bytes"] is None
+        assert programs["program_bytes_by_pid"] == {
+            str(os.getpid()): programs["program_bytes"]}

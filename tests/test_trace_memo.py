@@ -32,10 +32,14 @@ KINDS = sorted(int(kind) for kind in BranchKind)
 
 
 def _tolist_columns(trace: Trace) -> dict:
-    """The columns ``Trace.hot`` held before interning: plain tolist()."""
+    """The columns ``Trace.hot`` held before interning: plain tolist(),
+    and the fill targets from a ``{block_pc: static target}`` dict."""
     pc = trace.pc
     ninstr = trace.ninstr.astype(np.int64)
     branch_pc = pc + (ninstr - 1) * INSTR_BYTES
+    static = {} if trace.generated is None else dict(zip(
+        trace.generated.program.block_pc.tolist(),
+        trace.generated.program.image.target.tolist()))
     return {
         "pc": pc.tolist(),
         "ninstr": trace.ninstr.tolist(),
@@ -45,6 +49,10 @@ def _tolist_columns(trace: Trace) -> dict:
         "first_line": (pc >> BLOCK_SHIFT).tolist(),
         "last_line": (branch_pc >> BLOCK_SHIFT).tolist(),
         "fallthrough": (pc + ninstr * INSTR_BYTES).tolist(),
+        "fill_target": [target if taken else static.get(block, target)
+                        for block, taken, target in zip(
+                            pc.tolist(), trace.taken.tolist(),
+                            trace.target.tolist())],
     }
 
 
@@ -59,7 +67,7 @@ def _assert_hot_equals_tolist(trace: Trace) -> None:
     # Interned: one object per distinct value across the int columns.
     objects: dict = {}
     for name in ("pc", "target", "fallthrough", "first_line", "last_line",
-                 "ninstr"):
+                 "ninstr", "fill_target"):
         for value in hot[name]:
             assert objects.setdefault(value, value) is value, name
 
