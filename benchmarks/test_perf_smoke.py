@@ -38,8 +38,8 @@ Three measurements, each asserted and recorded into a machine-readable
   the executor's walk columns (deep bytes and bytes per block), the
   image (arrays and line caches) and the warm-LLC snapshot, with
   ``Program.estimated_bytes``; the fill-target gather's milliseconds
-  on a 4,000-block trace and one sampled window's executor
-  milliseconds (report-only).
+  on a 4,000-block trace, one sampled window's executor milliseconds
+  and generation's transient Python allocations (report-only).
 * **telemetry** — the telemetry-on overhead gate (< 5%, median of
   paired off/on runs).
 
@@ -55,6 +55,7 @@ import gc
 import json
 import pickle
 import time
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -785,6 +786,21 @@ def _deep_bytes(values) -> int:
     return total
 
 
+def _generation_transient(params) -> int:
+    """Bytes ``generate_program(params)`` allocates above what the
+    program keeps, at its peak (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        generated = generate_program(params)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert generated.program.total_blocks
+    return peak - kept
+
+
 def test_program_memory_recorded():
     """What each Table 2 program keeps, and what the fill column costs.
 
@@ -792,8 +808,10 @@ def test_program_memory_recorded():
     walk columns' deep bytes (objects counted once) and bytes per
     block, the image's arrays and line caches, the warm-LLC snapshot's
     estimated bytes and ``Program.estimated_bytes``; the fill-target
-    gather (``Trace._static_fills``) on that trace, and one sampled
-    window's executor milliseconds.  Report-only: no gate.
+    gather (``Trace._static_fills``) on that trace, one sampled
+    window's executor milliseconds, and the generation transient: the
+    Python allocations ``generate_program`` peaks at above what the
+    program keeps (tracemalloc).  Report-only: no gate.
     """
     from repro.core.frontend import _warm_llc_state
     from repro.heap import estimated_bytes
@@ -824,6 +842,8 @@ def test_program_memory_recorded():
             "tracegen_window_ms": _median_ms(lambda: generate_trace(
                 generated, SETUP_BLOCKS, seed=2,
                 warmup_blocks=profile.warmup_blocks), 5),
+            "generation_transient_bytes": _generation_transient(
+                profile.gen_params),
         }
     _record("program_memory", {
         "workloads": workloads,
@@ -833,5 +853,8 @@ def test_program_memory_recorded():
                                  for entry in workloads.values()),
         "program_estimated_bytes": sum(entry["program_estimated_bytes"]
                                        for entry in workloads.values()),
+        "generation_transient_bytes": max(
+            entry["generation_transient_bytes"]
+            for entry in workloads.values()),
         "cpu_count": usable_cpus(),
     })

@@ -21,6 +21,7 @@ loop offsets, giving the high intra-region spatial locality of Figure 3.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -247,34 +248,38 @@ def _pick_call_pool(draws: Draws, params: GeneratorParams,
 BlockRow = Tuple[int, int, int, int, float, int]
 
 #: :data:`BlockRow` as a numpy record, so rows become columns through
-#: ``np.fromiter``.
+#: ``np.fromiter``.  A function has at most 64 blocks, so a local
+#: successor fits a byte.
 _ROW_DTYPE = np.dtype([("ninstr", np.int8), ("kind", np.int8),
-                       ("taken_succ", np.int64), ("behavior", np.int8),
+                       ("taken_succ", np.int8), ("behavior", np.int8),
                        ("behavior_param", np.float64),
-                       ("ncallees", np.int64)])
+                       ("ncallees", np.int32)])
 
-#: Rows per ``np.fromiter`` call.  Freeing an array of several MB raises
-#: glibc's dynamic mmap threshold, and the process then keeps more freed
-#: memory resident: one 2 MB table for oracle's rows cost ``report-pool``
-#: about 2.5 MB of peak RSS.  Chunks keep each temporary under 0.5 MB.
+#: Pending rows are packed into typed column chunks, between functions,
+#: once at least this many wait.  A row tuple costs about 100 bytes
+#: where its columns cost 16, so generating oracle (76.7k blocks) holds
+#: at most about one chunk of tuples and peaks about 3.3 MB of Python
+#: allocations above what it keeps, not 15 MB.  Small chunks also keep
+#: each temporary well under 1 MB: freeing an array of several MB raises
+#: glibc's dynamic mmap threshold, and the process then keeps more
+#: freed memory resident.
 _ROW_CHUNK = 16_384
 
 
-def _row_columns(rows: List[BlockRow]) -> Dict[str, np.ndarray]:
-    """*rows* as one array per :data:`_ROW_DTYPE` field."""
-    columns = {name: np.empty(len(rows), dtype=_ROW_DTYPE[name])
-               for name in _ROW_DTYPE.names}
-    for lo in range(0, len(rows), _ROW_CHUNK):
-        chunk = np.fromiter(rows[lo:lo + _ROW_CHUNK], dtype=_ROW_DTYPE)
-        for name, column in columns.items():
-            column[lo:lo + len(chunk)] = chunk[name]
-    return columns
+def _pack_rows(rows: List[BlockRow],
+               chunks: Dict[str, List[np.ndarray]]) -> None:
+    """Move *rows* onto *chunks*, one typed array per
+    :data:`_ROW_DTYPE` field, and empty *rows*."""
+    packed = np.fromiter(rows, dtype=_ROW_DTYPE, count=len(rows))
+    for name, column in chunks.items():
+        column.append(np.ascontiguousarray(packed[name]))
+    rows.clear()
 
 
 def _build_function(draws: Draws, params: GeneratorParams,
                     fid: int, layer: int, layer_pools: List[List[int]],
                     is_kernel: bool, cdfs: Dict[int, List[float]],
-                    rows: List[BlockRow], callee_fids: List[int]) -> int:
+                    rows: List[BlockRow], callee_fids: array) -> int:
     """Draw one function's blocks onto the end of *rows*, and their
     callees onto the end of *callee_fids*; returns how many it drew.
 
@@ -417,10 +422,10 @@ def _build_function(draws: Draws, params: GeneratorParams,
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ranges ``starts[i]:starts[i] + lengths[i]``."""
-    total = int(lengths.sum())
     ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) \
-        + np.arange(total)
+    runs = np.repeat(starts - (ends - lengths), lengths)
+    runs += np.arange(len(runs))
+    return runs
 
 
 def generate_program(params: GeneratorParams) -> GeneratedProgram:
@@ -443,13 +448,20 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
 
     # Callee-rank CDFs by cluster width, shared by every call site.
     cdfs: Dict[int, List[float]] = {}
+    # Rows not yet packed, and the packed chunks of each column.
     rows: List[BlockRow] = []
-    callee_fids: List[int] = []
-    nblocks = [
-        _build_function(draws, params, fid, layer, layer_pools,
-                        layer == len(layer_pools) - 1, cdfs, rows,
-                        callee_fids)
-        for layer, pool in enumerate(layer_pools) for fid in pool]
+    chunks: Dict[str, List[np.ndarray]] = {
+        name: [] for name in _ROW_DTYPE.names}
+    callee_fids = array("q")
+    nblocks = []
+    for layer, pool in enumerate(layer_pools):
+        for fid in pool:
+            nblocks.append(_build_function(
+                draws, params, fid, layer, layer_pools,
+                layer == len(layer_pools) - 1, cdfs, rows, callee_fids))
+            if len(rows) >= _ROW_CHUNK:
+                _pack_rows(rows, chunks)
+    _pack_rows(rows, chunks)
 
     # Shuffle the *layout order* (not the fids) so that functions that call
     # each other are not artificially adjacent in the address space.
@@ -458,33 +470,32 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
     relabel[order] = np.arange(len(order))
 
     # Layout block j is generation block ``blocks[j]``: each function's
-    # run, taken in layout order.  Local successors become global.
-    table = _row_columns(rows)
-    ncallees = table["ncallees"]
+    # run, taken in layout order.  Each column is joined from its chunks
+    # and laid out in turn, so one generation-order column is alive at a
+    # time.  A function's callees are one run of ``callee_fids`` too.
     sizes = np.array(nblocks, dtype=np.int64)
     lengths = sizes[order]
     func_start = np.concatenate(([0], np.cumsum(lengths)))
     blocks = _runs(np.concatenate(([0], np.cumsum(sizes)))[order], lengths)
-    local_succ = table["taken_succ"][blocks]
-    taken_succ = np.where(local_succ >= 0, local_succ
-                          + np.repeat(func_start[:-1], lengths), -1)
-    callee_lengths = ncallees[blocks]
-    callees = relabel[np.array(callee_fids, dtype=np.int64)[_runs(
-        np.concatenate(([0], np.cumsum(ncallees)))[blocks],
-        callee_lengths)]]
+
+    def laid_out(name: str) -> np.ndarray:
+        return np.concatenate(chunks.pop(name))[blocks]
+
+    callee_start = np.concatenate(([0], np.cumsum(laid_out("ncallees"))))
+    counts = np.diff(callee_start[func_start])
+    callees = relabel[np.frombuffer(callee_fids, dtype=np.int64)[_runs(
+        np.concatenate(([0], np.cumsum(counts[relabel])))[order], counts)]]
+    # Local successors become global.
+    taken_succ = laid_out("taken_succ").astype(np.int32)
+    targeted = taken_succ >= 0
+    taken_succ[targeted] += np.repeat(func_start[:-1], lengths)[targeted]
+    columns = {name: laid_out(name) for name in list(chunks)}
+    # Dropped before the constructor's validation allocates its own.
+    del blocks, targeted
     # The kernel layer is last, so it holds the highest pre-layout fids.
-    first_kernel = layer_pools[-1][0]
-    program = Program(
-        ninstr=table["ninstr"][blocks],
-        kind=table["kind"][blocks],
-        taken_succ=taken_succ,
-        callee_start=np.concatenate(([0], np.cumsum(callee_lengths))),
-        callees=callees,
-        behavior=table["behavior"][blocks],
-        behavior_param=table["behavior_param"][blocks],
-        func_start=func_start,
-        is_kernel=order >= first_kernel,
-    )
+    program = Program(taken_succ=taken_succ, callee_start=callee_start,
+                      callees=callees, func_start=func_start,
+                      is_kernel=order >= layer_pools[-1][0], **columns)
     relabel = relabel.tolist()
     roots = [relabel[f] for f in layer_pools[0]]
     kernel_fids = [relabel[f] for f in layer_pools[-1]]

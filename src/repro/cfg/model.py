@@ -359,13 +359,15 @@ class Program:
         if bad.any():
             raise ProgramError(
                 f"{_KINDS[kind[bad][0]].name} block needs callees")
-        owner = np.repeat(np.arange(nfunctions), sizes)
+        # Each block's function bounds, as int32 like ``taken_succ``.
+        bounds = func_start.astype(np.int32)
         succ = self.taken_succ
-        bad = np.isin(kind, _TARGETED) & ((succ < func_start[owner])
-                                          | (succ >= func_start[owner + 1]))
+        bad = np.isin(kind, _TARGETED) & (
+            (succ < np.repeat(bounds[:-1], sizes))
+            | (succ >= np.repeat(bounds[1:], sizes)))
         if bad.any():
             block = int(np.argmax(bad))
-            fid = int(owner[block])
+            fid = int(np.searchsorted(func_start, block, side="right")) - 1
             raise ProgramError(
                 f"function {fid} block {block - int(func_start[fid])}: "
                 f"taken_succ out of range")

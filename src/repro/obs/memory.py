@@ -1,6 +1,6 @@
 """Peak memory per process and the memos' state, for run manifests.
 
-Each process records its peak resident set (``ru_maxrss``) as one
+Each process records its peak resident set (:func:`peak_rss_mb`) as one
 observation of its own histogram, ``memory.peak_rss_mb.<pid>``: the
 parent just before its manifest is built (the CLI's cell accounting),
 a pool worker with every unit it ships home
@@ -36,8 +36,26 @@ PEAK_PREFIX = "memory.peak_rss_mb."
 PROGRAM_BYTES_PREFIX = "memory.program_bytes."
 
 
+#: Where Linux reports this process's resident-set high-water mark.
+_STATUS = "/proc/self/status"
+
+
 def peak_rss_mb() -> Optional[float]:
-    """This process's peak resident set in MB (None where unknown)."""
+    """This process's peak resident set in MB (None where unknown).
+
+    On Linux, ``VmHWM``: the high-water mark of this address space,
+    which starts again at exec.  ``ru_maxrss`` keeps the peak of the
+    address space a process was exec'd from, so a run started straight
+    from a larger process would report that process's peak; it is the
+    fallback where there is no ``VmHWM``.
+    """
+    try:
+        with open(_STATUS, "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
     if resource is None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -347,10 +347,7 @@ def plan_builds(names: Sequence[str], shares: int) -> List[List[str]]:
 
     Longest first on the cost proxy ``n_functions`` (generation time is
     roughly linear in it), each program goes to the share with the
-    least work so far.  Share 0 is this process's own; shipping a
-    program home costs about 1% of building it (its columns pickle
-    and unpickle in milliseconds), so no share is weighted.  Ties keep
-    the given order and the lower share.
+    least work so far.  Ties keep the given order and the lower share.
     """
     costs = {name: get_profile(name).gen_params.n_functions
              for name in names}
@@ -381,12 +378,14 @@ def build_programs(names: Iterable[str]) -> None:
     ExecutionPolicy` in scope would run the missing programs on a
     process pool of k >= 2 workers (the rule ``run_specs`` uses), at
     least two of them are missing, this process is not itself a pool
-    worker and the pool can be created.  It then forks k - 1 builders,
-    builds its own share (:func:`plan_builds`) while they run, and
-    stores every program they ship home; their spans and metrics join
-    this process's under a ``build_programs`` span.  The whole stage is
-    one collector pause (:func:`repro.heap.building`): the builders fork
-    into it, so they never collect, and it ends with one collection.
+    worker and the pool can be created.  It then forks k builders, one
+    per share (:func:`plan_builds`), and stores every program they ship
+    home; their spans and metrics join this process's under a
+    ``build_programs`` span.  This process generates nothing: the
+    parent every later pool forks from never holds generation's heap,
+    only the shipped columns.  The whole stage is one collector pause
+    (:func:`repro.heap.building`): the builders fork into it, so they
+    never collect, and it ends with one collection.
 
     It only warms the memo and never raises for a build: whatever it
     leaves missing — every program when it does not run, a failed
@@ -406,24 +405,25 @@ def build_programs(names: Iterable[str]) -> None:
     with _obs_tracing.span("build_programs", programs=len(missing),
                            workers=len(plan)) as record, heap.building():
         try:
-            pool = backend._make_pool(len(plan) - 1)
+            pool = backend._make_pool(len(plan))
         except Exception:
             return
         try:
-            futures = [pool.submit(_build_shipped, share)
-                       for share in plan[1:]]
-            for name in plan[0]:
-                build_program(name)
+            futures = [pool.submit(_build_shipped, share) for share in plan]
             for future in futures:
-                programs, spans, shipped = future.result()
+                try:
+                    programs, spans, shipped = future.result()
+                except Exception:
+                    # A builder that crashed or raised ships nothing
+                    # (a crash breaks the pool, so neither does the
+                    # other): the caller builds what is missing.
+                    continue
                 _obs_tracing.adopt(spans, record and record["span_id"])
                 _obs_metrics.absorb(shipped)
                 for name, generated in programs.items():
                     _PROGRAM_CACHE.setdefault(name, generated)
         except Exception:
-            # A builder that could not start, crashed or raised ships
-            # nothing, and neither does a failed build here: the caller
-            # builds what is still missing.
+            # A pool that breaks as shares are submitted ships nothing.
             pass
         finally:
             pool.shutdown(wait=True, cancel_futures=True)

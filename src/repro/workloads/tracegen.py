@@ -37,49 +37,48 @@ _LONG = np.dtype("l")
 _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def _walk_columns(program: Program) -> Tuple[bytes, list, array, array]:
+def _walk_columns(program: Program) -> Tuple[bytes, array, array, array]:
     """The columns the executor walks, compact (built once).
 
     ``(op, arg, next, indirect)``, the first three indexed by global
     block.  ``op`` is the block's ``_OP_*`` operation, one byte each.
-    ``next`` is a conditional's or jump's taken successor, a direct
+    ``arg`` is an ``array('d')``: a biased conditional's taken
+    probability, a loop's trip count (``max(2, int(param))``) and an
+    indirect call's candidate count, else 0.0.  ``next`` is an
+    ``array('i')``: a conditional's or jump's taken successor, a direct
     call's (one candidate callee) entry block, and an indirect call's
-    offset into ``indirect``, the entry blocks of its candidates; both
-    are ``array('l')``.  ``arg`` is a list: a biased conditional's
-    taken probability, a loop's trip count (``max(2, int(param))``) and
-    an indirect call's candidate count; every other slot holds one
-    shared ``0.0``.  Kept on ``program.derived`` and shared by every
-    trace of the program.
+    offset into ``indirect``, the ``array('l')`` entry blocks of its
+    candidates.  About 13 bytes a block, built from uint8, int32 and
+    float64 temporaries of the program's length.  Kept on
+    ``program.derived`` and shared by every trace of the program.
     """
     columns = program.derived.get("tracegen.columns")
     if columns is None:
-        kind, start = program.kind, program.callee_start
-        count = np.diff(start)
-        entry = program.func_start[program.callees]
+        kind, start = program.kind, program.callee_start[:-1]
+        count = program.callee_start[1:] - start
         calling = (kind == BranchKind.CALL) | (kind == BranchKind.TRAP)
-        op = np.select(
-            [kind == BranchKind.COND, kind == BranchKind.JUMP,
-             calling & (count == 1), calling],
-            [program.behavior, _OP_JUMP, _OP_CALL, _OP_INDIRECT], _OP_RET)
-        nxt = program.taken_succ.astype(_LONG)
-        direct = op == _OP_CALL
-        nxt[direct] = entry[start[:-1][direct]]
-        indirect = op == _OP_INDIRECT
-        nxt[indirect] = start[:-1][indirect]
+        direct = calling & (count == 1)
+        indirect = calling & (count > 1)
+        cond = kind == BranchKind.COND
+        op = np.full(len(kind), _OP_RET, dtype=np.uint8)
+        op[cond] = program.behavior[cond]
+        op[kind == BranchKind.JUMP] = _OP_JUMP
+        op[direct] = _OP_CALL
+        op[indirect] = _OP_INDIRECT
+        nxt = program.taken_succ.astype(np.int32)
+        nxt[direct] = program.func_start[program.callees[start[direct]]]
+        nxt[indirect] = start[indirect]
         param = program.behavior_param
-        arg = [0.0] * len(op)
-        biased = np.flatnonzero(op == _OP_BIASED)
-        for block, p in zip(biased.tolist(), param[biased].tolist()):
-            arg[block] = p
-        loops = np.flatnonzero(op == _OP_LOOP)
-        for block, trips in zip(loops.tolist(), np.maximum(
-                2, param[loops].astype(np.int64)).tolist()):
-            arg[block] = trips
-        for block in np.flatnonzero(indirect).tolist():
-            arg[block] = int(count[block])
+        arg = np.zeros(len(kind))
+        biased = op == _OP_BIASED
+        arg[biased] = param[biased]
+        loops = op == _OP_LOOP
+        arg[loops] = np.maximum(2.0, np.trunc(param[loops]))
+        arg[indirect] = count[indirect]
         columns = program.derived["tracegen.columns"] = (
-            op.astype(np.uint8).tobytes(), arg, array("l", nxt.tobytes()),
-            array("l", entry.astype(_LONG).tobytes()))
+            op.tobytes(), array("d", arg.tobytes()),
+            array("i", nxt.tobytes()), array("l", program.func_start[
+                program.callees].astype(_LONG, copy=False).tobytes()))
     return columns
 
 
@@ -202,7 +201,7 @@ class TraceGenerator:
             elif op == _OP_INDIRECT:
                 stack.append(b + 1)
                 draws.i = i
-                b = indirect[next_of[b] + draws.integers(0, arg_of[b])]
+                b = indirect[next_of[b] + draws.integers(0, int(arg_of[b]))]
                 i = draws.i
                 end = len(u) - 1
             elif stack:  # RET or TRAP_RET

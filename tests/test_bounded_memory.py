@@ -8,7 +8,8 @@ trace memo — programs, the walk columns, warm LLCs, results, spans —
 must not grow with the window count, so the peak minus the memo grows
 by less than :data:`MARGIN_MB` from the short run to the long one.
 Both runs are on the same host, so the check holds on any host and
-core count.
+core count.  A run started straight from a large process reports its
+own peak, not that process's.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 import pytest
 
 import repro
+from repro.obs.memory import peak_rss_mb
 
 WINDOW_BLOCKS = 1_000
 
@@ -31,23 +33,17 @@ WINDOW_BLOCKS = 1_000
 MARGIN_MB = 2.0
 
 
-def _peak_beside_memo(tmp_path, windows: int) -> float:
-    """Parent peak minus trace memo, in MB, of one fresh sampled run."""
+def _run_memory(tmp_path, windows: int) -> dict:
+    """The manifest's ``memory`` section of one fresh sampled run,
+    started straight from this process."""
     stream = tmp_path / f"telemetry-{windows}.jsonl"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))]
         + env.get("PYTHONPATH", "").split(os.pathsep))
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
-    # Linux carries a process's peak across exec from the address space
-    # it was forked (or vforked) from, so a run started straight from
-    # this test would report the test process's own resident set as
-    # its peak.  A small interpreter in between starts it from a small
-    # address space.
     subprocess.run(
-        [sys.executable, "-c",
-         "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))",
-         sys.executable, "-m", "repro", "sweep", "--workloads", "nutch",
+        [sys.executable, "-m", "repro", "sweep", "--workloads", "nutch",
          "--schemes", "baseline,shotgun", "--windows", str(windows),
          "--blocks", str(windows * WINDOW_BLOCKS), "--backend", "serial",
          "--engine", "columnar", "--no-cache", "--telemetry", str(stream),
@@ -59,6 +55,12 @@ def _peak_beside_memo(tmp_path, windows: int) -> float:
               if record["kind"] == "manifest"][-1]["memory"]
     if memory["parent_peak_mb"] is None:
         pytest.skip("no peak resident set on this host")
+    return memory
+
+
+def _peak_beside_memo(tmp_path, windows: int) -> float:
+    """Parent peak minus trace memo, in MB, of one fresh sampled run."""
+    memory = _run_memory(tmp_path, windows)
     memo = memory["trace_memo"]
     assert memo["trace_evictions"] == 0
     assert memo["traces_held"] == windows
@@ -69,3 +71,22 @@ def test_sampled_run_is_flat_beside_its_trace_memo(tmp_path):
     short = _peak_beside_memo(tmp_path, 8)
     long = _peak_beside_memo(tmp_path, 48)
     assert long - short < MARGIN_MB, (short, long)
+
+
+#: Resident bytes the launching test process holds while the run starts.
+BALLAST_MB = 200
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="the exec-reset peak (VmHWM) is Linux's")
+def test_run_reports_its_own_peak_not_its_launchers(tmp_path):
+    """A run exec'd straight from a process holding 200 MB reports its
+    own peak: Linux carries ``ru_maxrss`` across exec from the address
+    space a process was forked from, ``VmHWM`` starts again."""
+    ballast = bytearray(b"\x01") * (BALLAST_MB * 2**20)
+    try:
+        assert peak_rss_mb() >= BALLAST_MB
+        memory = _run_memory(tmp_path, 2)
+    finally:
+        del ballast
+    assert memory["parent_peak_mb"] < BALLAST_MB / 2, memory

@@ -1,11 +1,12 @@
 """Tests for the planned program build stage (profiles.build_programs).
 
 The stage builds a table's missing programs on every usable CPU before
-anything else runs, and ships the builders' programs home.  It must
-build exactly what the serial path builds, never start a pool where the
-execution policy would not, fall back to local builds on any builder
-failure, keep one ``build_program`` span per workload, and ship
-programs that cost no more memory than locally built ones.
+anything else runs, in forked builders only, and ships the programs
+home.  It must build exactly what the serial path builds, generate
+nothing in the calling process, never start a pool where the execution
+policy would not, fall back to local builds on any builder failure,
+keep one ``build_program`` span per workload, and ship programs that
+cost no more memory than locally built ones.
 """
 
 from __future__ import annotations
@@ -84,6 +85,46 @@ class TestStage:
         assert sorted(profiles._PROGRAM_CACHE) == sorted(WORKLOAD_NAMES)
         _assert_golden(WORKLOAD_NAMES)
 
+    def test_this_process_generates_nothing(self, cold_programs,
+                                            monkeypatch):
+        """Every share goes to a forked builder: a spy on the generator
+        sees no call in this process, and every program arrives."""
+        real = profiles.generate_program
+        here = os.getpid()
+        calls = []
+
+        def spy(params):
+            calls.append(os.getpid())
+            return real(params)
+
+        monkeypatch.setattr(profiles, "generate_program", spy)
+        with scoped_policy(TWO_WORKERS):
+            build_programs(LIGHT)
+        assert here not in calls
+        assert sorted(profiles._PROGRAM_CACHE) == sorted(LIGHT)
+
+    def test_shipped_programs_equal_serial_ones(self, cold_programs):
+        """Column by column, each shipped program equals one generated
+        here from the same parameters, and so do its roots, root
+        weights and kernel functions."""
+        with scoped_policy(TWO_WORKERS):
+            build_programs(LIGHT)
+        for name in LIGHT:
+            shipped = profiles._PROGRAM_CACHE[name]
+            serial = generate_program(get_profile(name).gen_params)
+            state, expected = (shipped.program.__getstate__(),
+                               serial.program.__getstate__())
+            assert state.keys() == expected.keys()
+            for key, column in expected.items():
+                assert np.array_equal(state[key], column), (name, key)
+                assert np.asarray(state[key]).dtype \
+                    == np.asarray(column).dtype, (name, key)
+            assert shipped.roots == serial.roots
+            assert shipped.kernel_fids == serial.kernel_fids
+            assert np.array_equal(shipped.root_weights,
+                                  serial.root_weights)
+            assert shipped.params == serial.params
+
     @pytest.mark.parametrize("policy", [
         ExecutionPolicy(backend="serial"),
         ExecutionPolicy(backend="thread"),
@@ -128,19 +169,21 @@ class TestStage:
     def test_pool_that_cannot_start_leaves_serial_path(self, cold_programs,
                                                        monkeypatch):
         """The control for the tests above: a process policy does reach
-        the pool, and when it cannot be made nothing is built."""
+        the pool, one builder per share, and when it cannot be made
+        nothing is built."""
         made = _record_pools(monkeypatch)
         with scoped_policy(TWO_WORKERS):
             build_programs(LIGHT)
-        assert made == [1]
+        assert made == [len(plan_builds(list(LIGHT), 2))] == [2]
         assert profiles._PROGRAM_CACHE == {}
         _assert_golden(LIGHT)
 
     @needs_fork
     def test_builder_crash_falls_back_to_local_build(self, cold_programs,
                                                      monkeypatch):
-        """(c) A builder that dies ships nothing; the parent's own share
-        stays, and the caller builds the rest with the same digests."""
+        """(c) A builder that dies ships nothing (it breaks the pool, so
+        neither does the other), and the caller builds every program
+        with the same digests."""
         real = profiles.generate_program
 
         def crashing(params):
@@ -151,14 +194,14 @@ class TestStage:
         monkeypatch.setattr(profiles, "generate_program", crashing)
         with scoped_policy(TWO_WORKERS):
             build_programs(LIGHT)
-        assert sorted(profiles._PROGRAM_CACHE) \
-            == sorted(plan_builds(list(LIGHT), 2)[0])
+        assert profiles._PROGRAM_CACHE == {}
         _assert_golden(LIGHT)
 
     def test_failed_build_raises_from_the_caller(self, cold_programs,
                                                  monkeypatch):
         """A build that fails everywhere is left to build_program, which
-        raises what it always raised; the stage itself never does."""
+        raises what it always raised; the stage itself never does, and
+        the other builder's share still arrives."""
         real = profiles.generate_program
         broken = get_profile("zeus").gen_params
 
@@ -171,6 +214,9 @@ class TestStage:
         with scoped_policy(TWO_WORKERS):
             build_programs(LIGHT)
         assert "zeus" not in profiles._PROGRAM_CACHE
+        other = [share for share in plan_builds(list(LIGHT), 2)
+                 if "zeus" not in share]
+        assert sorted(profiles._PROGRAM_CACHE) == sorted(other[0])
         with pytest.raises(ProgramError, match="zeus cannot"):
             build_program("zeus")
 
@@ -185,14 +231,15 @@ class TestStage:
         assert Counter(s["attrs"]["workload"] for s in builds) \
             == Counter(WORKLOAD_NAMES)
         assert len({s["pid"] for s in builds}) == 2
+        assert os.getpid() not in {s["pid"] for s in builds}
         stage = [s for s in spans if s["name"] == "build_programs"]
         assert len(stage) == 1
         assert all(s["parent_id"] == stage[0]["span_id"] for s in builds)
 
     def test_table_leaves_every_program_frozen(self, cold_programs):
-        """Programs built here and programs shipped home by the builders
-        all end up out of the collectable generations, and still equal
-        the pinned serial build."""
+        """Programs shipped home by the builders all end up out of the
+        collectable generations, and still equal the pinned serial
+        build."""
         with scoped_policy(TWO_WORKERS):
             run_table_spec(table1.SPEC, n_blocks=1000)
         assert sorted(profiles._PROGRAM_CACHE) == sorted(WORKLOAD_NAMES)

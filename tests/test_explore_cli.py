@@ -228,8 +228,12 @@ class TestCacheCli:
             self, fresh_cache, tmp_path, capsys):
         self._populate(tmp_path, capsys)
         cache_root = diskcache.cache_dir()
-        stale_dir = os.path.join(cache_root, "ff")
-        os.makedirs(stale_dir, exist_ok=True)
+        # A shard no current entry uses (their keys hash the source, so
+        # any fixed name would sometimes be taken).
+        shard = next(name for name in (f"{i:02x}" for i in range(255, -1, -1))
+                     if not os.path.exists(os.path.join(cache_root, name)))
+        stale_dir = os.path.join(cache_root, shard)
+        os.makedirs(stale_dir)
         with open(os.path.join(stale_dir, "f" * 64 + ".json"), "w") as fh:
             json.dump({"engine_version": diskcache.ENGINE_VERSION - 1,
                        "scheme": "x", "stats": {}}, fh)

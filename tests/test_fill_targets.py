@@ -7,7 +7,8 @@
   keep), for random traces, not-taken conditionals, program-less,
   sliced and saved-then-loaded traces.
 * No program object keeps a per-block dict, and the executor's walk
-  columns are ``bytes``/``array('l')`` at well under 40 bytes a block.
+  columns are ``bytes`` and typed arrays, at most 16 bytes a block,
+  equal block for block to a per-block Python build of them.
 """
 
 from __future__ import annotations
@@ -144,23 +145,51 @@ class TestProgramSideState:
         op, arg, nxt, entry = _walk_columns(program)
         blocks = program.total_blocks
         assert type(op) is bytes and len(op) == blocks
-        assert type(arg) is list and len(arg) == blocks
-        assert type(nxt) is array and nxt.typecode == "l"
+        assert type(arg) is array and arg.typecode == "d"
+        assert type(nxt) is array and nxt.typecode == "i"
         assert type(entry) is array and entry.typecode == "l"
-        assert len(nxt) == blocks and len(entry) == len(program.callees)
-        # Only biased conditionals (op 0), loops (1) and indirect calls
-        # (5) own an arg; every other slot is one shared 0.0.
-        zero = {id(value) for value, code in zip(arg, op)
-                if code not in (0, 1, 5)}
-        assert len(zero) == 1
-        # Deep size, objects counted once: at most 40 bytes a block.
-        seen = set()
+        assert len(arg) == len(nxt) == blocks
+        assert len(entry) == len(program.callees)
+        # Containers only: the arrays hold no Python object per block.
         deep = sum(sys.getsizeof(value) for value in (op, arg, nxt, entry))
-        for value in arg:
-            if id(value) not in seen:
-                seen.add(id(value))
-                deep += sys.getsizeof(value)
-        assert deep / blocks <= 40
+        assert deep / blocks <= 16
+
+    @pytest.mark.parametrize("workload", ["nutch", "oracle"])
+    def test_walk_columns_equal_the_per_block_reference(self, workload):
+        """Block for block, the columns hold what a per-block Python
+        build of them held: ``arg`` a biased conditional's probability,
+        a loop's ``max(2, int(param))`` trips, an indirect call's
+        candidate count, else 0; ``next`` a taken successor, a direct
+        call's entry block or an indirect call's offset."""
+        program = build_program(workload).program
+        op, arg, nxt, entry = _walk_columns(program)
+        starts = program.callee_start.tolist()
+        func_start = program.func_start.tolist()
+        callees = program.callees.tolist()
+        expected_arg, expected_next = [], []
+        for block, (kind, behavior, param, succ) in enumerate(zip(
+                program.kind.tolist(), program.behavior.tolist(),
+                program.behavior_param.tolist(),
+                program.taken_succ.tolist())):
+            count = starts[block + 1] - starts[block]
+            calling = kind in (BranchKind.CALL, BranchKind.TRAP)
+            if kind == BranchKind.COND and behavior == 0:
+                expected_arg.append(param)
+            elif kind == BranchKind.COND and behavior == 1:
+                expected_arg.append(max(2, int(param)))
+            elif calling and count > 1:
+                expected_arg.append(count)
+            else:
+                expected_arg.append(0.0)
+            if calling and count == 1:
+                expected_next.append(func_start[callees[starts[block]]])
+            elif calling:
+                expected_next.append(starts[block])
+            else:
+                expected_next.append(succ)
+        assert arg.tolist() == expected_arg
+        assert nxt.tolist() == expected_next
+        assert entry.tolist() == [func_start[fid] for fid in callees]
 
     def test_program_estimated_bytes(self, tiny_generated):
         program = tiny_generated.program
@@ -187,4 +216,4 @@ class TestProgramSideState:
             del program.derived["example"]
         op, arg, nxt, entry = _walk_columns(program)
         assert estimated_bytes((op, arg, nxt, entry)) == 32 + len(op) \
-            + 8 * len(arg) + 8 * len(nxt) + 8 * len(entry)
+            + 8 * len(arg) + 4 * len(nxt) + 8 * len(entry)
